@@ -8,9 +8,7 @@ from .geometry import (
     QuadratureGrid,
     RefinementSchedule,
     Verdict,
-    aggregate_gamma,
-    build_grid,
-    contains,
+    grid,
     h1_domain,
     integrate,
     unit_interval,

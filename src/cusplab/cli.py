@@ -2,7 +2,7 @@
 
 Runs are configured by an INI file with one section per command (reproducible
 research style: no positional parameters beyond the subcommand and paths).
-Each run writes ``report.json`` (schema 1, with the originating config
+Each run writes ``report.json`` (schema 2, with the originating config
 embedded) plus CSV files where a command produces sequences.  Identical
 config and seed produce byte-identical reports.
 
@@ -51,7 +51,7 @@ from .weights import BallFamily, Weight, ap_check, theorem10_condition
 
 __all__ = ["RunConfig", "main", "run"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,14 +103,12 @@ class RunConfig:
     parameters: dict[str, Any]
     output_dir: Path
     seed: int = 0
-    threads: int = 1
 
     def echo(self) -> dict:
         return {
             "command": self.command,
             "parameters": {k: self.parameters[k] for k in sorted(self.parameters)},
             "seed": self.seed,
-            "threads": self.threads,
         }
 
 
@@ -127,7 +125,7 @@ def _parse_value(raw: str) -> Any:
     return raw
 
 
-def load_config(command: str, path: str | Path, out: str | Path, seed: int, threads: int) -> RunConfig:
+def load_config(command: str, path: str | Path, out: str | Path, seed: int) -> RunConfig:
     if command not in _ALLOWED_KEYS:
         raise ConfigError(f"unknown command {command!r}")
     parser = configparser.ConfigParser()
@@ -147,7 +145,7 @@ def load_config(command: str, path: str | Path, out: str | Path, seed: int, thre
     missing = spec["required"] - params.keys()
     if missing:
         raise ConfigError(f"missing required keys for {command!r}: {sorted(missing)}")
-    return RunConfig(command, params, Path(out), int(seed), int(threads))
+    return RunConfig(command, params, Path(out), int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +254,15 @@ def _run_exponents(config: RunConfig) -> dict:
     params = config.parameters
     if "queries_csv" in params:
         rows_out = []
-        with open(params["queries_csv"]) as fh:
+        try:
+            fh = open(params["queries_csv"], newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot open queries_csv: {exc}") from exc
+        with fh:
             reader = csv.DictReader(fh)
+            missing = {"n", "p", "alpha", "gamma"} - set(reader.fieldnames or ())
+            if missing:
+                raise ConfigError(f"queries_csv lacks columns {sorted(missing)}")
             for row in reader:
                 q = EmbeddingQuery(
                     n=int(row["n"]),
@@ -313,7 +318,7 @@ def _run_distortion(config: RunConfig) -> dict:
     params = config.parameters
     n = int(params["n"])
     gamma = float(params["gamma"])
-    domain = CuspDomain(dim=n, exponents=((gamma - 1.0) / (n - 1),) * (n - 1))
+    domain = CuspDomain.isotropic(n, gamma)
     p, alpha, a, r = (float(params[k]) for k in ("p", "alpha", "a", "r"))
     q_star = ia_exponent_q_threshold(n, p, alpha, gamma, a)
     s_star = ja_exponent_s_bound(n, r, alpha, gamma, a)
@@ -386,8 +391,7 @@ def _run_solve(config: RunConfig) -> dict:
     if params["domain"] == "square":
         region: Box | CuspSection = Box((0.0, 0.0), (1.0, 1.0))
     elif params["domain"] == "cusp":
-        gamma = float(params.get("gamma", 3.0))
-        domain = CuspDomain(dim=2, exponents=(gamma - 1.0,))
+        domain = CuspDomain.isotropic(2, float(params.get("gamma", 3.0)))
         region = CuspSection(domain, eps=float(params.get("eps_geo", 1e-3)))
     else:
         raise ConfigError("domain must be 'square' or 'cusp'")
@@ -461,7 +465,7 @@ def _run_report(config: RunConfig) -> dict:
     results["ap"] = ap_check(w, p, BallFamily(dim=n, seed=config.seed)).to_dict()
     a = float(params.get("a", 0.5))
     margin = float(params.get("margin", 0.05))
-    domain = CuspDomain(dim=n, exponents=((gamma - 1.0) / (n - 1),) * (n - 1))
+    domain = CuspDomain.isotropic(n, gamma)
     q_star = ia_exponent_q_threshold(n, p, alpha, gamma, a)
     r_ref = 3.0
     s_star = ja_exponent_s_bound(n, r_ref, alpha, gamma, a)
@@ -490,7 +494,6 @@ _COMMANDS = {
 
 def run(config: RunConfig) -> int:
     """Execute one validated run; returns the process exit code."""
-    np.random.seed(config.seed % 2**32)
     try:
         results = _COMMANDS[config.command](config)
     except (ValidityError, ValueError, ZeroDivisionError) as exc:
@@ -515,10 +518,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="INI file with a [%s] section" % name)
         p.add_argument("--out", required=True, help="output directory for report.json and CSVs")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.command, args.config, args.out, args.seed, args.threads)
+        config = load_config(args.command, args.config, args.out, args.seed)
         return run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -58,10 +58,6 @@ class CuspMap:
             raise ValueError("bending exponent a must lie in (0, 1]")
 
     @property
-    def domain(self) -> CuspDomain:
-        return self.target
-
-    @property
     def source(self) -> CuspDomain:
         return h1_domain(self.target.dim)
 
@@ -287,6 +283,24 @@ def ja_exponent_s_bound(n: int, r: float, alpha: float, gamma: float, a: float) 
     return a * (alpha + gamma) * r / n
 
 
+def _cross_section_power(
+    domain: CuspDomain, expo: float, k: float, schedule, tol: float, growth: float
+) -> IntegralVerdict:
+    """Verdict for ``∫_0^1 t**expo * G(t)**k dt``.
+
+    ``G(t)**k = c**k * t**((gamma-1) k)`` is folded into one power of ``t``:
+    two separate powers under- or overflow at deep refinement levels even
+    when their product is a modest power.
+    """
+    scale = domain.profile_scale ** ((domain.dim - 1) * k)
+    beta = expo + (domain.gamma - 1.0) * k
+
+    def f(pts: np.ndarray) -> np.ndarray:
+        return scale * pts[:, 0] ** beta
+
+    return integrate(f, unit_interval(), schedule=schedule, tol=tol, growth=growth)
+
+
 def distortion_Ia(
     p: float,
     q: float,
@@ -310,12 +324,7 @@ def distortion_Ia(
     n = domain.dim
     qq = q / (p - q)
     expo = (p * (a - 1.0) - a * (alpha + 1.0) + n) * qq + n - 1.0
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        t = pts[:, 0]
-        return t**expo * domain.cross_section(t) ** (-a * qq)
-
-    return integrate(f, unit_interval(), schedule=schedule, tol=tol, growth=growth)
+    return _cross_section_power(domain, expo, -a * qq, schedule, tol, growth)
 
 
 def jacobian_Ja(
@@ -337,12 +346,7 @@ def jacobian_Ja(
     n = domain.dim
     rr = r / (r - s)
     expo = (a * (alpha + 1.0) - n) * rr + n - 1.0
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        t = pts[:, 0]
-        return t**expo * domain.cross_section(t) ** (a * rr)
-
-    return integrate(f, unit_interval(), schedule=schedule, tol=tol, growth=growth)
+    return _cross_section_power(domain, expo, a * rr, schedule, tol, growth)
 
 
 @dataclass(frozen=True)

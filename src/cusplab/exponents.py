@@ -251,14 +251,22 @@ def thm9_sstar(p: Number, s: Number, m: int) -> Number:
 # ---------------------------------------------------------------------------
 
 
+def _clearly_below(x: float, bound: float) -> bool:
+    """Strict ``x < bound`` with ``FLOAT_TOL`` relative slack, so that a tie
+    that float rounding happens to break is not accepted."""
+    return x < bound - FLOAT_TOL * abs(bound)
+
+
 def witness_satisfies(query: EmbeddingQuery, s: Number, w: Witness) -> bool:
-    """Substitute a triple into the three strict chain inequalities."""
+    """Substitute a triple into the strict chain inequalities, ``q < p``
+    included, each with ``FLOAT_TOL`` relative slack."""
     n, p = query.n, float(query.p)
     ag = float(query.alpha + query.gamma)
-    ok_q = w.q < n * p / (w.a * ag + p - w.a * p)
-    ok_r = w.r < n * w.q / (n - w.q)
-    ok_s = float(s) < w.a * ag * w.r / n
-    return bool(ok_q and ok_r and ok_s and 0.0 < w.a < 1.0)
+    ok_p = _clearly_below(w.q, p)
+    ok_q = _clearly_below(w.q, n * p / (w.a * ag + p - w.a * p))
+    ok_r = _clearly_below(w.r, n * w.q / (n - w.q))
+    ok_s = _clearly_below(float(s), w.a * ag * w.r / n)
+    return bool(ok_p and ok_q and ok_r and ok_s and 0.0 < w.a < 1.0)
 
 
 def select_witness(query: EmbeddingQuery, s: Number, a_grid: int = 1000) -> Optional[Witness]:

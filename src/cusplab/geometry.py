@@ -32,10 +32,8 @@ __all__ = [
     "QuadratureGrid",
     "RefinementSchedule",
     "Verdict",
-    "aggregate_gamma",
-    "build_grid",
-    "contains",
     "fixed_grid_sum",
+    "grid",
     "h1_domain",
     "integrate",
     "unit_interval",
@@ -164,6 +162,12 @@ class CuspDomain:
         c = self.profile_scale ** (self.dim - 1)
         return c * t ** (self.gamma - 1.0)
 
+    @classmethod
+    def isotropic(cls, dim: int, gamma: float) -> "CuspDomain":
+        """Cusp with aggregate exponent ``gamma`` shared equally by the
+        ``dim - 1`` transverse axes, each profile exponent ``(gamma-1)/(dim-1)``."""
+        return cls(dim=dim, exponents=((float(gamma) - 1.0) / (dim - 1),) * (dim - 1))
+
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
@@ -184,22 +188,12 @@ Domain = Union[Box, Ball, CuspDomain]
 
 def h1_domain(dim: int) -> CuspDomain:
     """The Lipschitz reference cusp (all profile exponents equal to 1)."""
-    return CuspDomain(dim=dim, exponents=(1.0,) * (dim - 1))
+    return CuspDomain.isotropic(dim, dim)
 
 
 def unit_interval() -> Box:
     """``(0, 1)`` with the singular face at 0, for reduced 1-D integrals."""
     return Box(lo=(0.0,), hi=(1.0,), singular_axis=0)
-
-
-def contains(domain: Domain, x) -> bool:
-    """Strict-interior membership test; raises on dimension mismatch."""
-    return domain.contains(x)
-
-
-def aggregate_gamma(domain: CuspDomain) -> float:
-    """Aggregate cusp exponent; see :attr:`CuspDomain.gamma`."""
-    return domain.gamma
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +212,6 @@ class QuadratureGrid:
     """
 
     domain: Domain
-    levels: int
-    grading: float
     centers: np.ndarray
     widths: np.ndarray
     weights: np.ndarray
@@ -231,14 +223,6 @@ class QuadratureGrid:
 
     def total_measure(self) -> float:
         return float(np.sum(self.weights))
-
-    def to_dict(self) -> dict:
-        return {
-            "cells": self.cell_count,
-            "levels": self.levels,
-            "grading": self.grading,
-            "measure": self.total_measure(),
-        }
 
 
 def _axis_cells(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,21 +243,23 @@ def _graded_axis_cells(
 
 
 def _tensor_cells(per_axis: Sequence[tuple[np.ndarray, np.ndarray]]):
-    centers_1d = [c for c, _ in per_axis]
-    widths_1d = [w for _, w in per_axis]
-    grids_c = np.meshgrid(*centers_1d, indexing="ij")
-    grids_w = np.meshgrid(*widths_1d, indexing="ij")
-    centers = np.stack([g.ravel() for g in grids_c], axis=-1)
-    widths = np.stack([g.ravel() for g in grids_w], axis=-1)
-    return centers, widths
+    """Centers and widths of the product cells, row-major (last axis fastest)."""
+    dim = len(per_axis)
+    shape = tuple(len(c) for c, _ in per_axis) + (dim,)
+    centers, widths = np.empty(shape), np.empty(shape)
+    for ax, (c, w) in enumerate(per_axis):
+        along = (slice(None),) + (None,) * (dim - 1 - ax)
+        centers[..., ax] = c[along]
+        widths[..., ax] = w[along]
+    return centers.reshape(-1, dim), widths.reshape(-1, dim)
 
 
 def _cusp_reference_grid(
-    domain: CuspDomain, decades: float, panels_per_decade: int, cross: int
+    domain: CuspDomain, decades: float, panels_per_decade: int, cells: int
 ) -> QuadratureGrid:
     n = domain.dim
     t_cells = _graded_axis_cells(0.0, 1.0, decades, panels_per_decade)
-    per_axis = [_axis_cells(0.0, 1.0, cross) for _ in range(n - 1)] + [t_cells]
+    per_axis = [_axis_cells(0.0, 1.0, cells) for _ in range(n - 1)] + [t_cells]
     centers, widths = _tensor_cells(per_axis)
     t = centers[:, -1]
     vol = np.prod(widths, axis=1)
@@ -281,14 +267,11 @@ def _cusp_reference_grid(
     points = np.empty_like(centers)
     points[:, :-1] = centers[:, :-1] * domain.profiles(t)
     points[:, -1] = t
-    return QuadratureGrid(domain, 0, 0.0, centers, widths, weights, points)
+    return QuadratureGrid(domain, centers, widths, weights, points)
 
 
 def _box_grid(
-    box: Box,
-    uniform_cells: int,
-    decades: float,
-    panels_per_decade: int,
+    box: Box, decades: float, panels_per_decade: int, cells: int
 ) -> QuadratureGrid:
     per_axis = []
     for ax in range(box.dim):
@@ -297,22 +280,22 @@ def _box_grid(
                 _graded_axis_cells(box.lo[ax], box.hi[ax], decades, panels_per_decade)
             )
         else:
-            per_axis.append(_axis_cells(box.lo[ax], box.hi[ax], uniform_cells))
+            per_axis.append(_axis_cells(box.lo[ax], box.hi[ax], cells))
     centers, widths = _tensor_cells(per_axis)
     weights = np.prod(widths, axis=1)
-    return QuadratureGrid(box, 0, 0.0, centers, widths, weights, centers)
+    return QuadratureGrid(box, centers, widths, weights, centers)
 
 
 def _ball_grid(
-    ball: Ball, decades: float, panels_per_decade: int, cross: int
+    ball: Ball, decades: float, panels_per_decade: int, cells: int
 ) -> QuadratureGrid:
     if ball.dim != 2:
         raise NotImplementedError("grid-based ball quadrature is 2-D only")
     if ball.singular_center:
         r_cells = _graded_axis_cells(0.0, ball.radius, decades, panels_per_decade)
     else:
-        r_cells = _axis_cells(0.0, ball.radius, max(cross, 16))
-    th_cells = _axis_cells(0.0, 2.0 * math.pi, max(cross, 16))
+        r_cells = _axis_cells(0.0, ball.radius, max(cells, 16))
+    th_cells = _axis_cells(0.0, 2.0 * math.pi, max(cells, 16))
     centers, widths = _tensor_cells([r_cells, th_cells])
     rho, theta = centers[:, 0], centers[:, 1]
     weights = np.prod(widths, axis=1) * rho
@@ -323,33 +306,26 @@ def _ball_grid(
         ],
         axis=-1,
     )
-    return QuadratureGrid(ball, 0, 0.0, centers, widths, weights, points)
+    return QuadratureGrid(ball, centers, widths, weights, points)
 
 
-def build_grid(domain: Domain, levels: int, grading: float = 2.0) -> QuadratureGrid:
-    """Grid graded toward the singular face, strictly finer with ``levels``.
+def grid(
+    domain: Domain, decades: float, panels_per_decade: int, cells: int
+) -> QuadratureGrid:
+    """Quadrature grid over ``domain``.
 
-    For cusp domains and singular-axis boxes the grid resolves
-    ``levels * max(grading, 1)`` decades next to the face; with
-    ``grading = 0`` a box is subdivided uniformly.
+    A graded axis (the cusp's ``t``, a box's singular axis, the radius of a
+    ball with ``singular_center``) resolves ``decades`` decades next to its
+    singular end with ``panels_per_decade`` geometric panels per decade.
+    Every other axis has ``cells`` uniform cells (at least 16 on a ball).
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    decades = levels * max(grading, 1.0)
     if isinstance(domain, CuspDomain):
-        g = _cusp_reference_grid(domain, decades, 12, cross=4 * 2 ** min(levels, 4))
-    elif isinstance(domain, Ball):
-        g = _ball_grid(domain, decades, 12, cross=8 * 2 ** min(levels, 3))
-    elif isinstance(domain, Box):
-        if domain.singular_axis is not None and grading > 0:
-            g = _box_grid(domain, 4 * 2 ** min(levels, 5), decades, 12)
-        else:
-            g = _box_grid(domain, 4 * 2**levels, 0.0, 12)
-    else:
-        raise TypeError(f"unsupported domain type {type(domain)!r}")
-    return QuadratureGrid(
-        domain, levels, grading, g.centers, g.widths, g.weights, g.points
-    )
+        return _cusp_reference_grid(domain, decades, panels_per_decade, cells)
+    if isinstance(domain, Ball):
+        return _ball_grid(domain, decades, panels_per_decade, cells)
+    if isinstance(domain, Box):
+        return _box_grid(domain, decades, panels_per_decade, cells)
+    raise TypeError(f"unsupported domain type {type(domain)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +404,15 @@ DEFAULT_SCHEDULE = RefinementSchedule()
 
 
 def _level_grid(domain: Domain, schedule: RefinementSchedule, level: int) -> QuadratureGrid:
-    d = schedule.decades(level)
-    ppd = schedule.panels_per_decade
-    if isinstance(domain, CuspDomain):
-        cross = schedule.cross(level)
-        if domain.dim > 2:  # keep tensor cell counts tractable
-            cross = min(cross, 24)
-        return _cusp_reference_grid(domain, d, ppd, cross)
-    if isinstance(domain, Ball):
-        return _ball_grid(domain, d, ppd, schedule.cross(level) + 8)
-    if isinstance(domain, Box):
-        if domain.singular_axis is not None:
-            return _box_grid(domain, schedule.cross(level), d, ppd)
-        return _box_grid(domain, schedule.uniform(level), 0.0, ppd)
-    raise TypeError(f"unsupported domain type {type(domain)!r}")
+    if isinstance(domain, Box) and domain.singular_axis is None:
+        cells = schedule.uniform(level)
+    elif isinstance(domain, Ball):
+        cells = schedule.cross(level) + 8
+    elif isinstance(domain, CuspDomain) and domain.dim > 2:
+        cells = min(schedule.cross(level), 24)  # keep tensor cell counts tractable
+    else:
+        cells = schedule.cross(level)
+    return grid(domain, schedule.decades(level), schedule.panels_per_decade, cells)
 
 
 def fixed_grid_sum(f: Callable[[np.ndarray], np.ndarray], grid: QuadratureGrid) -> float:

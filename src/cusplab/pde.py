@@ -22,6 +22,7 @@ import scipy.sparse.linalg as spla
 import sympy as sp
 
 from .geometry import Box, CuspDomain
+from .mollifier import SmoothField
 from .weights import Weight
 
 __all__ = [
@@ -119,10 +120,13 @@ def triangulate(
     h: float,
     grade_exponent: float | None = None,
 ) -> Mesh:
-    """Structured triangulation with max edge below ``h``.
+    """Structured triangulation of a box or a cusp section at mesh size ``h``.
 
     ``grade_exponent > 1`` concentrates vertices toward the origin corner
     (boxes) or the truncation face (cusp sections).  Boxes must be 2-D.
+    The longest edge is at most ``h`` on ungraded boxes only; graded meshes
+    and cusp sections can be coarser, and ``Mesh.h`` reports the longest
+    edge the mesh really has.
     """
     if h <= 0:
         raise ValueError("mesh size must be positive")
@@ -148,11 +152,8 @@ def triangulate(
         dom = region.domain
         nt = max(2, int(math.ceil((1.0 - region.eps) / h * math.sqrt(2.0))))
         nu = max(2, int(math.ceil(1.0 / h)))
-        st = np.linspace(0.0, 1.0, nt + 1)
-        if grade_exponent is not None and grade_exponent > 1.0:
-            st = st**grade_exponent
-        t = region.eps + (1.0 - region.eps) * st
-        u = np.linspace(0.0, 1.0, nu + 1)
+        t = region.eps + (1.0 - region.eps) * _structured_nodes(nt, grade_exponent)
+        u = _structured_nodes(nu, None)
         uu, tt = np.meshgrid(u, t, indexing="ij")
         g = dom.profiles(tt.ravel())[:, 0].reshape(tt.shape)
         verts = np.stack([(uu * g).ravel(), tt.ravel()], axis=-1)
@@ -163,16 +164,12 @@ def triangulate(
     else:
         raise TypeError(f"cannot triangulate {type(region)!r}")
 
-    def vid(i: int, j: int) -> int:
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    triangles = np.asarray(tris, dtype=np.int64)
+    # cell (i, j), row-major, has corners a = (i, j), b = (i+1, j),
+    # c = (i+1, j+1), d = (i, j+1), vertex (i, j) numbered i*(ny+1) + j;
+    # it gives the triangles (a, b, c) and (a, c, d)
+    a = (np.arange(nx, dtype=np.int64)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    b = a + (ny + 1)
+    triangles = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1).reshape(-1, 3)
     mesh = Mesh(vertices=verts, triangles=triangles, boundary=on_bnd)
     areas = mesh.areas
     if np.any(areas <= 0):
@@ -214,6 +211,14 @@ def _p1_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return grads, areas
 
 
+def _at_midpoints(fn, points: np.ndarray) -> np.ndarray:
+    """A constant or a vectorised callable sampled at the flattened edge
+    midpoints of :meth:`Mesh.edge_midpoints`, one row per triangle."""
+    if isinstance(fn, (int, float)):
+        return np.full(points.shape[0], float(fn)).reshape(-1, 3)
+    return np.asarray(fn(points), dtype=float).reshape(-1, 3)
+
+
 def assemble(
     mesh: Mesh,
     w: Weight | Callable[[np.ndarray], np.ndarray] | float,
@@ -224,21 +229,12 @@ def assemble(
     The weight is averaged per triangle from the three edge midpoints (exact
     for quadratics); assembly fails if a midpoint sample is not positive.
     """
-    mids = mesh.edge_midpoints()
-    flat = mids.reshape(-1, 2)
-    if isinstance(w, (int, float)):
-        wvals = np.full(flat.shape[0], float(w))
-    else:
-        wvals = np.asarray(w(flat), dtype=float)
-    wvals = wvals.reshape(-1, 3)
+    flat = mesh.edge_midpoints().reshape(-1, 2)
+    wvals = _at_midpoints(w, flat)
     if not np.all(np.isfinite(wvals)) or np.any(wvals <= 0.0):
         raise ValueError("weight must be positive and finite at quadrature nodes")
     wbar = wvals.mean(axis=1)
-
-    if isinstance(f, (int, float)):
-        fvals = np.full(flat.shape[0], float(f)).reshape(-1, 3)
-    else:
-        fvals = np.asarray(f(flat), dtype=float).reshape(-1, 3)
+    fvals = _at_midpoints(f, flat)
 
     grads, areas = _p1_gradients(mesh)
     local = np.einsum("tkd,tld->tkl", grads, grads) * (areas * wbar)[:, None, None]
@@ -373,9 +369,8 @@ def _midpoint_values(mesh: Mesh, vertex_values: np.ndarray) -> np.ndarray:
 def l2_error(solution: FemSolution, exact: Callable[[np.ndarray], np.ndarray]) -> float:
     """L2 distance to a reference field by the mid-edge rule (exact for P2)."""
     mesh = solution.mesh
-    mids = mesh.edge_midpoints()
     uh = _midpoint_values(mesh, solution.values)
-    ue = np.asarray(exact(mids.reshape(-1, 2)), dtype=float).reshape(-1, 3)
+    ue = _at_midpoints(exact, mesh.edge_midpoints().reshape(-1, 2))
     err2 = np.sum((uh - ue) ** 2, axis=1) * mesh.areas / 3.0
     return float(math.sqrt(np.sum(err2)))
 
@@ -389,12 +384,9 @@ def energy_norm_error(
     mesh = solution.mesh
     grads, areas = _p1_gradients(mesh)
     gh = np.einsum("tk,tkd->td", solution.values[mesh.triangles], grads)
-    mids = mesh.edge_midpoints()
-    ge = np.asarray(exact_grad(mids.reshape(-1, 2)), dtype=float).reshape(-1, 3, 2)
-    if isinstance(w, (int, float)):
-        wv = np.full(mids.reshape(-1, 2).shape[0], float(w)).reshape(-1, 3)
-    else:
-        wv = np.asarray(w(mids.reshape(-1, 2)), dtype=float).reshape(-1, 3)
+    flat = mesh.edge_midpoints().reshape(-1, 2)
+    ge = np.asarray(exact_grad(flat), dtype=float).reshape(-1, 3, 2)
+    wv = _at_midpoints(w, flat)
     diff2 = np.sum((ge - gh[:, None, :]) ** 2, axis=2)
     return float(math.sqrt(np.sum(np.mean(diff2 * wv, axis=1) * areas)))
 
@@ -436,40 +428,17 @@ def manufactured_rhs(u_text: str, w_text: str) -> tuple[Callable, Callable, Call
     Returns vectorized ``(u, grad_u, f)``; expressions use variables
     ``x`` and ``y``.
     """
-    x, y = sp.symbols("x y")
+    x, y = sp.symbols("x0:2")  # the variables of SmoothField
     loc = {"x": x, "y": y}
-    u = sp.sympify(u_text, locals=loc)
+    u = SmoothField(sp.sympify(u_text, locals=loc), 2)
     w = sp.sympify(w_text, locals=loc)
-    ux, uy = sp.diff(u, x), sp.diff(u, y)
-    fexpr = sp.diff(w * ux, x) + sp.diff(w * uy, y)
-    u_fn = sp.lambdify((x, y), u, "numpy")
-    gx_fn = sp.lambdify((x, y), ux, "numpy")
-    gy_fn = sp.lambdify((x, y), uy, "numpy")
-    f_fn = sp.lambdify((x, y), sp.simplify(fexpr), "numpy")
-
-    def u_vec(pts):
-        pts = np.atleast_2d(pts)
-        return np.broadcast_to(
-            np.asarray(u_fn(pts[:, 0], pts[:, 1]), dtype=float), (pts.shape[0],)
-        ).copy()
+    fexpr = sp.diff(w * sp.diff(u.expr, x), x) + sp.diff(w * sp.diff(u.expr, y), y)
+    gx, gy = u.derivative((1, 0)), u.derivative((0, 1))
 
     def grad_vec(pts):
-        pts = np.atleast_2d(pts)
-        gx = np.broadcast_to(
-            np.asarray(gx_fn(pts[:, 0], pts[:, 1]), dtype=float), (pts.shape[0],)
-        )
-        gy = np.broadcast_to(
-            np.asarray(gy_fn(pts[:, 0], pts[:, 1]), dtype=float), (pts.shape[0],)
-        )
-        return np.stack([gx, gy], axis=-1)
+        return np.stack([gx(pts), gy(pts)], axis=-1)
 
-    def f_vec(pts):
-        pts = np.atleast_2d(pts)
-        return np.broadcast_to(
-            np.asarray(f_fn(pts[:, 0], pts[:, 1]), dtype=float), (pts.shape[0],)
-        ).copy()
-
-    return u_vec, grad_vec, f_vec
+    return u, grad_vec, SmoothField(sp.simplify(fexpr), 2)
 
 
 # ---------------------------------------------------------------------------

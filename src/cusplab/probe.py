@@ -36,7 +36,6 @@ class TrialFunction:
 
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]  # (N, n) components
-    scale: float  # concentration scale (quadrature hint)
 
 
 def _tip_bump(eps: float) -> TrialFunction:
@@ -51,7 +50,7 @@ def _tip_bump(eps: float) -> TrialFunction:
         g[inside] = -pts[inside] / (r[inside, None] * eps)
         return g
 
-    return TrialFunction(value, grad, eps)
+    return TrialFunction(value, grad)
 
 
 def _power_spike(beta: float, eps: float, outer: float = 0.5) -> TrialFunction:
@@ -69,7 +68,7 @@ def _power_spike(beta: float, eps: float, outer: float = 0.5) -> TrialFunction:
         g[live] = -beta * r[live, None] ** (-beta - 2.0) * pts[live]
         return g
 
-    return TrialFunction(value, grad, outer)
+    return TrialFunction(value, grad)
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,6 @@ class TrialFamily:
     """
 
     kind: str
-    domain: CuspDomain
-    weight: Weight
     beta: float | None = None
 
     def member(self, eps: float) -> TrialFunction:
@@ -203,10 +200,9 @@ def run_probe(
     if span < 4.0 - 1e-9:
         raise ValueError("schedule must span at least four decades")
     n = query.n
-    sigma = (float(query.gamma) - 1.0) / (n - 1)
-    domain = CuspDomain(dim=n, exponents=(sigma,) * (n - 1))
+    domain = CuspDomain.isotropic(n, query.gamma)
     weight = Weight.polynomial(float(query.alpha), n)
-    family = TrialFamily(family_kind, domain, weight, beta=beta)
+    family = TrialFamily(family_kind, beta=beta)
 
     ratios = []
     try:

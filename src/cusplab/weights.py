@@ -26,10 +26,8 @@ from .geometry import (
     Domain,
     IntegralVerdict,
     RefinementSchedule,
+    grid,
     integrate,
-    _ball_grid,
-    _graded_axis_cells,
-    _axis_cells,
 )
 
 __all__ = [
@@ -168,7 +166,7 @@ def _radial_power_verdict(
 
 
 def _same_grid_ball_averages(
-    w: Weight, powers: Sequence[float], ball: Ball, schedule: RefinementSchedule
+    w: Weight, powers: Sequence[float], ball: Ball
 ) -> list[float]:
     """Averages of ``w**power`` over a ball, all on one node set.
 
@@ -180,22 +178,20 @@ def _same_grid_ball_averages(
     if w.is_polynomial:
         hi = d + ball.radius
         lo = max(0.0, d - ball.radius)
-        if lo > 0.0:
-            centers, widths = _axis_cells(lo, hi, 4096)
-        else:
-            centers, widths = _graded_axis_cells(
-                lo, hi, decades=24.0, panels_per_decade=48
-            )
-        shell = _shell_measure(n, centers, d, ball.radius)
+        # 4096 uniform cells, or 24 graded decades when the origin is inside
+        axis = None if lo > 0.0 else 0
+        radial = grid(Box((lo,), (hi,), singular_axis=axis), 24.0, 48, 4096)
+        rho, widths = radial.points[:, 0], radial.weights
+        shell = _shell_measure(n, rho, d, ball.radius)
         vol = float(np.dot(shell, widths))
         out = []
         for power in powers:
-            vals = centers ** (w.alpha * power)
+            vals = rho ** (w.alpha * power)
             out.append(float(np.dot(vals * shell, widths)) / vol)
         return out
-    grid = _ball_grid(ball, decades=20.0, panels_per_decade=32, cross=96)
-    wv = w(grid.points)
-    vol = float(np.sum(grid.weights))
+    nodes = grid(ball, 20.0, 32, 96)
+    wv = w(nodes.points)
+    vol = float(np.sum(nodes.weights))
     out = []
     with np.errstate(divide="ignore"):
         for power in powers:
@@ -203,7 +199,7 @@ def _same_grid_ball_averages(
             if not np.all(np.isfinite(vals)):
                 out.append(math.inf)
             else:
-                out.append(float(np.dot(vals, grid.weights)) / vol)
+                out.append(float(np.dot(vals, nodes.weights)) / vol)
     return out
 
 
@@ -234,7 +230,7 @@ def ap_ratio(
             )
             if not v.finite:
                 return math.inf
-    avg_w, avg_dual = _same_grid_ball_averages(w, (1.0, dual), ball, schedule or RefinementSchedule())
+    avg_w, avg_dual = _same_grid_ball_averages(w, (1.0, dual), ball)
     if not (math.isfinite(avg_w) and math.isfinite(avg_dual)):
         return math.inf
     return avg_w * avg_dual ** (p - 1.0)

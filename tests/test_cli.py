@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cusplab.cli import main
@@ -24,7 +25,7 @@ class TestExponentsCommand:
         out = tmp_path / "out"
         assert main(["exponents", "--config", str(cfg), "--out", str(out)]) == 0
         rep = read_report(out)
-        assert rep["schema"] == 1
+        assert rep["schema"] == 2
         assert rep["results"]["thm6"]["s_max"] == 6.0
         assert rep["results"]["witness"] is not None
         assert rep["config"]["parameters"]["gamma"] == 3
@@ -42,6 +43,20 @@ class TestExponentsCommand:
         assert rows[0].startswith("n,p,alpha,gamma")
         assert len(rows) == 3
         assert "6.0" in rows[1]
+
+    @pytest.mark.parametrize(
+        "table", ["n,p,alpha,sigma\n2,2,0,2\n", None], ids=["missing-column", "unreadable"]
+    )
+    def test_bad_queries_csv_exits_2_without_files(self, tmp_path, table):
+        queries = tmp_path / "queries.csv"
+        if table is not None:
+            queries.write_text(table)
+        cfg = write_config(
+            tmp_path, f"[exponents]\nn = 2\np = 2\nalpha = 0\nqueries_csv = {queries}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["exponents", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_malformed_config_exits_2_without_files(self, tmp_path):
         cfg = write_config(tmp_path, "garbage [[[\n")
@@ -83,6 +98,20 @@ class TestVerdictCommands:
         assert ia[0] == "q,verdict,value"
         assert len(ia) == 5
         assert (out / "ja_sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command,section",
+        [
+            ("report", "[report]\nn = 2\np = 2\nalpha = 1\ngamma = 3\n"),
+            (
+                "distortion",
+                "[distortion]\nn = 3\np = 2\nalpha = 0.5\ngamma = 3\na = 0.8\nr = 3\nq = 1.85\n",
+            ),
+        ],
+    )
+    def test_near_threshold_distortion_succeeds(self, tmp_path, command, section):
+        cfg = write_config(tmp_path, section)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     def test_distortion_validity_violation_exit_3(self, tmp_path):
         cfg = write_config(
@@ -160,6 +189,16 @@ class TestDeterminism:
         rep = read_report(out)
         assert rep["config"]["seed"] == 9
         assert rep["config"]["parameters"] == {"alpha": 1, "n": 2, "p": 2}
+
+    def test_global_rng_untouched_and_no_threads_echo(self, tmp_path):
+        cfg = write_config(tmp_path, "[ap-check]\nn = 2\np = 2\nalpha = 1\n")
+        out = tmp_path / "out"
+        np.random.seed(123)
+        before = np.random.get_state()
+        assert main(["ap-check", "--config", str(cfg), "--out", str(out), "--seed", "9"]) == 0
+        after = np.random.get_state()
+        assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+        assert "threads" not in read_report(out)["config"]
 
 
 class TestSolveValidation:

@@ -208,6 +208,14 @@ class TestDistortionIntegrals:
             v = distortion_Ia(2.0, q, 1.0, 0.0, h1)
             assert v.verdict is Verdict.FINITE
 
+    @pytest.mark.parametrize("q,beta", [(1.85, -7.0 / 15.0), (1.8727, -0.9421838)])
+    def test_near_threshold_finite_in_3d(self, q, beta):
+        # the reduced integrand is t**beta; the cross-section power must be
+        # folded into it, or its factors under- and overflow at deep levels
+        v = distortion_Ia(2.0, q, 0.8, 0.5, CuspDomain(dim=3, exponents=(1.0, 1.0)))
+        assert v.verdict is Verdict.FINITE
+        assert v.value == pytest.approx(1.0 / (beta + 1.0), rel=2e-3)
+
     def test_exponent_preconditions(self):
         with pytest.raises(ValueError):
             distortion_Ia(2.0, 2.0, 0.5, 0.0, HG)  # q >= p

@@ -174,6 +174,19 @@ class TestWitness:
         q = EmbeddingQuery(2, 5, 0, 3)  # p outside both windows
         assert select_witness(q, 2) is None
 
+    def test_witness_holds_in_exact_arithmetic(self):
+        # a = 0.3 gives q = p and s = a(alpha+gamma)r/n exactly, a tie that
+        # float rounding breaks; the returned triple must not rely on it
+        n, p, alpha, gamma, s = 2, F("1.6"), F("0.1"), F("2.7"), F("3.36")
+        w = select_witness(EmbeddingQuery(n, 1.6, 0.1, 2.7), 3.36)
+        assert w is not None
+        a, q, r = F(w.a), F(w.q), F(w.r)
+        ag = alpha + gamma
+        assert 0 < a < 1 and q < p
+        assert q < n * p / (a * ag + p - a * p)
+        assert r < n * q / (n - q)
+        assert s < a * ag * r / n
+
     def test_witness_fields_in_open_unit_interval(self):
         w = select_witness(Q230, 5.9)
         assert w is not None and 0.0 < w.a < 1.0

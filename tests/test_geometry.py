@@ -6,12 +6,11 @@ import pytest
 from cusplab.geometry import (
     Box,
     CuspDomain,
+    DEFAULT_SCHEDULE,
     EvaluationError,
     Verdict,
-    aggregate_gamma,
-    build_grid,
-    contains,
     fixed_grid_sum,
+    grid,
     h1_domain,
     integrate,
     unit_interval,
@@ -25,23 +24,23 @@ def ones(p):
 class TestDomains:
     def test_cusp_membership(self):
         dom = CuspDomain(dim=2, exponents=(2.0,))
-        assert contains(dom, (0.01, 0.5))  # 0.01 < 0.25
-        assert not contains(dom, (0.3, 0.5))  # 0.3 > 0.25
-        assert contains(h1_domain(2), (0.4, 0.5))
+        assert dom.contains((0.01, 0.5))  # 0.01 < 0.25
+        assert not dom.contains((0.3, 0.5))  # 0.3 > 0.25
+        assert h1_domain(2).contains((0.4, 0.5))
 
     def test_membership_dimension_mismatch(self):
         dom = CuspDomain(dim=2, exponents=(2.0,))
         with pytest.raises(ValueError):
-            contains(dom, (0.1, 0.2, 0.3))
+            dom.contains((0.1, 0.2, 0.3))
 
     def test_aggregate_gamma(self):
-        assert aggregate_gamma(CuspDomain(dim=2, exponents=(2.0,))) == 3.0
-        assert aggregate_gamma(h1_domain(3)) == 3.0  # Lipschitz case: gamma = n
-        assert aggregate_gamma(CuspDomain(dim=3, exponents=(2.0, 3.0))) == 6.0
+        assert CuspDomain(dim=2, exponents=(2.0,)).gamma == 3.0
+        assert h1_domain(3).gamma == 3.0  # Lipschitz case: gamma = n
+        assert CuspDomain(dim=3, exponents=(2.0, 3.0)).gamma == 6.0
 
     def test_gamma_at_least_dimension(self):
         for n in (2, 3, 4):
-            assert aggregate_gamma(h1_domain(n)) == n
+            assert h1_domain(n).gamma == n
             dom = CuspDomain(dim=n, exponents=(1.5,) * (n - 1))
             assert dom.gamma >= n
             assert dom.sigma >= 1.0
@@ -61,12 +60,12 @@ class TestDomains:
 
 class TestGrids:
     def test_uniform_box_grid(self):
-        g = build_grid(Box((0.0,), (1.0,)), levels=1, grading=0.0)
-        assert np.allclose(g.widths, g.widths[0])  # degenerate grading: uniform
+        g = grid(Box((0.0,), (1.0,)), 0.0, 12, 8)
+        assert np.allclose(g.widths, g.widths[0])  # no singular axis: uniform
         assert g.total_measure() == pytest.approx(1.0)
 
     def test_h1_grid_finer_near_singular_face(self):
-        g = build_grid(h1_domain(2), levels=3, grading=1.0)
+        g = grid(h1_domain(2), 3.0, 12, 32)
         t = g.centers[:, -1]
         wt = g.widths[:, -1]
         order = np.argsort(t)
@@ -75,20 +74,22 @@ class TestGrids:
 
     def test_cusp_grid_total_measure(self):
         dom = CuspDomain(dim=2, exponents=(2.0,))
-        g = build_grid(dom, levels=5)
+        g = grid(dom, 10.0, 12, 64)
         assert g.total_measure() == pytest.approx(1.0 / 3.0, rel=1e-2)
 
     def test_cell_count_monotone_in_levels(self):
-        counts = [build_grid(h1_domain(2), levels=k).cell_count for k in range(1, 6)]
+        s = DEFAULT_SCHEDULE
+        counts = [
+            grid(h1_domain(2), s.decades(k), s.panels_per_decade, s.cross(k)).cell_count
+            for k in range(5)
+        ]
         assert all(c2 > c1 for c1, c2 in zip(counts, counts[1:]))
 
-    def test_levels_must_be_positive(self):
-        with pytest.raises(ValueError):
-            build_grid(h1_domain(2), levels=0)
-
-    def test_grid_serializable(self):
-        d = build_grid(h1_domain(2), levels=2).to_dict()
-        assert set(d) == {"cells", "levels", "grading", "measure"}
+    def test_isotropic_cusp(self):
+        dom = CuspDomain.isotropic(3, 4.0)
+        assert dom.exponents == (1.5, 1.5)
+        assert dom.gamma == 4.0
+        assert CuspDomain.isotropic(2, 2) == h1_domain(2)
 
 
 class TestIntegrate:
@@ -182,7 +183,7 @@ class TestRefinementProperties:
         ]
         for f, exact in cases:
             errs = [
-                abs(fixed_grid_sum(f, build_grid(box, levels=k, grading=0.0)) - exact)
+                abs(fixed_grid_sum(f, grid(box, 0.0, 12, 4 * 2**k)) - exact)
                 for k in (3, 4, 5)
             ]
             assert errs[1] <= errs[0] and errs[2] <= errs[1]
@@ -192,7 +193,7 @@ class TestRefinementProperties:
                 abs(
                     fixed_grid_sum(
                         lambda p, e=expo: p[:, 0] ** e,
-                        build_grid(unit_interval(), levels=k, grading=2.0),
+                        grid(unit_interval(), 2.0 * k, 12, 1),
                     )
                     - exact
                 )
@@ -209,7 +210,7 @@ class TestRefinementProperties:
             lambda p: 1.0 / (1.0 + p[:, 0]),
         ):
             ests = [
-                fixed_grid_sum(f, build_grid(box, levels=k, grading=0.0))
+                fixed_grid_sum(f, grid(box, 0.0, 12, 4 * 2**k))
                 for k in (1, 2, 3, 4)
             ]
             assert all(b >= a - 1e-12 for a, b in zip(ests, ests[1:]))

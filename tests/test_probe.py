@@ -19,7 +19,7 @@ W0 = Weight.polynomial(0.0, 2)
 
 class TestEmbeddingRatio:
     def test_scale_invariance(self):
-        fam = TrialFamily("tip_bump", HG, W0)
+        fam = TrialFamily("tip_bump")
         u = fam.member(1e-2)
         base = embedding_ratio(u, 2.0, 5.0, W0, HG)
 
@@ -29,34 +29,33 @@ class TestEmbeddingRatio:
             scaled = TrialFunction(
                 value=lambda p, c=c: c * u.value(p),
                 grad=lambda p, c=c: c * u.grad(p),
-                scale=u.scale,
             )
             assert embedding_ratio(scaled, 2.0, 5.0, W0, HG) == pytest.approx(
                 base, rel=1e-9
             )
 
     def test_thin_hat_on_square_gradient_dominates(self):
-        fam = TrialFamily("tip_bump", HG, W0)
+        fam = TrialFamily("tip_bump")
         u = fam.member(0.05)
         square = Box((0.0, 0.0), (1.0, 1.0))
         ratio = embedding_ratio(u, 2.0, 2.0, W0, square)
         assert 0.0 < ratio < 1.0
 
     def test_alpha_zero_matches_unweighted_path(self):
-        fam = TrialFamily("tip_bump", HG, W0)
+        fam = TrialFamily("tip_bump")
         u = fam.member(1e-2)
         a = embedding_ratio(u, 2.0, 4.0, W0, HG)
         b = embedding_ratio(u, 2.0, 4.0, Weight.polynomial(0.0, 2), HG)
         assert a == b
 
     def test_power_spike_family(self):
-        fam = TrialFamily("power_spike", HG, W0, beta=0.45)
+        fam = TrialFamily("power_spike", beta=0.45)
         u = fam.member(1e-3)
         r = embedding_ratio(u, 2.0, 5.0, W0, HG)
         assert math.isfinite(r) and r > 0.0
 
     def test_unknown_family_rejected(self):
-        fam = TrialFamily("mystery", HG, W0)
+        fam = TrialFamily("mystery")
         with pytest.raises(ValueError):
             fam.member(0.1)
 
