@@ -43,7 +43,7 @@ from .exponents import (
     thm6_threshold,
     thm8_threshold,
 )
-from .geometry import Box, CuspDomain
+from .geometry import Box, CuspDomain, Verdict
 from .mollifier import SmoothField, convergence_test
 from .pde import CuspSection, l2_error, manufactured_rhs, solve_dirichlet, triangulate, write_mesh
 from .probe import run_probe
@@ -205,7 +205,7 @@ def _count_inconclusive(results: Any) -> int:
     while stack:
         item = stack.pop()
         if isinstance(item, dict):
-            if item.get("verdict") == "inconclusive":
+            if item.get("verdict") == Verdict.INCONCLUSIVE:
                 found += 1
             stack.extend(item.values())
         elif isinstance(item, (list, tuple)):

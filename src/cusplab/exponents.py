@@ -20,7 +20,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Union
 
-from .geometry import IntegralVerdict, RefinementSchedule
+from .geometry import IntegralVerdict
 from .weights import Weight, power_integral
 
 __all__ = [
@@ -269,7 +269,11 @@ def witness_satisfies(query: EmbeddingQuery, s: Number, w: Witness) -> bool:
     return bool(ok_p and ok_q and ok_r and ok_s and 0.0 < w.a < 1.0)
 
 
-def select_witness(query: EmbeddingQuery, s: Number, a_grid: int = 1000) -> Optional[Witness]:
+#: the witness search tries a = k / _A_GRID for k = 1, ..., _A_GRID - 1
+_A_GRID = 1000
+
+
+def select_witness(query: EmbeddingQuery, s: Number) -> Optional[Witness]:
     """Search for ``(a, q, r)`` certifying compactness at exponent ``s``.
 
     Sweeps ``a`` over a uniform grid of (0, 1); for each ``a`` the feasible
@@ -285,8 +289,8 @@ def select_witness(query: EmbeddingQuery, s: Number, a_grid: int = 1000) -> Opti
         return None
     n, p = query.n, float(query.p)
     ag = float(query.alpha + query.gamma)
-    for k in range(1, a_grid):
-        a = k / a_grid
+    for k in range(1, _A_GRID):
+        a = k / _A_GRID
         q_hi = min(p, n * p / (a * ag + p - a * p))
         r_lo = max(s, n * s / (a * ag), 1.0)
         q_lo = max(1.0, n * r_lo / (n + r_lo))
@@ -315,7 +319,6 @@ def thm3_Kw(
     q: float,
     r: float,
     s: float,
-    schedule: RefinementSchedule | None = None,
 ) -> tuple[IntegralVerdict, IntegralVerdict]:
     """Finiteness of the two weighted norms gating the quasiisometric route:
     ``||w**(-1/p)||_{L_{pq/(p-q)}}`` and ``||w**(1/s)||_{L_{rs/(r-s)}}``.
@@ -329,8 +332,8 @@ def thm3_Kw(
         raise ValueError("need s < r")
     e1 = -q / (p - q)  # integrand w**e1 for the first norm
     e2 = r / (r - s)  # integrand w**e2 for the second
-    v1 = power_integral(w, e1, domain, schedule=schedule)
-    v2 = power_integral(w, e2, domain, schedule=schedule)
+    v1 = power_integral(w, e1, domain)
+    v2 = power_integral(w, e2, domain)
     if v1.finite:
         norm1 = v1.value ** ((p - q) / (p * q))
         v1 = IntegralVerdict(norm1, v1.verdict, v1.trace)

@@ -28,6 +28,7 @@ __all__ = [
     "CuspDomain",
     "Domain",
     "EvaluationError",
+    "GROWTH",
     "IntegralVerdict",
     "QuadratureGrid",
     "RefinementSchedule",
@@ -334,9 +335,18 @@ def grid(
 
 
 class Verdict(str, Enum):
+    """The one verdict vocabulary: finite/divergent for integrals,
+    satisfied/violated for the A_p condition and quasiisometry,
+    bounded/blow-up for sharpness probes, and inconclusive for any of them.
+    The values are the strings written to reports and CSV files."""
+
     FINITE = "finite"
     DIVERGENT = "divergent"
     INCONCLUSIVE = "inconclusive"
+    SATISFIED = "satisfied"
+    VIOLATED = "violated"
+    BOUNDED = "bounded"
+    BLOW_UP = "blow_up"
 
     def __str__(self) -> str:
         return self.value
@@ -370,31 +380,38 @@ class IntegralVerdict:
         }
 
 
+#: factor by which the resolved window deepens from level to level
+DEEPEN = 2.0
+#: cross-axis cells at refinement level 0
+CROSS_CELLS = 12
+#: growth of successive estimates, level to level, that reads as divergence
+GROWTH = 1.5
+
+
 @dataclass(frozen=True)
 class RefinementSchedule:
     """Refinement plan for :func:`integrate`.
 
     The resolved window next to the singular face starts at
-    ``start_decades`` decades and multiplies by ``deepen`` each level (capped
-    at ``max_decades``), while panel density per decade stays fixed.  The
-    super-geometric deepening makes any non-integrable power *or logarithmic*
-    singularity inflate successive estimates by at least the divergence
-    growth factor once the singular contribution dominates.
+    ``start_decades`` decades and multiplies by :data:`DEEPEN` each level
+    (capped at ``max_decades``), while panel density per decade stays fixed.
+    The super-geometric deepening makes any non-integrable power *or
+    logarithmic* singularity inflate successive estimates by at least
+    :data:`GROWTH` once the singular contribution dominates.  Cross axes
+    start at :data:`CROSS_CELLS` cells and double for three levels.
     """
 
     max_levels: int = 9
     start_decades: float = 1.0
-    deepen: float = 2.0
     max_decades: float = 256.0
     panels_per_decade: int = 24
-    cross_cells: int = 12
     uniform_start: int = 8
 
     def decades(self, level: int) -> float:
-        return min(self.start_decades * self.deepen**level, self.max_decades)
+        return min(self.start_decades * DEEPEN**level, self.max_decades)
 
     def cross(self, level: int) -> int:
-        return self.cross_cells * 2 ** min(level, 3)
+        return CROSS_CELLS * 2 ** min(level, 3)
 
     def uniform(self, level: int) -> int:
         return self.uniform_start * 2 ** min(level, 6)
@@ -439,7 +456,6 @@ def integrate(
     domain: Domain,
     schedule: RefinementSchedule | None = None,
     tol: float = 1e-3,
-    growth: float = 1.5,
 ) -> IntegralVerdict:
     """Integrate ``f`` over ``domain`` and decide finiteness.
 
@@ -447,8 +463,8 @@ def integrate(
     ``(N,)`` values; singular behavior is allowed only at the boundary or the
     origin.  The verdict is Finite once the last two refinement estimates
     agree to relative ``tol``, Divergent once they grow by at least
-    ``growth`` across each of the last two refinements, Inconclusive if the
-    schedule runs out first.
+    :data:`GROWTH` across each of the last two refinements, Inconclusive if
+    the schedule runs out first.
     """
     schedule = schedule or DEFAULT_SCHEDULE
     trace: list[float] = []
@@ -468,7 +484,7 @@ def integrate(
         except EvaluationError:
             # overflow at the singular face while the estimates were already
             # inflating is divergence manifesting, not a broken integrand
-            if len(trace) >= 2 and abs(trace[-1]) >= growth * abs(trace[-2]) > 0:
+            if len(trace) >= 2 and abs(trace[-1]) >= GROWTH * abs(trace[-2]) > 0:
                 return IntegralVerdict(trace[-1], Verdict.DIVERGENT, tuple(trace))
             raise
         if len(trace) >= 2 and _agrees(trace[-1], trace[-2], tol):
@@ -476,7 +492,7 @@ def integrate(
         if len(trace) >= 3 and abs(trace[-2]) > 0 and abs(trace[-3]) > 0:
             r_last = abs(trace[-1]) / abs(trace[-2])
             r_prev = abs(trace[-2]) / abs(trace[-3])
-            sustained = r_last >= growth and r_prev >= growth
+            sustained = r_last >= GROWTH and r_prev >= GROWTH
             # barely-finite integrals also inflate early, but their growth
             # ratios slide toward 1 with widening steps; true divergence
             # either keeps accelerating or converges onto the deepening

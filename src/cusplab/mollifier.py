@@ -19,8 +19,8 @@ import numpy as np
 import sympy as sp
 from scipy.integrate import quad
 
-from .geometry import Box, CuspDomain, Domain
-from .weights import Weight, sphere_surface
+from .geometry import Box, CuspDomain, Domain, grid
+from .weights import Weight, polynomial_ap_range, sphere_surface
 
 __all__ = [
     "MollifierKernel",
@@ -57,17 +57,20 @@ def _bump_second_moment(dim: int) -> float:
     return sphere_surface(dim) * val / _bump_mass(dim)
 
 
+#: Gauss-Legendre points per axis of the convolution rule
+KERNEL_NODES = 16
+
+
 @dataclass(frozen=True)
 class MollifierKernel:
     """Normalized radial bump with its cached convolution rule.
 
-    ``nodes_per_axis`` Gauss points per axis on the box ``[-1, 1]^dim``; the
-    kernel vanishes to all orders at the sphere, so the tensor rule sees a
-    smooth integrand.
+    :data:`KERNEL_NODES` Gauss points per axis on the box ``[-1, 1]^dim``;
+    the kernel vanishes to all orders at the sphere, so the tensor rule sees
+    a smooth integrand.
     """
 
     dim: int
-    nodes_per_axis: int = 16
 
     @property
     def normalization(self) -> float:
@@ -85,12 +88,12 @@ class MollifierKernel:
     @property
     def rule(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes (K, dim) in the unit box and weights already times the kernel."""
-        return _kernel_rule(self.dim, self.nodes_per_axis)
+        return _kernel_rule(self.dim)
 
 
-@lru_cache(maxsize=16)
-def _kernel_rule(dim: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
+@lru_cache(maxsize=8)
+def _kernel_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(KERNEL_NODES)
     grids = np.meshgrid(*([x] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     wts = np.ones(pts.shape[0])
@@ -109,14 +112,13 @@ class MollifySpec:
     delta: float
     p: float = 2.0
     weight: Weight | None = None
-    kernel_nodes: int = 16
 
     def __post_init__(self):
         if not (0.0 < self.r < self.delta):
             raise ValueError("need 0 < r < delta")
 
     def kernel(self, dim: int) -> MollifierKernel:
-        return MollifierKernel(dim=dim, nodes_per_axis=self.kernel_nodes)
+        return MollifierKernel(dim=dim)
 
 
 def mollify_many(
@@ -157,38 +159,39 @@ def mollify(
 # ---------------------------------------------------------------------------
 
 
-def inset_contains(region: Domain, x, delta: float) -> bool:
-    """Is ``x`` in the region with distance to the boundary above ``delta``?"""
-    x = np.asarray(x, dtype=float)
+def _inset_mask(region: Domain, pts: np.ndarray, delta: float) -> np.ndarray:
+    """Which rows of ``pts`` lie in the region deeper than ``delta``."""
     if isinstance(region, Box):
         lo = np.asarray(region.lo)
         hi = np.asarray(region.hi)
-        return bool(np.all(x > lo + delta) and np.all(x < hi - delta))
+        return np.all(pts > lo + delta, axis=1) & np.all(pts < hi - delta, axis=1)
     if isinstance(region, CuspDomain):
         if region.dim != 2 or region.exponents != (1.0,):
             raise NotImplementedError("insets are implemented for boxes and 2-D H_1")
-        x1, x2 = x
+        x1, x2 = pts[:, 0], pts[:, 1]
         # triangle 0 < x1 < x2 < 1: left edge, top edge, hypotenuse
-        dist = min(x1, 1.0 - x2, (x2 - x1) / math.sqrt(2.0))
-        return bool(dist > delta and 0 < x1 < x2 < 1)
+        dist = np.minimum(np.minimum(x1, 1.0 - x2), (x2 - x1) / math.sqrt(2.0))
+        return (dist > delta) & (0 < x1) & (x1 < x2) & (x2 < 1)
     raise NotImplementedError(f"inset membership for {type(region)!r}")
+
+
+def inset_contains(region: Domain, x, delta: float) -> bool:
+    """Is ``x`` in the region with distance to the boundary above ``delta``?"""
+    return bool(_inset_mask(region, np.asarray(x, dtype=float)[None, :], delta)[0])
 
 
 def _inset_grid(region: Domain, delta: float, cells: int) -> tuple[np.ndarray, float]:
     """Centroid nodes of the inset region on a uniform background grid."""
-    if isinstance(region, Box):
-        lo, hi = np.asarray(region.lo), np.asarray(region.hi)
-    elif isinstance(region, CuspDomain):
-        lo, hi = np.zeros(region.dim), np.ones(region.dim)
+    if isinstance(region, CuspDomain):
+        lo, hi = (0.0,) * region.dim, (1.0,) * region.dim
+    elif isinstance(region, Box):
+        lo, hi = region.lo, region.hi
     else:
         raise NotImplementedError(f"norm grid for {type(region)!r}")
-    axes = [np.linspace(lo[i], hi[i], cells + 1) for i in range(len(lo))]
-    centers = [0.5 * (a[1:] + a[:-1]) for a in axes]
-    grids = np.meshgrid(*centers, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    keep = np.array([inset_contains(region, p, delta) for p in pts])
-    vol = float(np.prod((hi - lo) / cells))
-    return pts[keep], vol
+    # a box without a singular axis gets ``cells`` uniform cells per axis
+    pts = grid(Box(lo, hi), 0.0, 1, cells).points
+    vol = float(np.prod((np.asarray(hi) - np.asarray(lo)) / cells))
+    return pts[_inset_mask(region, pts, delta)], vol
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +305,6 @@ def convergence_test(
     radii: Sequence[float],
     region: Domain,
     cells: int = 64,
-    kernel_nodes: int = 16,
 ) -> list[tuple[float, float]]:
     """Norm sequence ``||A_r f - f||_{L_p(D_delta, w)}`` over decreasing radii.
 
@@ -313,7 +315,7 @@ def convergence_test(
     if any(r >= delta for r in radii):
         raise ValueError("all radii must be below delta")
     if weight is not None and weight.is_polynomial:
-        lo, hi = -float(weight.dim), float(weight.dim) * (p - 1.0)
+        lo, hi = polynomial_ap_range(weight.dim, p)
         if not (lo < weight.alpha < hi):
             raise ValueError(
                 f"weight power {weight.alpha} outside the A_p window ({lo}, {hi})"
@@ -324,8 +326,8 @@ def convergence_test(
     wvals = weight(pts) if weight is not None else np.ones(pts.shape[0])
     fvals = np.asarray(f(pts), dtype=float)
     out = []
+    kernel = MollifierKernel(dim=pts.shape[1])
     for r in radii:
-        kernel = MollifierKernel(dim=pts.shape[1], nodes_per_axis=kernel_nodes)
         diff = mollify_many(f, r, pts, kernel) - fvals
         norm = float((np.sum(np.abs(diff) ** p * wvals) * vol) ** (1.0 / p))
         out.append((float(r), norm))

@@ -286,7 +286,10 @@ def solve_dirichlet(
     """Conjugate-gradient solve of the weighted Dirichlet problem.
 
     Jacobi-preconditioned CG on the SPD interior system down to relative
-    residual ``tol``, iteration cap ten times the unknown count.  Passing
+    residual ``tol``, iteration cap ten times the unknown count.  CG's own
+    residual drifts from the true ``||Kx - b|| / ||b||`` in floating point,
+    so a solve whose true residual is above ``tol`` is restarted once from
+    its result and fails if it is still above.  Passing
     the continuous ``region`` triggers the solvability check
     ``∫ w**(-n/2) < inf``; failure warns but does not abort.
     """
@@ -309,13 +312,22 @@ def solve_dirichlet(
         return FemSolution(mesh, values, 0.0, 0.0)
     diag = K.diagonal()
     M = sparse.diags(1.0 / diag)
-    x, info = spla.cg(K, rhs, rtol=tol, atol=0.0, maxiter=10 * n, M=M)
-    if info != 0:
+    x = None
+    for _ in range(2):
+        x, info = spla.cg(K, rhs, x0=x, rtol=tol, atol=0.0, maxiter=10 * n, M=M)
+        if info != 0:
+            raise SolverError(
+                f"conjugate gradient stopped after {info} iterations without reaching"
+                f" relative residual {tol:g} on {n} unknowns"
+            )
+        res = float(np.linalg.norm(K @ x - rhs) / np.linalg.norm(rhs))
+        if res <= tol:
+            break
+    else:
         raise SolverError(
-            f"conjugate gradient stopped after {info} iterations without reaching"
-            f" relative residual {tol:g} on {n} unknowns"
+            f"true relative residual {res:.4g} is above {tol:g} on {n} unknowns"
+            " after a restart"
         )
-    res = float(np.linalg.norm(K @ x - rhs) / np.linalg.norm(rhs))
     values = np.zeros(len(mesh.vertices))
     values[system.interior] = x
     energy = float(x @ (K @ x))

@@ -95,12 +95,11 @@ class TrialFamily:
 _NORM_SCHEDULE = RefinementSchedule(
     max_levels=12,
     start_decades=2.0,
-    deepen=2.0,
     max_decades=40.0,
     panels_per_decade=32,
-    cross_cells=12,
     uniform_start=16,
 )
+_NORM_TOL = 1e-4
 
 
 def embedding_ratio(
@@ -109,7 +108,6 @@ def embedding_ratio(
     s: float,
     weight: Weight,
     domain: CuspDomain,
-    schedule: RefinementSchedule | None = None,
 ) -> float:
     """``||u||_{L_s(D,w)} / ||u||_{W^1_p(D,w)}`` by graded quadrature.
 
@@ -117,8 +115,6 @@ def embedding_ratio(
     component norms; both norms are 1-homogeneous, so the ratio is invariant
     under scaling of ``u``.  Identically-zero trial functions are rejected.
     """
-    schedule = schedule or _NORM_SCHEDULE
-    tol = 1e-4
 
     def p_power(pts):
         return np.abs(u.value(pts)) ** p * weight(pts)
@@ -126,8 +122,8 @@ def embedding_ratio(
     def s_power(pts):
         return np.abs(u.value(pts)) ** s * weight(pts)
 
-    num = integrate(s_power, domain, schedule=schedule, tol=tol)
-    val = integrate(p_power, domain, schedule=schedule, tol=tol)
+    num = integrate(s_power, domain, schedule=_NORM_SCHEDULE, tol=_NORM_TOL)
+    val = integrate(p_power, domain, schedule=_NORM_SCHEDULE, tol=_NORM_TOL)
     if num.verdict is not Verdict.FINITE or val.verdict is not Verdict.FINITE:
         raise ArithmeticError("trial-function norm did not stabilize")
     grad_norms = []
@@ -136,7 +132,7 @@ def embedding_ratio(
         def g_power(pts, axis=axis):
             return np.abs(u.grad(pts)[:, axis]) ** p * weight(pts)
 
-        gv = integrate(g_power, domain, schedule=schedule, tol=tol)
+        gv = integrate(g_power, domain, schedule=_NORM_SCHEDULE, tol=_NORM_TOL)
         if gv.verdict is not Verdict.FINITE:
             raise ArithmeticError("trial-function gradient norm did not stabilize")
         grad_norms.append(gv.value ** (1.0 / p))
@@ -158,7 +154,7 @@ class ProbeReport:
 
     s: float
     ratios: tuple[tuple[float, float], ...]
-    verdict: str
+    verdict: Verdict
     growth_two_decades: float
     growth_total: float
 
@@ -166,15 +162,10 @@ class ProbeReport:
         return {
             "s": self.s,
             "ratios": [[e, r] for e, r in self.ratios],
-            "verdict": self.verdict,
+            "verdict": self.verdict.value,
             "growth_two_decades": self.growth_two_decades,
             "growth_total": self.growth_total,
         }
-
-
-BOUNDED = "bounded"
-BLOW_UP = "blow_up"
-INCONCLUSIVE = "inconclusive"
 
 
 def run_probe(
@@ -209,7 +200,7 @@ def run_probe(
         for eps in epsilons:
             ratios.append((eps, embedding_ratio(family.member(eps), float(query.p), s, weight, domain)))
     except ArithmeticError:
-        return ProbeReport(s, tuple(ratios), INCONCLUSIVE, math.nan, math.nan)
+        return ProbeReport(s, tuple(ratios), Verdict.INCONCLUSIVE, math.nan, math.nan)
 
     values = [r for _, r in ratios]
     # index of the entry two decades above the smallest scale
@@ -218,9 +209,9 @@ def run_probe(
     g2 = values[-1] / values[idx]
     gtot = values[-1] / values[0]
     if g2 >= growth:
-        verdict = BLOW_UP
+        verdict = Verdict.BLOW_UP
     elif g2 <= 1.0 + variation and gtot <= 1.0 + variation:
-        verdict = BOUNDED
+        verdict = Verdict.BOUNDED
     else:
-        verdict = INCONCLUSIVE
+        verdict = Verdict.INCONCLUSIVE
     return ProbeReport(s, tuple(ratios), verdict, g2, gtot)

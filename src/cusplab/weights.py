@@ -4,8 +4,10 @@ Polynomial weights ``|x|**alpha`` are handled through an exact radial
 reduction: the integral of a radial power over a ball is a 1-D integral of
 ``rho**(alpha+n-1)`` times the (n-1)-sphere measure of the shell-ball
 intersection, which is available in closed form through the regularized
-incomplete beta function.  Divergence verdicts therefore reuse the graded
-1-D refinement machinery of :mod:`cusplab.geometry`.
+incomplete beta function.  Power-integral verdicts therefore reuse the
+graded 1-D refinement machinery of :mod:`cusplab.geometry`; the A_p ratio
+decides finiteness by the exact rule, ``|x|**beta`` is integrable near the
+origin iff ``beta + n > 0``.
 
 Infinite averages are reported as ``math.inf`` (a distinguished value), never
 as a floating overflow.
@@ -25,7 +27,7 @@ from .geometry import (
     Box,
     Domain,
     IntegralVerdict,
-    RefinementSchedule,
+    Verdict,
     grid,
     integrate,
 )
@@ -89,10 +91,6 @@ class Weight:
         return cls(dim=dim, table=fn)
 
     @property
-    def kind(self) -> str:
-        return "polynomial" if self.alpha is not None else "tabulated"
-
-    @property
     def is_polynomial(self) -> bool:
         return self.alpha is not None
 
@@ -130,39 +128,16 @@ def polynomial_ap_range(n: int, p: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _shell_measure(n: int, rho: np.ndarray, d: float, radius: float) -> np.ndarray:
-    """(n-1)-measure of ``{|x| = rho} ∩ B(c, radius)`` with ``d = |c|``."""
+def _shell_fraction(n: int, rho: np.ndarray, d: float, radius: float) -> np.ndarray:
+    """Fraction of the sphere ``{|x| = rho}`` inside ``B(c, radius)``, ``d = |c|``."""
     rho = np.asarray(rho, dtype=float)
-    full = sphere_surface(n) * rho ** (n - 1)
     if d == 0.0:
-        return np.where(rho < radius, full, 0.0)
+        return np.where(rho < radius, 1.0, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = (rho**2 + d**2 - radius**2) / (2.0 * rho * d)
     frac = _cap_fraction(n, mu)
     frac = np.where(mu <= -1.0, 1.0, frac)
-    frac = np.where(mu >= 1.0, 0.0, frac)
-    return full * frac
-
-
-def _radial_power_verdict(
-    expo: float, n: int, d: float, radius: float, schedule, tol, growth
-) -> IntegralVerdict:
-    """Verdict for ``∫_{B(c,R)} |x|**(expo-(n-1)) dx`` via the radial
-    reduction (``expo`` is the full radial integrand exponent)."""
-    hi = d + radius
-    lo = max(0.0, d - radius)
-    if lo > 0.0 or expo >= 0.0:
-        # no singularity inside: origin outside the ball, or the radial
-        # integrand is bounded; uniform refinement converges cleanly
-        domain = Box(lo=(lo,), hi=(hi,))
-    else:
-        domain = Box(lo=(0.0,), hi=(hi,), singular_axis=0)
-
-    def g(pts: np.ndarray) -> np.ndarray:
-        rho = pts[:, 0]
-        return rho ** (expo - (n - 1)) * _shell_measure(n, rho, d, radius)
-
-    return integrate(g, domain, schedule=schedule, tol=tol, growth=growth)
+    return np.where(mu >= 1.0, 0.0, frac)
 
 
 def _same_grid_ball_averages(
@@ -182,7 +157,7 @@ def _same_grid_ball_averages(
         axis = None if lo > 0.0 else 0
         radial = grid(Box((lo,), (hi,), singular_axis=axis), 24.0, 48, 4096)
         rho, widths = radial.points[:, 0], radial.weights
-        shell = _shell_measure(n, rho, d, ball.radius)
+        shell = sphere_surface(n) * rho ** (n - 1) * _shell_fraction(n, rho, d, ball.radius)
         vol = float(np.dot(shell, widths))
         out = []
         for power in powers:
@@ -203,14 +178,7 @@ def _same_grid_ball_averages(
     return out
 
 
-def ap_ratio(
-    w: Weight,
-    p: float,
-    ball: Ball,
-    schedule: RefinementSchedule | None = None,
-    tol: float = 1e-3,
-    growth: float = 1.5,
-) -> float:
+def ap_ratio(w: Weight, p: float, ball: Ball) -> float:
     """A_p product ``(avg_B w) * (avg_B w**(1/(1-p)))**(p-1)`` on one ball.
 
     A divergent average is reported as ``inf``; otherwise the two averages
@@ -219,17 +187,12 @@ def ap_ratio(
     """
     if p <= 1:
         raise ValueError("A_p needs p > 1")
-    n = w.dim
-    d = float(np.linalg.norm(ball.center))
     dual = 1.0 / (1.0 - p)
-    if w.is_polynomial and d <= ball.radius:
-        # divergence can only come from the origin inside the closed ball
-        for power in (1.0, dual):
-            v = _radial_power_verdict(
-                w.alpha * power + (n - 1), n, d, ball.radius, schedule, tol, growth
-            )
-            if not v.finite:
-                return math.inf
+    if w.is_polynomial and float(np.linalg.norm(ball.center)) <= ball.radius:
+        # divergence can only come from the origin inside the closed ball,
+        # where |x|**(alpha*power) is integrable iff alpha*power + n > 0
+        if any(w.alpha * power + w.dim <= 0.0 for power in (1.0, dual)):
+            return math.inf
     avg_w, avg_dual = _same_grid_ball_averages(w, (1.0, dual), ball)
     if not (math.isfinite(avg_w) and math.isfinite(avg_dual)):
         return math.inf
@@ -282,7 +245,7 @@ class ApReport:
     p: float
     sup_estimate: float
     ball_count: int
-    verdict: str
+    verdict: Verdict
     analytic_range: tuple[float, float] | None = None
     ratios: tuple[float, ...] = ()
 
@@ -291,22 +254,12 @@ class ApReport:
             "p": self.p,
             "sup_estimate": self.sup_estimate,
             "ball_count": self.ball_count,
-            "verdict": self.verdict,
+            "verdict": self.verdict.value,
             "analytic_range": list(self.analytic_range) if self.analytic_range else None,
         }
 
 
-SATISFIED = "satisfied"
-VIOLATED = "violated"
-INCONCLUSIVE = "inconclusive"
-
-
-def ap_check(
-    w: Weight,
-    p: float,
-    family: BallFamily | None = None,
-    schedule: RefinementSchedule | None = None,
-) -> ApReport:
+def ap_check(w: Weight, p: float, family: BallFamily | None = None) -> ApReport:
     """Estimate the A_p supremum over a ball family and deliver a verdict.
 
     Polynomial weights get the analytic verdict ``-n < alpha < n(p-1)``;
@@ -315,13 +268,13 @@ def ap_check(
     """
     family = family or BallFamily(dim=w.dim)
     balls = family.balls()
-    ratios = tuple(ap_ratio(w, p, b, schedule=schedule) for b in balls)
+    ratios = tuple(ap_ratio(w, p, b) for b in balls)
     sup = max(ratios) if ratios else 1.0
     if w.is_polynomial:
         lo, hi = polynomial_ap_range(w.dim, p)
-        verdict = SATISFIED if lo < w.alpha < hi else VIOLATED
+        verdict = Verdict.SATISFIED if lo < w.alpha < hi else Verdict.VIOLATED
         return ApReport(p, sup, len(balls), verdict, (lo, hi), ratios)
-    verdict = VIOLATED if not math.isfinite(sup) else INCONCLUSIVE
+    verdict = Verdict.VIOLATED if not math.isfinite(sup) else Verdict.INCONCLUSIVE
     return ApReport(p, sup, len(balls), verdict, None, ratios)
 
 
@@ -330,52 +283,47 @@ def ap_check(
 # ---------------------------------------------------------------------------
 
 
-def power_integral(
-    w: Weight,
-    power: float,
-    region: Domain,
-    schedule: RefinementSchedule | None = None,
-    tol: float = 1e-3,
-    growth: float = 1.5,
-) -> IntegralVerdict:
-    """Verdict and value for ``∫_region w(x)**power dx``."""
+def power_integral(w: Weight, power: float, region: Domain) -> IntegralVerdict:
+    """Verdict and value for ``∫_region w(x)**power dx``.
+
+    A polynomial weight on a ball reduces to the 1-D integral of
+    ``|S^(n-1)| rho**(alpha*power + n-1)`` times the fraction of the sphere
+    of radius ``rho`` inside the ball, with the two powers of ``rho`` folded
+    into one so that deep refinement levels do not overflow.
+    """
     if w.is_polynomial and isinstance(region, Ball):
         n = w.dim
         d = float(np.linalg.norm(region.center))
-        return _radial_power_verdict(
-            w.alpha * power + (n - 1), n, d, region.radius, schedule, tol, growth
-        )
+        expo = w.alpha * power + (n - 1)
+        lo, hi = max(0.0, d - region.radius), d + region.radius
+        # grade toward rho = 0 only when the origin is inside and the
+        # radial integrand is unbounded there
+        singular = lo == 0.0 and expo < 0.0
+        surface = sphere_surface(n)
+
+        def g(pts: np.ndarray) -> np.ndarray:
+            rho = pts[:, 0]
+            return surface * rho**expo * _shell_fraction(n, rho, d, region.radius)
+
+        return integrate(g, Box((lo,), (hi,), singular_axis=0 if singular else None))
 
     def f(pts: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return w(pts) ** power
 
-    region_eff = region
-    if isinstance(region, Ball) and not region.singular_center:
-        singular = w.is_polynomial and w.alpha * power < 0
-        if singular and np.linalg.norm(region.center) <= region.radius:
-            region_eff = Ball(region.center, region.radius, singular_center=True)
-    return integrate(f, region_eff, schedule=schedule, tol=tol, growth=growth)
+    return integrate(f, region)
 
 
-def weighted_measure(
-    w: Weight,
-    region: Domain,
-    schedule: RefinementSchedule | None = None,
-) -> float:
+def weighted_measure(w: Weight, region: Domain) -> float:
     """Weighted measure ``∫_region w dx``; ``inf`` when divergent, ``nan``
     when the refinement schedule cannot decide."""
-    v = power_integral(w, 1.0, region, schedule=schedule)
+    v = power_integral(w, 1.0, region)
     if v.finite:
         return v.value
     return math.inf if v.divergent else math.nan
 
 
-def theorem10_condition(
-    w: Weight,
-    domain: Domain,
-    schedule: RefinementSchedule | None = None,
-) -> IntegralVerdict:
+def theorem10_condition(w: Weight, domain: Domain) -> IntegralVerdict:
     """Finiteness verdict for ``∫ w**(-n/2)``, the solvability hypothesis of
     the weighted Dirichlet problem."""
-    return power_integral(w, -w.dim / 2.0, domain, schedule=schedule)
+    return power_integral(w, -w.dim / 2.0, domain)

@@ -1,10 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cusplab.cli import main
+from cusplab.geometry import Verdict
 
 
 def write_config(tmp_path: Path, text: str) -> Path:
@@ -122,6 +124,93 @@ class TestVerdictCommands:
         out = tmp_path / "out"
         assert main(["distortion", "--config", str(cfg), "--out", str(out)]) == 3
         assert not (out / "report.json").exists()
+
+
+class TestNearCriticalExponents:
+    def test_ap_check_near_window_edge_in_3d(self, tmp_path):
+        # alpha + n = 0.05: the weight average is finite on every ball
+        cfg = write_config(tmp_path, "[ap-check]\nn = 3\np = 2\nalpha = -2.95\n")
+        out = tmp_path / "out"
+        assert main(["ap-check", "--config", str(cfg), "--out", str(out)]) == 0
+        ap = read_report(out)["results"]["ap"]
+        assert ap["verdict"] == "satisfied"
+        assert math.isfinite(ap["sup_estimate"])
+
+    def test_solve_with_near_critical_solvability_integral(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "[solve]\ndomain = square\nh = 0.125\nalpha = 1.97\n"
+            "u_exact = sin(pi*x)*sin(pi*y)\n",
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        cond = read_report(out)["results"]["solvability_condition"]
+        assert cond["verdict"] == "finite"
+        # ∫ |x|**-1.97 over the disc of radius sqrt(2) = 2 pi sqrt(2)**0.03 / 0.03
+        exact = 2.0 * math.pi * math.sqrt(2.0) ** 0.03 / 0.03
+        assert cond["value"] == pytest.approx(exact, rel=1e-3)
+
+    def test_report_with_clipped_q_reads_divergent(self, tmp_path):
+        # q above the threshold is clipped to p(1 - 1e-9): the reduced
+        # integrand is t**beta with beta about -1e8
+        cfg = write_config(
+            tmp_path, "[report]\nn = 2\np = 1.5\nalpha = -0.5\ngamma = 4\na = 0.3\n"
+        )
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        above = read_report(out)["results"]["distortion"]["Ia_above"]
+        assert above["verdict"] == "divergent"
+        assert above["value"] == "inf"
+
+
+ACCEPTANCE_CONFIGS = {
+    "exponents": "[exponents]\nn = 2\np = 2\nalpha = 0\ngamma = 3\ns = 5\n",
+    "ap-check": "[ap-check]\nn = 2\np = 2\nalpha = 1\n",
+    "distortion": (
+        "[distortion]\nn = 2\np = 2\nalpha = 0\ngamma = 3\na = 0.5\nr = 3\n"
+        "q = 1.2\ns = 2.0\nq_steps = 3\ns_steps = 3\n"
+    ),
+    "mollify": (
+        "[mollify]\nfunction = x0*(1-x0)*x1\np = 2\ndelta = 0.15\n"
+        "r_max = 0.1\nn_radii = 2\ncells = 32\n"
+    ),
+    "solve": "[solve]\ndomain = square\nh = 0.2\nalpha = 1\nu_exact = sin(pi*x)*sin(pi*y)\n",
+    "probe": "[probe]\nn = 2\np = 2\nalpha = 0\ngamma = 3\ns = 7\n",
+    "report": "[report]\nn = 2\np = 2\nalpha = 0\ngamma = 3\ns = 5\n",
+}
+
+
+def _verdicts(obj):
+    if isinstance(obj, dict):
+        if "verdict" in obj:
+            yield obj["verdict"]
+        for value in obj.values():
+            yield from _verdicts(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _verdicts(value)
+
+
+def test_every_reported_verdict_is_a_verdict_value(tmp_path):
+    # the acceptance configs, plus Ia at beta = -0.99875, too close to -1
+    # for the refinement trace to decide
+    configs = dict(ACCEPTANCE_CONFIGS)
+    configs["distortion-inconclusive"] = (
+        "[distortion]\nn = 2\np = 2\nalpha = 0\ngamma = 3\na = 0.5\nr = 3\nq = 1.5998\n"
+    )
+    values = {v.value for v in Verdict}
+    seen = set()
+    for name, text in configs.items():
+        command = name.split("-inconclusive")[0]
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text)
+        out = tmp_path / name
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        verdicts = list(_verdicts(read_report(out)["results"]))
+        assert set(verdicts) <= values, name
+        assert (rc == 4) == ("inconclusive" in verdicts), name
+        seen.update(verdicts)
+    assert {"finite", "satisfied", "blow_up", "inconclusive"} <= seen
 
 
 class TestNumericalCommands:

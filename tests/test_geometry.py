@@ -8,6 +8,7 @@ from cusplab.geometry import (
     CuspDomain,
     DEFAULT_SCHEDULE,
     EvaluationError,
+    GROWTH,
     Verdict,
     fixed_grid_sum,
     grid,
@@ -135,9 +136,9 @@ class TestIntegrate:
         assert abs(v.trace[-1] - v.trace[-2]) <= 1e-3 * abs(v.trace[-1])
 
     def test_divergent_requires_trace_growth(self):
-        v = integrate(lambda p: p[:, 0] ** -1.5, unit_interval(), growth=1.5)
-        assert abs(v.trace[-1]) >= 1.5 * abs(v.trace[-2])
-        assert abs(v.trace[-2]) >= 1.5 * abs(v.trace[-3])
+        v = integrate(lambda p: p[:, 0] ** -1.5, unit_interval())
+        assert abs(v.trace[-1]) >= GROWTH * abs(v.trace[-2])
+        assert abs(v.trace[-2]) >= GROWTH * abs(v.trace[-3])
 
     def test_zero_integrand(self):
         v = integrate(lambda p: np.zeros(len(p)), unit_interval())

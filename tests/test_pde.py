@@ -147,6 +147,13 @@ class TestSolve:
         sol = solve_dirichlet(triangulate(SQUARE, 1 / 32), 1.0, f_fn, tol=1e-10)
         assert sol.residual <= 1e-10
 
+    def test_true_residual_meets_tol_on_fine_mesh(self):
+        # CG's recursive residual drifts below the true one: at h = 1/256 a
+        # single CG pass ends at a true relative residual of about 1.06e-10
+        _, _, f_fn = manufactured_rhs("sin(pi*x)*sin(pi*y)", "(x**2+y**2)**(0.5)")
+        sol = solve_dirichlet(triangulate(SQUARE, 1 / 256), W1, f_fn, tol=1e-10)
+        assert sol.residual <= 1e-10
+
     def test_energy_identity(self):
         _, _, f_fn = manufactured_rhs("x*(1-x)*y*(1-y)", "1")
         mesh = triangulate(SQUARE, 1 / 16)

@@ -81,6 +81,30 @@ class TestApRatio:
         with pytest.raises(ValueError):
             ap_ratio(Weight.polynomial(0.0, 2), 1.0, Ball((0.0, 0.0), 1.0))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_finite_iff_exact_rule_at_window_edges(self, n, p):
+        # |x|**beta is integrable near the origin iff beta + n > 0, so just
+        # inside the A_p window both averages are finite and just outside
+        # one of them is not, on balls with the origin inside, off-center
+        # or on the sphere
+        lo, hi = polynomial_ap_range(n, p)
+        off = (0.3,) + (0.0,) * (n - 1)
+        on = (0.5,) + (0.0,) * (n - 1)
+        balls = [Ball((0.0,) * n, 1.0), Ball(off, 0.5), Ball(on, 0.5)]
+        for margin in (0.02, 0.05):
+            for alpha, finite in (
+                (lo + margin, True),
+                (lo - margin, False),
+                (hi - margin, True),
+                (hi + margin, False),
+            ):
+                w = Weight.polynomial(alpha, n)
+                for ball in balls:
+                    r = ap_ratio(w, p, ball)
+                    assert math.isfinite(r) is finite, (alpha, ball)
+                    assert r >= 1.0
+
 
 class TestApCheck:
     def test_analytic_range(self):
