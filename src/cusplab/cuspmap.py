@@ -26,7 +26,6 @@ from .geometry import (
     EvaluationError,
     IntegralVerdict,
     Verdict,
-    h1_domain,
     integrate,
     unit_interval,
 )
@@ -59,10 +58,6 @@ class CuspMap:
             raise ValueError("bending exponent a must lie in (0, 1]")
 
     @property
-    def source(self) -> CuspDomain:
-        return h1_domain(self.target.dim)
-
-    @property
     def image(self) -> CuspDomain:
         """Exact image: the cusp with the profile constants raised to ``a``
         (coincides with the target for unit-scale profiles)."""
@@ -89,7 +84,6 @@ class CuspMap:
         """Map points of ``H_1`` into the target cusp; rejects outside points."""
         single = np.asarray(x).ndim == 1
         pts = self._check_source(x)
-        src = self.source
         t = pts[:, -1]
         inside = (t > 0) & (t < 1) & np.all(pts[:, :-1] > 0, axis=1) & np.all(
             pts[:, :-1] < t[:, None], axis=1

@@ -15,6 +15,7 @@ an analytic weight.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -85,11 +86,10 @@ class Box:
 
 @dataclass(frozen=True)
 class Ball:
-    """Open ball.  ``singular_center=True`` grades refinement toward the center."""
+    """Open ball."""
 
     center: tuple[float, ...]
     radius: float
-    singular_center: bool = False
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -287,15 +287,10 @@ def _box_grid(
     return QuadratureGrid(box, centers, widths, weights, centers)
 
 
-def _ball_grid(
-    ball: Ball, decades: float, panels_per_decade: int, cells: int
-) -> QuadratureGrid:
+def _ball_grid(ball: Ball, cells: int) -> QuadratureGrid:
     if ball.dim != 2:
         raise NotImplementedError("grid-based ball quadrature is 2-D only")
-    if ball.singular_center:
-        r_cells = _graded_axis_cells(0.0, ball.radius, decades, panels_per_decade)
-    else:
-        r_cells = _axis_cells(0.0, ball.radius, max(cells, 16))
+    r_cells = _axis_cells(0.0, ball.radius, max(cells, 16))
     th_cells = _axis_cells(0.0, 2.0 * math.pi, max(cells, 16))
     centers, widths = _tensor_cells([r_cells, th_cells])
     rho, theta = centers[:, 0], centers[:, 1]
@@ -315,15 +310,15 @@ def grid(
 ) -> QuadratureGrid:
     """Quadrature grid over ``domain``.
 
-    A graded axis (the cusp's ``t``, a box's singular axis, the radius of a
-    ball with ``singular_center``) resolves ``decades`` decades next to its
-    singular end with ``panels_per_decade`` geometric panels per decade.
-    Every other axis has ``cells`` uniform cells (at least 16 on a ball).
+    A graded axis (the cusp's ``t``, a box's singular axis) resolves
+    ``decades`` decades next to its singular end with ``panels_per_decade``
+    geometric panels per decade.  Every other axis has ``cells`` uniform
+    cells (at least 16 on a ball, whose polar grid is never graded).
     """
     if isinstance(domain, CuspDomain):
         return _cusp_reference_grid(domain, decades, panels_per_decade, cells)
     if isinstance(domain, Ball):
-        return _ball_grid(domain, decades, panels_per_decade, cells)
+        return _ball_grid(domain, cells)
     if isinstance(domain, Box):
         return _box_grid(domain, decades, panels_per_decade, cells)
     raise TypeError(f"unsupported domain type {type(domain)!r}")
@@ -398,38 +393,43 @@ class RefinementSchedule:
     The super-geometric deepening makes any non-integrable power *or
     logarithmic* singularity inflate successive estimates by at least
     :data:`GROWTH` once the singular contribution dominates.  Cross axes
-    start at :data:`CROSS_CELLS` cells and double for three levels.
+    start at :data:`CROSS_CELLS` cells and double for three levels; a box
+    without a singular axis starts at ``uniform_start`` cells per axis and
+    doubles for six.
     """
 
-    max_levels: int = 9
     start_decades: float = 1.0
     max_decades: float = 256.0
     panels_per_decade: int = 24
     uniform_start: int = 8
 
-    def decades(self, level: int) -> float:
-        return min(self.start_decades * DEEPEN**level, self.max_decades)
-
-    def cross(self, level: int) -> int:
-        return CROSS_CELLS * 2 ** min(level, 3)
-
-    def uniform(self, level: int) -> int:
-        return self.uniform_start * 2 ** min(level, 6)
+    def __post_init__(self):
+        if not math.isfinite(self.max_decades):
+            raise ValueError("max_decades must be finite for refinement to end")
 
 
 DEFAULT_SCHEDULE = RefinementSchedule()
 
 
-def _level_grid(domain: Domain, schedule: RefinementSchedule, level: int) -> QuadratureGrid:
+def _level_args(
+    domain: Domain, schedule: RefinementSchedule, level: int
+) -> tuple[float, int, int]:
+    """The ``(decades, panels_per_decade, cells)`` passed to :func:`grid` at
+    ``level``, with every argument the domain's grid does not read set to 0,
+    so that equal arguments mean an equal grid."""
+    decades = min(schedule.start_decades * DEEPEN**level, schedule.max_decades)
+    cross = CROSS_CELLS * 2 ** min(level, 3)
     if isinstance(domain, Box) and domain.singular_axis is None:
-        cells = schedule.uniform(level)
+        decades, cells = 0.0, schedule.uniform_start * 2 ** min(level, 6)
     elif isinstance(domain, Ball):
-        cells = schedule.cross(level) + 8
-    elif isinstance(domain, CuspDomain) and domain.dim > 2:
-        cells = min(schedule.cross(level), 24)  # keep tensor cell counts tractable
+        decades, cells = 0.0, cross + 8
+    elif domain.dim == 1:
+        cells = 0  # a 1-D singular box is its graded axis alone
     else:
-        cells = schedule.cross(level)
-    return grid(domain, schedule.decades(level), schedule.panels_per_decade, cells)
+        cells = cross
+    if domain.dim > 2:
+        cells = min(cells, 24)  # keep tensor cell counts tractable
+    return decades, schedule.panels_per_decade, cells
 
 
 def fixed_grid_sum(f: Callable[[np.ndarray], np.ndarray], grid: QuadratureGrid) -> float:
@@ -464,23 +464,19 @@ def integrate(
     origin.  The verdict is Finite once the last two refinement estimates
     agree to relative ``tol``, Divergent once they grow by at least
     :data:`GROWTH` across each of the last two refinements, Inconclusive if
-    the schedule runs out first.
+    the schedule runs out first: at the first level whose grid equals the
+    previous level's, so no verdict ever compares a grid with itself.
     """
     schedule = schedule or DEFAULT_SCHEDULE
     trace: list[float] = []
-    prev_signature = None
-    for level in range(schedule.max_levels + 1):
-        signature = (
-            schedule.decades(level),
-            schedule.cross(level),
-            schedule.uniform(level),
-        )
-        if signature == prev_signature:
-            break  # refinement exhausted; repeating a grid proves nothing
-        prev_signature = signature
-        grid = _level_grid(domain, schedule, level)
+    prev_args = None
+    for level in itertools.count():
+        args = _level_args(domain, schedule, level)
+        if args == prev_args:
+            break
+        prev_args = args
         try:
-            trace.append(fixed_grid_sum(f, grid))
+            trace.append(fixed_grid_sum(f, grid(domain, *args)))
         except EvaluationError:
             # overflow at the singular face while the estimates were already
             # inflating is divergence manifesting, not a broken integrand

@@ -110,15 +110,10 @@ class MollifySpec:
 
     r: float
     delta: float
-    p: float = 2.0
-    weight: Weight | None = None
 
     def __post_init__(self):
         if not (0.0 < self.r < self.delta):
             raise ValueError("need 0 < r < delta")
-
-    def kernel(self, dim: int) -> MollifierKernel:
-        return MollifierKernel(dim=dim)
 
 
 def mollify_many(
@@ -150,7 +145,7 @@ def mollify(
     x = np.asarray(x, dtype=float)
     if region is not None and not inset_contains(region, x, spec.r):
         raise ValueError("point closer to the boundary than the mollification radius")
-    kernel = spec.kernel(x.shape[-1])
+    kernel = MollifierKernel(x.shape[-1])
     return float(mollify_many(f, spec.r, x[None, :], kernel)[0])
 
 
@@ -291,7 +286,7 @@ def commutation_check(
     """
     alpha = tuple(int(a) for a in alpha)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    kernel = spec.kernel(samples.shape[1])
+    kernel = MollifierKernel(samples.shape[1])
     lhs = _fd_of_mollified(f, spec.r, kernel, samples, alpha, step)
     rhs = mollify_many(f.derivative(alpha), spec.r, samples, kernel)
     return float(np.max(np.abs(lhs - rhs)))

@@ -12,7 +12,6 @@ from it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -47,6 +46,13 @@ __all__ = [
 
 class SolverError(RuntimeError):
     """Iterative solve failed to converge within its iteration cap."""
+
+
+def _edge_means(mesh: Mesh, per_vertex: np.ndarray) -> np.ndarray:
+    """Mean of a per-vertex array over the two ends of each triangle edge,
+    edges ordered ``(v0 v1, v1 v2, v2 v0)``: shape ``(M, 3) + per_vertex.shape[1:]``."""
+    v = per_vertex[mesh.triangles]
+    return 0.5 * np.stack([v[:, 0] + v[:, 1], v[:, 1] + v[:, 2], v[:, 2] + v[:, 0]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -88,10 +94,7 @@ class Mesh:
 
     def edge_midpoints(self) -> np.ndarray:
         """(M, 3, 2) midpoints of the three edges of every triangle."""
-        p = self.vertices[self.triangles]
-        return 0.5 * np.stack(
-            [p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1
-        )
+        return _edge_means(self, self.vertices)
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,9 @@ def triangulate(
     (boxes) or the truncation face (cusp sections).  Boxes must be 2-D.
     The longest edge is at most ``h`` on ungraded boxes only; graded meshes
     and cusp sections can be coarser, and ``Mesh.h`` reports the longest
-    edge the mesh really has.
+    edge the mesh really has.  Every triangle is positively oriented by
+    construction; a grading so steep that node coordinates coincide in
+    floating point leaves triangles of zero area and raises ``ValueError``.
     """
     if h <= 0:
         raise ValueError("mesh size must be positive")
@@ -171,11 +176,12 @@ def triangulate(
     b = a + (ny + 1)
     triangles = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1).reshape(-1, 3)
     mesh = Mesh(vertices=verts, triangles=triangles, boundary=on_bnd)
-    areas = mesh.areas
-    if np.any(areas <= 0):
-        flip = areas <= 0
-        triangles[flip] = triangles[flip][:, ::-1]
-        mesh = Mesh(vertices=verts, triangles=triangles, boundary=on_bnd)
+    degenerate = int(np.count_nonzero(mesh.areas <= 0.0))
+    if degenerate:
+        raise ValueError(
+            f"{degenerate} of {len(triangles)} triangles have zero area: the grading"
+            " merges nodes in floating point"
+        )
     return mesh
 
 
@@ -281,7 +287,6 @@ def solve_dirichlet(
     w,
     f,
     tol: float = 1e-10,
-    region=None,
 ) -> FemSolution:
     """Conjugate-gradient solve of the weighted Dirichlet problem.
 
@@ -289,20 +294,8 @@ def solve_dirichlet(
     residual ``tol``, iteration cap ten times the unknown count.  CG's own
     residual drifts from the true ``||Kx - b|| / ||b||`` in floating point,
     so a solve whose true residual is above ``tol`` is restarted once from
-    its result and fails if it is still above.  Passing
-    the continuous ``region`` triggers the solvability check
-    ``∫ w**(-n/2) < inf``; failure warns but does not abort.
+    its result and fails if it is still above.
     """
-    if region is not None and isinstance(w, Weight):
-        from .weights import theorem10_condition
-
-        cond = theorem10_condition(w, region)
-        if not cond.finite:
-            warnings.warn(
-                "solvability hypothesis violated: integral of w**(-n/2) over the"
-                f" region is {cond.verdict.value}",
-                stacklevel=2,
-            )
     system = assemble(mesh, w, f)
     K = system.stiffness
     rhs = -system.load
@@ -334,15 +327,10 @@ def solve_dirichlet(
     return FemSolution(mesh, values, res, energy)
 
 
-def weak_residual(
-    solution: FemSolution,
-    w,
-    f,
-    test_subset: Sequence[int] | None = None,
-) -> float:
+def weak_residual(solution: FemSolution, w, f) -> float:
     """Residual of the weak form over interior hat functions.
 
-    Computes ``max_i |<u, phi_i>_w + F(phi_i)|`` over the tested hats,
+    Computes ``max_i |<u, phi_i>_w + F(phi_i)|`` over the interior hats,
     normalized by the 2-norm scale of both sides (the same scale the
     iterative solver promises its relative residual against).
     """
@@ -351,12 +339,6 @@ def weak_residual(
     lhs = system.stiffness @ u
     rhs = -system.load
     res = lhs - rhs
-    if test_subset is not None:
-        mask = np.zeros(len(res), dtype=bool)
-        idx_map = {v: i for i, v in enumerate(system.interior)}
-        for v in test_subset:
-            mask[idx_map[int(v)]] = True
-        res = res[mask]
     scale = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)), 1e-300)
     return float(np.max(np.abs(res)) / scale)
 
@@ -366,22 +348,10 @@ def weak_residual(
 # ---------------------------------------------------------------------------
 
 
-def _midpoint_values(mesh: Mesh, vertex_values: np.ndarray) -> np.ndarray:
-    tri_vals = vertex_values[mesh.triangles]
-    return 0.5 * np.stack(
-        [
-            tri_vals[:, 0] + tri_vals[:, 1],
-            tri_vals[:, 1] + tri_vals[:, 2],
-            tri_vals[:, 2] + tri_vals[:, 0],
-        ],
-        axis=1,
-    )
-
-
 def l2_error(solution: FemSolution, exact: Callable[[np.ndarray], np.ndarray]) -> float:
     """L2 distance to a reference field by the mid-edge rule (exact for P2)."""
     mesh = solution.mesh
-    uh = _midpoint_values(mesh, solution.values)
+    uh = _edge_means(mesh, solution.values)
     ue = _at_midpoints(exact, mesh.edge_midpoints().reshape(-1, 2))
     err2 = np.sum((uh - ue) ** 2, axis=1) * mesh.areas / 3.0
     return float(math.sqrt(np.sum(err2)))
@@ -410,13 +380,6 @@ class ConvergenceRate:
     orders: tuple[float, ...]
     estimate: float | None
     inconclusive: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "orders": list(self.orders),
-            "estimate": self.estimate,
-            "inconclusive": self.inconclusive,
-        }
 
 
 def convergence_rate(errors: Sequence[float]) -> ConvergenceRate:

@@ -53,17 +53,21 @@ def _tip_bump(eps: float) -> TrialFunction:
     return TrialFunction(value, grad)
 
 
-def _power_spike(beta: float, eps: float, outer: float = 0.5) -> TrialFunction:
+#: radius outside which a power spike vanishes
+_SPIKE_OUTER = 0.5
+
+
+def _power_spike(beta: float, eps: float) -> TrialFunction:
     cap = eps**-beta
 
     def value(pts: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(pts, axis=-1)
-        v = np.minimum(np.maximum(r, 1e-300) ** -beta, cap) - outer**-beta
+        v = np.minimum(np.maximum(r, 1e-300) ** -beta, cap) - _SPIKE_OUTER**-beta
         return np.maximum(0.0, v)
 
     def grad(pts: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(pts, axis=-1)
-        live = (r > eps) & (r < outer)
+        live = (r > eps) & (r < _SPIKE_OUTER)
         g = np.zeros_like(pts)
         g[live] = -beta * r[live, None] ** (-beta - 2.0) * pts[live]
         return g
@@ -93,7 +97,6 @@ class TrialFamily:
 
 
 _NORM_SCHEDULE = RefinementSchedule(
-    max_levels=12,
     start_decades=2.0,
     max_decades=40.0,
     panels_per_decade=32,

@@ -25,6 +25,7 @@ from scipy.special import betainc, gamma as _gamma
 from .geometry import (
     Ball,
     Box,
+    CuspDomain,
     Domain,
     IntegralVerdict,
     Verdict,
@@ -290,6 +291,11 @@ def power_integral(w: Weight, power: float, region: Domain) -> IntegralVerdict:
     ``|S^(n-1)| rho**(alpha*power + n-1)`` times the fraction of the sphere
     of radius ``rho`` inside the ball, with the two powers of ``rho`` folded
     into one so that deep refinement levels do not overflow.
+
+    A polynomial weight on a cusp is integrated in reference coordinates,
+    where ``|x|**beta * G(t) = c**(n-1) * t**(beta+gamma-1) * (|x|/t)**beta``
+    and ``|x|/t`` stays between 1 and a constant: the singularity is the one
+    power of ``t``, and the integral is finite iff ``beta + gamma > 0``.
     """
     if w.is_polynomial and isinstance(region, Ball):
         n = w.dim
@@ -306,6 +312,22 @@ def power_integral(w: Weight, power: float, region: Domain) -> IntegralVerdict:
             return surface * rho**expo * _shell_fraction(n, rho, d, region.radius)
 
         return integrate(g, Box((lo,), (hi,), singular_axis=0 if singular else None))
+    if w.is_polynomial and isinstance(region, CuspDomain):
+        n = region.dim
+        beta = w.alpha * power
+        if beta + region.gamma <= 0.0:
+            return IntegralVerdict(math.inf, Verdict.DIVERGENT, ())
+        c = region.profile_scale
+        expo = beta + region.gamma - 1.0
+        slopes = np.asarray(region.exponents) - 1.0
+
+        def h(ref: np.ndarray) -> np.ndarray:
+            t = ref[:, -1]
+            across = ref[:, :-1] * c * t[:, None] ** slopes  # x_i / t
+            ratio = np.sqrt(1.0 + np.sum(across**2, axis=1))  # |x| / t
+            return c ** (n - 1) * t**expo * ratio**beta
+
+        return integrate(h, Box((0.0,) * n, (1.0,) * n, singular_axis=n - 1))
 
     def f(pts: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):

@@ -303,6 +303,27 @@ class TestSolveValidation:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_cusp_solve_near_critical_weight(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "[solve]\ndomain = cusp\ngamma = 3\nh = 0.125\nalpha = 2.95\n"
+            "f = -1 + 0*x0\n",
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = read_report(out)
+        assert rep["results"]["solvability_condition"]["verdict"] == "finite"
+
+    def test_degenerate_graded_mesh_exits_3(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "[solve]\ndomain = cusp\ngamma = 3\nh = 0.125\ngrade = 40\nalpha = 1\n"
+            "f = -1 + 0*x0\n",
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_cusp_domain_solve(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cusplab.geometry import (
+    Ball,
     Box,
     CuspDomain,
     DEFAULT_SCHEDULE,
     EvaluationError,
     GROWTH,
+    RefinementSchedule,
     Verdict,
+    _level_args,
     fixed_grid_sum,
     grid,
     h1_domain,
@@ -79,9 +83,8 @@ class TestGrids:
         assert g.total_measure() == pytest.approx(1.0 / 3.0, rel=1e-2)
 
     def test_cell_count_monotone_in_levels(self):
-        s = DEFAULT_SCHEDULE
         counts = [
-            grid(h1_domain(2), s.decades(k), s.panels_per_decade, s.cross(k)).cell_count
+            grid(h1_domain(2), *_level_args(h1_domain(2), DEFAULT_SCHEDULE, k)).cell_count
             for k in range(5)
         ]
         assert all(c2 > c1 for c1, c2 in zip(counts, counts[1:]))
@@ -161,8 +164,6 @@ class TestIntegrate:
             integrate(bad, unit_interval())
 
     def test_ball_integral(self):
-        from cusplab.geometry import Ball
-
         v = integrate(ones, Ball((0.0, 0.0), 1.0))
         assert v.value == pytest.approx(math.pi, rel=1e-3)
 
@@ -242,3 +243,49 @@ class TestDivergenceDiscrimination:
 
         v = integrate(f, unit_interval())
         assert v.verdict is Verdict.DIVERGENT
+
+
+DOMAINS = {
+    "cusp": h1_domain(2),
+    "cusp-3d": CuspDomain(dim=3, exponents=(2.0, 1.5)),
+    "ball": Ball((0.1, -0.2), 0.5),
+    "uniform-box": Box((0.0, 0.0), (1.0, 0.5)),
+    "singular-box": Box((0.0, 0.0), (1.0, 1.0), singular_axis=1),
+    "interval": unit_interval(),
+}
+
+
+class TestStoppingRule:
+    def test_unbounded_window_rejected(self):
+        with pytest.raises(ValueError):
+            RefinementSchedule(max_decades=math.inf)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(DOMAINS)),
+        start=st.floats(0.25, 4.0),
+        deepest=st.floats(0.5, 8.0),
+        panels=st.integers(1, 6),
+        uniform=st.integers(1, 4),
+    )
+    def test_no_grid_is_evaluated_twice(self, kind, start, deepest, panels, uniform):
+        domain = DOMAINS[kind]
+        schedule = RefinementSchedule(
+            start_decades=start, max_decades=deepest, panels_per_decade=panels,
+            uniform_start=uniform,
+        )
+        expected = [_level_args(domain, schedule, 0)]
+        while (nxt := _level_args(domain, schedule, len(expected))) != expected[-1]:
+            expected.append(nxt)
+        seen = []
+
+        def alternating(pts):
+            # estimates 1, 2, 1, 2, ... times the measure: never agree,
+            # never grow, so only the stopping rule ends the ladder
+            seen.append(pts.tobytes())
+            return np.full(len(pts), 1.0 + len(seen) % 2)
+
+        v = integrate(alternating, domain, schedule=schedule)
+        assert v.verdict is Verdict.INCONCLUSIVE
+        assert len(seen) == len(expected)
+        assert len(set(seen)) == len(seen)

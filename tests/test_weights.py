@@ -12,6 +12,7 @@ from cusplab.weights import (
     ap_ratio,
     eval_weight,
     polynomial_ap_range,
+    power_integral,
     theorem10_condition,
     weighted_measure,
 )
@@ -179,6 +180,11 @@ class TestWeightedMeasure:
             weighted_measure(w, both), rel=1e-3
         )
 
+    def test_tabulated_divergent_ball_integral_not_finite(self):
+        # |x|**-2.5 is not integrable near the origin in 2-D
+        w = Weight.tabulated(lambda x: np.linalg.norm(x, axis=-1) ** -2.5, 2)
+        assert not power_integral(w, 1.0, Ball((0.0, 0.0), 1.0)).finite
+
     def test_divergent_reported_as_inf(self):
         w = Weight.polynomial(-2.5, 2)
         assert weighted_measure(w, Ball((0.0, 0.0), 1.0)) == math.inf
@@ -209,6 +215,22 @@ class TestTheorem10Condition:
         v = theorem10_condition(w, Ball((0.0, 0.0), 1.0))
         assert v.verdict is Verdict.FINITE
         assert v.value == pytest.approx(2 * math.pi, rel=1e-3)  # radial: 2pi * ∫ dr
+
+    def test_near_critical_cusp_is_finite(self):
+        # ∫ |x|**-2.95 over {0 < x1 < t**2, 0 < t < 1} = ∫ t**-0.95 h(t) dt
+        # with h(t) = ∫_0^1 (1 + u**2 t**2)**-1.475 du
+        dom = CuspDomain(dim=2, exponents=(2.0,))
+        v = theorem10_condition(Weight.polynomial(2.95, 2), dom)
+        h = lambda t: quad(lambda u: (1 + u * u * t * t) ** -1.475, 0, 1)[0]
+        exact = quad(h, 0, 1, weight="alg", wvar=(-0.95, 0))[0]
+        assert v.verdict is Verdict.FINITE
+        assert v.value == pytest.approx(exact, rel=1e-3)
+
+    def test_cusp_divergence_by_the_exact_rule(self):
+        # |x|**-3 * G(t) ~ t**-1 on the gamma = 3 cusp
+        v = theorem10_condition(Weight.polynomial(3.0, 2), CuspDomain(dim=2, exponents=(2.0,)))
+        assert v.verdict is Verdict.DIVERGENT
+        assert v.value == math.inf
 
     def test_alpha_two_divergent_in_2d(self):
         w = Weight.polynomial(2.0, 2)
