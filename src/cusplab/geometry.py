@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -38,12 +38,18 @@ __all__ = [
     "grid",
     "h1_domain",
     "integrate",
+    "integrate_all",
     "unit_interval",
 ]
 
 
 class EvaluationError(RuntimeError):
-    """Integrand returned a non-finite value at an interior node."""
+    """Integrand returned a non-finite value at an interior node.
+
+    ``index`` is the failing integrand's position in an
+    :func:`integrate_all` call."""
+
+    index: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +457,101 @@ def _agrees(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * scale
 
 
+def _verdict(trace: Sequence[float], tol: float) -> Verdict | None:
+    """Finite or Divergent once ``trace`` decides it, None while it does not.
+
+    Finite once the last two estimates agree to relative ``tol``; Divergent
+    once they grow by at least :data:`GROWTH` across each of the last two
+    refinements with growth that keeps accelerating or settles high.
+    """
+    if len(trace) >= 2 and _agrees(trace[-1], trace[-2], tol):
+        return Verdict.FINITE
+    if len(trace) >= 3 and abs(trace[-2]) > 0 and abs(trace[-3]) > 0:
+        r_last = abs(trace[-1]) / abs(trace[-2])
+        r_prev = abs(trace[-2]) / abs(trace[-3])
+        sustained = r_last >= GROWTH and r_prev >= GROWTH
+        # barely-finite integrals also inflate early, but their growth
+        # ratios slide toward 1 with widening steps; true divergence
+        # either keeps accelerating or converges onto the deepening
+        # factor with shrinking steps
+        trending_up = r_last >= r_prev * (1 - 1e-9)
+        converging_high = False
+        if len(trace) >= 4 and abs(trace[-4]) > 0:
+            r_first = abs(trace[-3]) / abs(trace[-4])
+            d_old = r_first - r_prev
+            d_new = r_prev - r_last
+            converging_high = 0.0 < d_new <= 0.7 * d_old
+        if sustained and (trending_up or converging_high):
+            return Verdict.DIVERGENT
+    return None
+
+
+def integrate_all(
+    evaluate: Callable[[np.ndarray, list[int]], Iterable[np.ndarray]],
+    count: int,
+    domain: Domain,
+    schedule: RefinementSchedule | None = None,
+    tol: float = 1e-3,
+) -> list[IntegralVerdict]:
+    """Integrate ``count`` integrands over ``domain`` on one refinement ladder.
+
+    Each level's grid is built once, after the previous level's grid is
+    dropped, and ``evaluate(points, active)`` yields the ``(N,)`` values of
+    the still-active integrands, in the order of the ascending indices in
+    ``active``; a generator that computes each array only when asked keeps
+    one integrand's values alive at a time.  Every integrand keeps its own
+    trace and leaves the ladder once :func:`_verdict` decides it, so the
+    result equals ``[integrate(f_i, domain, schedule, tol) for i in
+    range(count)]`` bit for bit.  A non-finite value raises
+    :class:`EvaluationError` unless that integrand's estimates were already
+    inflating (then it is Divergent); the error raised is the lowest-index
+    one, as in that list, with its ``index`` set, and only after every
+    integrand before it is decided.
+    """
+    schedule = schedule or DEFAULT_SCHEDULE
+    traces: list[list[float]] = [[] for _ in range(count)]
+    results: list[IntegralVerdict | None] = [None] * count
+    active = list(range(count))
+    failure: EvaluationError | None = None
+    prev_args = None
+    for level in itertools.count():
+        args = _level_args(domain, schedule, level)
+        if not active or args == prev_args:
+            break
+        prev_args = args
+        level_grid = grid(domain, *args)
+        undecided = []
+        for i, vals in zip(active, evaluate(level_grid.points, active), strict=True):
+            trace = traces[i]
+            try:
+                trace.append(fixed_grid_sum(lambda _pts, v=vals: v, level_grid))
+            except EvaluationError as exc:
+                # overflow at the singular face while the estimates were already
+                # inflating is divergence manifesting, not a broken integrand
+                if len(trace) >= 2 and abs(trace[-1]) >= GROWTH * abs(trace[-2]) > 0:
+                    results[i] = IntegralVerdict(trace[-1], Verdict.DIVERGENT, tuple(trace))
+                elif failure is None or i < failure.index:
+                    exc.index, failure = i, exc
+                continue
+            verdict = _verdict(trace, tol)
+            if verdict is None:
+                undecided.append(i)
+            else:
+                results[i] = IntegralVerdict(trace[-1], verdict, tuple(trace))
+        del level_grid, vals
+        # integrands after a failed one cannot change what is raised
+        active = [i for i in undecided if failure is None or i < failure.index]
+    for i in active:
+        trace = traces[i]
+        if all(v == 0.0 for v in trace):
+            results[i] = IntegralVerdict(0.0, Verdict.FINITE, tuple(trace))
+        else:
+            results[i] = IntegralVerdict(trace[-1], Verdict.INCONCLUSIVE, tuple(trace))
+    if failure is not None:
+        raise failure
+    return results
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     domain: Domain,
@@ -461,47 +562,11 @@ def integrate(
 
     ``f`` must accept an ``(N, n)`` array of interior points and return
     ``(N,)`` values; singular behavior is allowed only at the boundary or the
-    origin.  The verdict is Finite once the last two refinement estimates
-    agree to relative ``tol``, Divergent once they grow by at least
-    :data:`GROWTH` across each of the last two refinements, Inconclusive if
-    the schedule runs out first: at the first level whose grid equals the
-    previous level's, so no verdict ever compares a grid with itself.
+    origin.  This is the one-integrand case of :func:`integrate_all`: the
+    verdict is Finite once the last two refinement estimates agree to
+    relative ``tol``, Divergent once they grow by at least :data:`GROWTH`
+    across each of the last two refinements, Inconclusive if the schedule
+    runs out first: at the first level whose grid equals the previous
+    level's, so no verdict ever compares a grid with itself.
     """
-    schedule = schedule or DEFAULT_SCHEDULE
-    trace: list[float] = []
-    prev_args = None
-    for level in itertools.count():
-        args = _level_args(domain, schedule, level)
-        if args == prev_args:
-            break
-        prev_args = args
-        try:
-            trace.append(fixed_grid_sum(f, grid(domain, *args)))
-        except EvaluationError:
-            # overflow at the singular face while the estimates were already
-            # inflating is divergence manifesting, not a broken integrand
-            if len(trace) >= 2 and abs(trace[-1]) >= GROWTH * abs(trace[-2]) > 0:
-                return IntegralVerdict(trace[-1], Verdict.DIVERGENT, tuple(trace))
-            raise
-        if len(trace) >= 2 and _agrees(trace[-1], trace[-2], tol):
-            return IntegralVerdict(trace[-1], Verdict.FINITE, tuple(trace))
-        if len(trace) >= 3 and abs(trace[-2]) > 0 and abs(trace[-3]) > 0:
-            r_last = abs(trace[-1]) / abs(trace[-2])
-            r_prev = abs(trace[-2]) / abs(trace[-3])
-            sustained = r_last >= GROWTH and r_prev >= GROWTH
-            # barely-finite integrals also inflate early, but their growth
-            # ratios slide toward 1 with widening steps; true divergence
-            # either keeps accelerating or converges onto the deepening
-            # factor with shrinking steps
-            trending_up = r_last >= r_prev * (1 - 1e-9)
-            converging_high = False
-            if len(trace) >= 4 and abs(trace[-4]) > 0:
-                r_first = abs(trace[-3]) / abs(trace[-4])
-                d_old = r_first - r_prev
-                d_new = r_prev - r_last
-                converging_high = 0.0 < d_new <= 0.7 * d_old
-            if sustained and (trending_up or converging_high):
-                return IntegralVerdict(trace[-1], Verdict.DIVERGENT, tuple(trace))
-    if all(v == 0.0 for v in trace):
-        return IntegralVerdict(0.0, Verdict.FINITE, tuple(trace))
-    return IntegralVerdict(trace[-1], Verdict.INCONCLUSIVE, tuple(trace))
+    return integrate_all(lambda pts, _: [f(pts)], 1, domain, schedule, tol)[0]

@@ -10,14 +10,22 @@ of the schedule plus the total growth across the schedule.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .exponents import EmbeddingQuery
-from .geometry import CuspDomain, RefinementSchedule, Verdict, integrate
+from .geometry import (
+    CuspDomain,
+    EvaluationError,
+    IntegralVerdict,
+    RefinementSchedule,
+    Verdict,
+    integrate_all,
+)
 from .weights import Weight
 
 __all__ = [
@@ -105,6 +113,70 @@ _NORM_SCHEDULE = RefinementSchedule(
 _NORM_TOL = 1e-4
 
 
+def _ratios(
+    members: Sequence[TrialFunction],
+    p: float,
+    s: float,
+    weight: Weight,
+    domain: CuspDomain,
+) -> Iterator[float]:
+    """The embedding ratio of each trial function in turn, from one
+    refinement ladder shared by all ``len(members) * (2 + n)`` norm integrals.
+
+    Integrand ``k * (2 + n) + j`` belongs to ``members[k]``: ``j = 0`` is the
+    ``L_s`` power, ``j = 1`` the ``L_p`` power and ``j = 2 + a`` the ``L_p``
+    power of gradient component ``a``.  At each level the weight is computed
+    once, and each member's value and gradient once, freed before the next
+    member's.  A norm that fails to stabilize raises ArithmeticError when its
+    member's turn comes, so the ratios of earlier members are yielded first.
+    """
+    per = 2 + domain.dim
+
+    def evaluate(points: np.ndarray, active: list[int]) -> Iterator[np.ndarray]:
+        w = weight(points)
+        for k, norms in itertools.groupby(active, key=lambda i: i // per):
+            u, v, g = members[k], None, None
+            for i in norms:
+                j = i % per
+                if j < 2:
+                    if v is None:
+                        v = u.value(points)
+                    yield np.abs(v) ** (s if j == 0 else p) * w
+                else:
+                    if g is None:
+                        g = u.grad(points)
+                    yield np.abs(g[:, j - 2]) ** p * w
+
+    def ladder(count: int) -> list:
+        return integrate_all(evaluate, count, domain, _NORM_SCHEDULE, _NORM_TOL)
+
+    try:
+        verdicts = ladder(len(members) * per)
+    except EvaluationError as exc:
+        # an earlier member's unstable norm or zero denominator comes first
+        verdicts = ladder(exc.index) + [exc]
+
+    def decided(i: int) -> IntegralVerdict:
+        if isinstance(verdicts[i], EvaluationError):
+            raise verdicts[i]
+        return verdicts[i]
+
+    for k in range(len(members)):
+        num, val = decided(k * per), decided(k * per + 1)
+        if num.verdict is not Verdict.FINITE or val.verdict is not Verdict.FINITE:
+            raise ArithmeticError("trial-function norm did not stabilize")
+        grad_norms = []
+        for axis in range(domain.dim):
+            gv = decided(k * per + 2 + axis)
+            if gv.verdict is not Verdict.FINITE:
+                raise ArithmeticError("trial-function gradient norm did not stabilize")
+            grad_norms.append(gv.value ** (1.0 / p))
+        denom = val.value ** (1.0 / p) + sum(grad_norms)
+        if denom <= 0.0:
+            raise ValueError("trial function is identically zero on the domain")
+        yield num.value ** (1.0 / s) / denom
+
+
 def embedding_ratio(
     u: TrialFunction,
     p: float,
@@ -117,32 +189,9 @@ def embedding_ratio(
     The Sobolev norm is the value norm plus the sum of the first-derivative
     component norms; both norms are 1-homogeneous, so the ratio is invariant
     under scaling of ``u``.  Identically-zero trial functions are rejected.
+    This is the one-scale case of the probe's shared refinement ladder.
     """
-
-    def p_power(pts):
-        return np.abs(u.value(pts)) ** p * weight(pts)
-
-    def s_power(pts):
-        return np.abs(u.value(pts)) ** s * weight(pts)
-
-    num = integrate(s_power, domain, schedule=_NORM_SCHEDULE, tol=_NORM_TOL)
-    val = integrate(p_power, domain, schedule=_NORM_SCHEDULE, tol=_NORM_TOL)
-    if num.verdict is not Verdict.FINITE or val.verdict is not Verdict.FINITE:
-        raise ArithmeticError("trial-function norm did not stabilize")
-    grad_norms = []
-    for axis in range(domain.dim):
-
-        def g_power(pts, axis=axis):
-            return np.abs(u.grad(pts)[:, axis]) ** p * weight(pts)
-
-        gv = integrate(g_power, domain, schedule=_NORM_SCHEDULE, tol=_NORM_TOL)
-        if gv.verdict is not Verdict.FINITE:
-            raise ArithmeticError("trial-function gradient norm did not stabilize")
-        grad_norms.append(gv.value ** (1.0 / p))
-    denom = val.value ** (1.0 / p) + sum(grad_norms)
-    if denom <= 0.0:
-        raise ValueError("trial function is identically zero on the domain")
-    return num.value ** (1.0 / s) / denom
+    return next(_ratios([u], p, s, weight, domain))
 
 
 @dataclass(frozen=True)
@@ -198,10 +247,12 @@ def run_probe(
     weight = Weight.polynomial(float(query.alpha), n)
     family = TrialFamily(family_kind, beta=beta)
 
+    members = [family.member(eps) for eps in epsilons]
+
     ratios = []
     try:
-        for eps in epsilons:
-            ratios.append((eps, embedding_ratio(family.member(eps), float(query.p), s, weight, domain)))
+        for eps, ratio in zip(epsilons, _ratios(members, float(query.p), s, weight, domain)):
+            ratios.append((eps, ratio))
     except ArithmeticError:
         return ProbeReport(s, tuple(ratios), Verdict.INCONCLUSIVE, math.nan, math.nan)
 
