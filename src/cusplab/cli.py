@@ -46,7 +46,7 @@ from .exponents import (
 from .geometry import Box, CuspDomain, Verdict
 from .mollifier import SmoothField, convergence_test
 from .pde import CuspSection, l2_error, manufactured_rhs, solve_dirichlet, triangulate, write_mesh
-from .probe import run_probe
+from .probe import TrialFamily, probe_scales, run_probe
 from .weights import BallFamily, Weight, ap_check, theorem10_condition
 
 __all__ = ["RunConfig", "main", "run"]
@@ -435,17 +435,23 @@ def _run_solve(config: RunConfig) -> dict:
 def _run_probe(config: RunConfig) -> dict:
     params = config.parameters
     query = _query_from(params)
-    eps_max = float(params.get("eps_max", 1e-1))
-    eps_min = float(params.get("eps_min", 1e-5))
-    points = int(params.get("points", 9))
+    family = str(params.get("family", "tip_bump"))
+    try:
+        eps_max = float(params.get("eps_max", 1e-1))
+        eps_min = float(params.get("eps_min", 1e-5))
+        epsilons = probe_scales(np.geomspace(eps_max, eps_min, int(params.get("points", 9))))
+        beta = float(params["beta"]) if "beta" in params else None
+        TrialFamily(family, beta=beta).member(epsilons[0])  # checks kind and beta
+    except ValueError as exc:
+        raise ConfigError(f"probe: {exc}") from exc
     report = run_probe(
         query,
         float(params["s"]),
-        family_kind=str(params.get("family", "tip_bump")),
-        epsilons=np.geomspace(eps_max, eps_min, points),
+        family_kind=family,
+        epsilons=epsilons,
         growth=float(params.get("growth", 1.3)),
         variation=float(params.get("variation", 0.2)),
-        beta=float(params["beta"]) if "beta" in params else None,
+        beta=beta,
     )
     config.output_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(

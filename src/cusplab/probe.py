@@ -33,6 +33,7 @@ __all__ = [
     "TrialFamily",
     "TrialFunction",
     "embedding_ratio",
+    "probe_scales",
     "run_probe",
 ]
 
@@ -220,6 +221,21 @@ class ProbeReport:
         }
 
 
+def probe_scales(epsilons: Sequence[float]) -> list[float]:
+    """The scales of a probe, largest first; raises ValueError unless there
+    are at least three, all positive and finite, spanning at least four
+    decades."""
+    epsilons = sorted((float(e) for e in epsilons), reverse=True)
+    if not all(0.0 < e < math.inf for e in epsilons):
+        raise ValueError("scales must be positive and finite")
+    if len(epsilons) < 3:
+        raise ValueError("need at least three scales")
+    span = math.log10(epsilons[0] / epsilons[-1])
+    if span < 4.0 - 1e-9:
+        raise ValueError("schedule must span at least four decades")
+    return epsilons
+
+
 def run_probe(
     query: EmbeddingQuery,
     s: float,
@@ -234,14 +250,7 @@ def run_probe(
     The default schedule spans four decades (1e-1 down to 1e-5, two points
     per decade).  Any quadrature failure yields an inconclusive verdict.
     """
-    if epsilons is None:
-        epsilons = np.geomspace(1e-1, 1e-5, 9)
-    epsilons = sorted((float(e) for e in epsilons), reverse=True)
-    if len(epsilons) < 3:
-        raise ValueError("need at least three scales")
-    span = math.log10(epsilons[0] / epsilons[-1])
-    if span < 4.0 - 1e-9:
-        raise ValueError("schedule must span at least four decades")
+    epsilons = probe_scales(np.geomspace(1e-1, 1e-5, 9) if epsilons is None else epsilons)
     n = query.n
     domain = CuspDomain.isotropic(n, query.gamma)
     weight = Weight.polynomial(float(query.alpha), n)

@@ -334,3 +334,26 @@ class TestSolveValidation:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         rep = read_report(out)
         assert rep["results"]["solvability_condition"]["verdict"] == "finite"
+
+
+class TestProbeConfig:
+    """Probe settings that are config mistakes exit 2 and write nothing."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "eps_min = 1e-3\n",  # span under four decades
+            "points = 2\n",
+            "family = nope\n",
+            "family = power_spike\n",  # no beta
+            "eps_min = -1e-5\n",
+        ],
+        ids=["short-span", "two-points", "unknown-family", "spike-without-beta", "negative-scale"],
+    )
+    def test_config_mistake_exits_2(self, tmp_path, extra):
+        cfg = write_config(
+            tmp_path, "[probe]\nn = 2\np = 2\nalpha = 0\ngamma = 3\ns = 5\n" + extra
+        )
+        out = tmp_path / "out"
+        assert main(["probe", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()

@@ -18,6 +18,7 @@ from cusplab.geometry import (
     grid,
     h1_domain,
     integrate,
+    integrate_all,
     unit_interval,
 )
 
@@ -289,3 +290,128 @@ class TestStoppingRule:
         assert v.verdict is Verdict.INCONCLUSIVE
         assert len(seen) == len(expected)
         assert len(set(seen)) == len(seen)
+
+
+def _integrands():
+    """Fresh integrands: one that converges at once, one whose estimates
+    alternate so that it ends inconclusive, and two with a singular face."""
+    calls = []
+
+    def alternating(pts):
+        calls.append(None)
+        return np.full(len(pts), 1.0 + len(calls) % 2)
+
+    def smooth(pts):
+        return 1.0 + pts[:, 0] ** 2
+
+    def singular(pts):
+        with np.errstate(divide="ignore"):
+            return np.abs(pts[:, -1]) ** -0.5
+
+    return [ones, alternating, smooth, singular]
+
+
+def _bits(v):
+    return v.verdict, v.value.hex(), tuple(t.hex() for t in v.trace)
+
+
+class TestIntegrateAll:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(DOMAINS)),
+        start=st.floats(0.25, 4.0),
+        deepest=st.floats(0.5, 8.0),
+        panels=st.integers(1, 6),
+        uniform=st.integers(1, 4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+    )
+    def test_equals_separate_calls(self, kind, start, deepest, panels, uniform, picks):
+        domain = DOMAINS[kind]
+        schedule = RefinementSchedule(
+            start_decades=start, max_decades=deepest, panels_per_decade=panels,
+            uniform_start=uniform,
+        )
+        # each integrand of the joint call gets its own state, as each
+        # separate call does
+        together = [_integrands()[k] for k in picks]
+        joint = integrate_all(
+            lambda pts, active: (together[i](pts) for i in active),
+            len(picks), domain, schedule,
+        )
+        separate = [integrate(_integrands()[k], domain, schedule=schedule) for k in picks]
+        assert [_bits(v) for v in joint] == [_bits(v) for v in separate]
+
+    def test_early_and_inconclusive_integrands_together(self):
+        ones_, alternating, _, _ = _integrands()
+        first, second = integrate_all(
+            lambda pts, active: [(ones_, alternating)[i](pts) for i in active],
+            2, unit_interval(),
+        )
+        assert first.verdict is Verdict.FINITE
+        assert second.verdict is Verdict.INCONCLUSIVE
+        assert len(first.trace) < len(second.trace)
+
+    def test_lowest_index_failure_is_raised_after_earlier_ones(self):
+        seen = []
+
+        def evaluate(pts, active):
+            seen.append(list(active))
+            for i in active:
+                out = np.ones(len(pts))
+                if i > 0:
+                    out[0] = np.nan
+                yield out
+
+        with pytest.raises(EvaluationError) as err:
+            integrate_all(evaluate, 3, unit_interval())
+        assert err.value.index == 1
+        # integrand 2 leaves with the failure; integrand 0 is still decided
+        assert seen[0] == [0, 1, 2] and seen[1:] and all(a == [0] for a in seen[1:])
+
+    def test_each_level_grid_built_once(self, monkeypatch):
+        import cusplab.geometry as geometry
+
+        built = []
+        real = geometry.grid
+
+        def counting(domain, *args):
+            built.append(args)
+            return real(domain, *args)
+
+        monkeypatch.setattr(geometry, "grid", counting)
+        integrate_all(
+            lambda pts, active: (np.full(len(pts), float(i)) for i in active),
+            5, unit_interval(),
+        )
+        assert built and len(built) == len(set(built))
+
+
+class TestPurePowers:
+    """``int_0^1 t**beta dt`` is finite iff ``beta > -1``, and then equals
+    ``1 / (beta + 1)``."""
+
+    @staticmethod
+    def _power(beta):
+        def f(p):
+            with np.errstate(over="ignore", divide="ignore"):
+                return p[:, 0] ** beta
+
+        return integrate(f, unit_interval())
+
+    @settings(max_examples=60, deadline=None)
+    @given(beta=st.floats(-1.6, 3.0).filter(lambda b: abs(b + 1.0) > 0.05))
+    def test_verdict_is_exact_rule(self, beta):
+        v = self._power(beta)
+        assert v.finite == (beta > -1.0)
+        if v.finite and beta <= 2.0:
+            assert abs(v.value * (beta + 1.0) - 1.0) <= 1e-3
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="refinement deepens the window but never the panel density, so "
+        "the midpoint error on the smooth part (2.3e-3 at beta = 3) is never checked",
+    )
+    def test_value_within_tol_at_beta_3(self):
+        v = self._power(3.0)
+        assert v.finite
+        assert abs(v.value * 4.0 - 1.0) <= 1e-3

@@ -4,9 +4,14 @@ norm integrals are organised cannot move a single ratio."""
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from cusplab.cli import main
 from cusplab.exponents import EmbeddingQuery
-from cusplab.probe import run_probe
+from cusplab.geometry import CuspDomain, EvaluationError
+from cusplab.probe import TrialFamily, TrialFunction, _ratios, embedding_ratio, run_probe
+from cusplab.weights import Weight
 
 DATA = Path(__file__).parent / "data" / "readme_probe"
 
@@ -49,3 +54,49 @@ def test_readme_probe_outputs_byte_identical(tmp_path):
     assert main(["probe", "--config", str(cfg), "--out", str(out)]) == 0
     for name in ("report.json", "probe.csv"):
         assert (out / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+def test_probe_builds_each_level_grid_once(monkeypatch):
+    import cusplab.geometry as geometry
+
+    built = []
+    real = geometry.grid
+
+    def counting(domain, *args):
+        built.append((domain, args))
+        return real(domain, *args)
+
+    monkeypatch.setattr(geometry, "grid", counting)
+    run_probe(Q230, 5.0)
+    # the probe's schedule has six distinct levels
+    assert 0 < len(built) == len(set(built)) <= 6
+
+
+def _power(b):
+    def value(pts):
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.linalg.norm(pts, axis=-1) ** -b
+
+    return TrialFunction(value, np.zeros_like)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "second, third, error",
+    [
+        (_power(2.0), _power(400.0), ArithmeticError),  # unstable norm first
+        (_power(400.0), _power(2.0), EvaluationError),  # overflow first
+        (TrialFunction(lambda p: np.zeros(len(p)), np.zeros_like), _power(400.0), ValueError),
+    ],
+    ids=["unstable-then-overflow", "overflow-then-unstable", "zero-then-overflow"],
+)
+def test_errors_surface_scale_by_scale(second, third, error):
+    # the failure of the earliest failing scale is raised, after the ratios
+    # of the scales before it, as when the scales are probed one at a time
+    members = [TrialFamily("tip_bump").member(1e-2), second, third]
+    domain, weight = CuspDomain.isotropic(2, 3), Weight.polynomial(0.0, 2)
+    ratios = []
+    with pytest.raises(error):
+        for r in _ratios(members, 2.0, 5.0, weight, domain):
+            ratios.append(r)
+    assert ratios == [embedding_ratio(members[0], 2.0, 5.0, weight, domain)]
