@@ -533,12 +533,14 @@ def integrate_all(
                 elif failure is None or i < failure.index:
                     exc.index, failure = i, exc
                 continue
+            finally:
+                del vals  # free these values before the next are computed
             verdict = _verdict(trace, tol)
             if verdict is None:
                 undecided.append(i)
             else:
                 results[i] = IntegralVerdict(trace[-1], verdict, tuple(trace))
-        del level_grid, vals
+        del level_grid
         # integrands after a failed one cannot change what is raised
         active = [i for i in undecided if failure is None or i < failure.index]
     for i in active:

@@ -6,6 +6,14 @@ exactly when ``s`` is below the admissibility ceiling.  Near the ceiling the
 attainable drift is slow (the ratio moves like a small power of ``eps``), so
 the verdict margins are calibrated to the growth across the last two decades
 of the schedule plus the total growth across the schedule.
+
+Every norm integral of a probe, ``(2 + n)`` per scale (the ``L_s`` and
+``L_p`` powers of the value and the ``L_p`` power of each gradient
+component), is decided on one refinement ladder
+(:func:`cusplab.geometry.integrate_all`): each level's grid is built once,
+the weight is evaluated once per level and each scale's value and gradient
+once per level, and each integral still stops by its own trace, so the
+ratios are the same bits as when every integral runs its own ladder.
 """
 
 from __future__ import annotations
@@ -56,7 +64,8 @@ def _tip_bump(eps: float) -> TrialFunction:
         r = np.linalg.norm(pts, axis=-1)
         inside = (r < eps) & (r > 0.0)
         g = np.zeros_like(pts)
-        g[inside] = -pts[inside] / (r[inside, None] * eps)
+        # the same quotients as boolean indexing, without its gather and scatter
+        np.divide(-pts, (r * eps)[:, None], out=g, where=inside[:, None])
         return g
 
     return TrialFunction(value, grad)
@@ -145,7 +154,7 @@ def _ratios(
                     yield np.abs(v) ** (s if j == 0 else p) * w
                 else:
                     if g is None:
-                        g = u.grad(points)
+                        v, g = None, u.grad(points)  # value powers come first
                     yield np.abs(g[:, j - 2]) ** p * w
 
     def ladder(count: int) -> list:
