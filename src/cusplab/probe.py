@@ -154,16 +154,17 @@ def _ratios(
                     yield np.abs(v) ** (s if j == 0 else p) * w
                 else:
                     if g is None:
-                        v, g = None, u.grad(points)  # value powers come first
+                        v, g = None, u.grad(points)  # no value power follows
                     yield np.abs(g[:, j - 2]) ** p * w
 
-    def ladder(count: int) -> list:
+    def ladder(count: int) -> list[IntegralVerdict]:
         return integrate_all(evaluate, count, domain, _NORM_SCHEDULE, _NORM_TOL)
 
     try:
         verdicts = ladder(len(members) * per)
     except EvaluationError as exc:
-        # an earlier member's unstable norm or zero denominator comes first
+        # decide the integrands before the failed one, so that an earlier
+        # member's unstable norm or zero denominator is raised first
         verdicts = ladder(exc.index) + [exc]
 
     def decided(i: int) -> IntegralVerdict:
