@@ -47,9 +47,9 @@ class EvaluationError(RuntimeError):
     """Integrand returned a non-finite value at an interior node.
 
     ``index`` is the failing integrand's position in an
-    :func:`integrate_all` call."""
+    :func:`integrate_all` call, None outside one."""
 
-    index: int = 0
+    index: int | None = None
 
 
 # ---------------------------------------------------------------------------
