@@ -293,8 +293,9 @@ class TestStoppingRule:
 
 
 def _integrands():
-    """Fresh integrands: one that converges at once, one whose estimates
-    alternate so that it ends inconclusive, and two with a singular face."""
+    """Fresh integrands: a constant, which converges early; one whose
+    estimates alternate, so that it ends inconclusive; a smooth one; and one
+    singular at the lower face of the last axis."""
     calls = []
 
     def alternating(pts):
