@@ -2,9 +2,9 @@
 
 Runs are configured by an INI file with one section per command (reproducible
 research style: no positional parameters beyond the subcommand and paths).
-Each run writes ``report.json`` (schema 2, with the originating config
+Each run writes ``report.json`` (schema 3, with the originating config
 embedded) plus CSV files where a command produces sequences.  Identical
-config and seed produce byte-identical reports.
+config, seed, machine and BLAS thread count give byte-identical reports.
 
 Exit codes: 0 success (a negative verdict is still success), 2 config error
 (nothing written), 3 validity violation, 4 numerical inconclusiveness (the
@@ -51,7 +51,7 @@ from .weights import BallFamily, Weight, ap_check, theorem10_condition
 
 __all__ = ["RunConfig", "main", "run"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,7 +86,7 @@ _ALLOWED_KEYS: dict[str, dict[str, set[str]]] = {
     },
     "probe": {
         "required": {"n", "p", "alpha", "gamma", "s"},
-        "optional": {"family", "growth", "variation", "eps_max", "eps_min", "points", "beta"},
+        "optional": {"family", "eps_max", "eps_min", "points", "beta"},
     },
     "report": {
         "required": {"n", "p", "alpha", "gamma"},
@@ -449,8 +449,6 @@ def _run_probe(config: RunConfig) -> dict:
         float(params["s"]),
         family_kind=family,
         epsilons=epsilons,
-        growth=float(params.get("growth", 1.3)),
-        variation=float(params.get("variation", 0.2)),
         beta=beta,
     )
     config.output_dir.mkdir(parents=True, exist_ok=True)

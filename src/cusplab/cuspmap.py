@@ -22,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    SLOPE_BAND,
     CuspDomain,
     EvaluationError,
     IntegralVerdict,
     Verdict,
     integrate,
+    scaling_exponent,
     unit_interval,
 )
 
@@ -208,8 +210,6 @@ def _sample_h1_band(rng, n: int, t_lo: float, t_hi: float, count: int) -> np.nda
 _QI_BANDS = 5
 #: difference quotients sampled per band
 _QI_PAIRS = 256
-#: climb of the per-band Q estimates that refutes quasiisometry
-_QI_GROWTH = 1.5
 
 
 def check_quasiisometry(mapping, seed: int = 0) -> QuasiisometryReport:
@@ -217,16 +217,15 @@ def check_quasiisometry(mapping, seed: int = 0) -> QuasiisometryReport:
 
     ``mapping`` needs ``dim`` and a vectorized ``apply``; ``jacobian`` is
     used when available to cross-check ``Q**-n <= |J| <= Q**n``.  Bands are
-    ``x_n in (4**-(k+1), 4**-k)``; verdict is violated when the per-band Q
-    estimates climb by a factor of 1.5 across each of the last two bands,
-    satisfied when the whole trace stays within that factor.
+    ``x_n in (4**-(k+1), 4**-k)``; the verdict is violated when the slope of
+    the per-band Q estimates against the band scale ``4**-k`` (``a - 1`` for
+    the cusp map) is below ``-SLOPE_BAND``, and satisfied otherwise.
     """
     n = mapping.dim
     rng = np.random.default_rng(seed)
+    scales = 4.0 ** -np.arange(_QI_BANDS + 1.0)
     trace = []
-    for k in range(_QI_BANDS):
-        t_hi = 4.0**-k
-        t_lo = 4.0 ** -(k + 1)
+    for t_hi, t_lo in zip(scales, scales[1:]):
         x = _sample_h1_band(rng, n, t_lo, t_hi, _QI_PAIRS)
         step = 1e-4 * t_lo
         direction = rng.normal(size=(_QI_PAIRS, n))
@@ -239,11 +238,8 @@ def check_quasiisometry(mapping, seed: int = 0) -> QuasiisometryReport:
         quot = np.linalg.norm(moved, axis=-1) / np.linalg.norm(z - x, axis=-1)
         q_band = max(float(np.max(quot)), 1.0 / float(np.min(quot)))
         trace.append(q_band)
-    verdict = Verdict.INCONCLUSIVE
-    if trace[-1] >= _QI_GROWTH * trace[-2] and trace[-2] >= _QI_GROWTH * trace[-3]:
-        verdict = Verdict.VIOLATED
-    elif max(trace) <= _QI_GROWTH * min(trace):
-        verdict = Verdict.SATISFIED
+    slope = scaling_exponent(scales[:-1], trace)
+    verdict = Verdict.VIOLATED if slope < -SLOPE_BAND else Verdict.SATISFIED
     q = float(max(trace))
     jac_ok = None
     if hasattr(mapping, "jacobian") and verdict is Verdict.SATISFIED:

@@ -33,12 +33,14 @@ __all__ = [
     "IntegralVerdict",
     "QuadratureGrid",
     "RefinementSchedule",
+    "SLOPE_BAND",
     "Verdict",
     "fixed_grid_sum",
     "grid",
     "h1_domain",
     "integrate",
     "integrate_all",
+    "scaling_exponent",
     "unit_interval",
 ]
 
@@ -351,6 +353,15 @@ class Verdict(str, Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+#: band around zero inside which a :func:`scaling_exponent` decides nothing
+SLOPE_BAND = 0.01
+
+
+def scaling_exponent(scales: Sequence[float], trace: Sequence[float]) -> float:
+    """Least-squares slope of ``log(trace)`` against ``log(scales)``."""
+    return float(np.polyfit(np.log(scales), np.log(trace), 1)[0])
 
 
 @dataclass(frozen=True)

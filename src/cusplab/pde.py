@@ -64,22 +64,21 @@ class Mesh:
     triangles: np.ndarray  # (M, 3) int
     boundary: np.ndarray  # (N,) bool
 
+    def _edge_lengths(self) -> np.ndarray:
+        p = self.vertices[self.triangles]
+        e = np.concatenate(
+            [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=0
+        )
+        return np.linalg.norm(e, axis=1)
+
     @property
     def h(self) -> float:
         """Longest edge."""
-        p = self.vertices[self.triangles]
-        e = np.concatenate(
-            [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=0
-        )
-        return float(np.max(np.linalg.norm(e, axis=1)))
+        return float(np.max(self._edge_lengths()))
 
     @property
     def min_edge(self) -> float:
-        p = self.vertices[self.triangles]
-        e = np.concatenate(
-            [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=0
-        )
-        return float(np.min(np.linalg.norm(e, axis=1)))
+        return float(np.min(self._edge_lengths()))
 
     @property
     def areas(self) -> np.ndarray:

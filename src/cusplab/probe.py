@@ -2,10 +2,10 @@
 
 A trial family concentrates at the cusp tip at scale ``eps``; the ratio
 ``||u||_{L_s(D,w)} / ||u||_{W^1_p(D,w)}`` stays bounded as ``eps`` shrinks
-exactly when ``s`` is below the admissibility ceiling.  Near the ceiling the
-attainable drift is slow (the ratio moves like a small power of ``eps``), so
-the verdict margins are calibrated to the growth across the last two decades
-of the schedule plus the total growth across the schedule.
+exactly when ``s`` is below the admissibility ceiling.  The tip bump's ratio
+behaves like ``eps**kappa``, ``kappa = (alpha+gamma)/s - (alpha+gamma)/p + 1``,
+which is zero exactly at the Thm 6 ceiling, so the verdict is the sign of the
+exponent fitted over the last two decades of scales (:class:`ProbeReport`).
 
 Every norm integral of a probe, ``(2 + n)`` per scale (the ``L_s`` and
 ``L_p`` powers of the value and the ``L_p`` power of each gradient
@@ -27,12 +27,14 @@ import numpy as np
 
 from .exponents import EmbeddingQuery
 from .geometry import (
+    SLOPE_BAND,
     CuspDomain,
     EvaluationError,
     IntegralVerdict,
     RefinementSchedule,
     Verdict,
     integrate_all,
+    scaling_exponent,
 )
 from .weights import Weight
 
@@ -209,25 +211,23 @@ def embedding_ratio(
 class ProbeReport:
     """Ratio trace over the shrinking-scale schedule and the verdict.
 
-    ``blow_up`` needs the ratio to climb by the growth factor across the
-    last two decades; ``bounded`` needs the increase across the last two
-    decades *and* across the whole schedule to stay within the variation
-    margin (a decaying trace is bounded evidence, not ambiguity).
+    ``kappa_fit`` is the slope of ``log(ratio)`` against ``log(eps)`` over
+    the last two decades (at least two scales): ``blow_up`` below
+    ``-SLOPE_BAND``, ``bounded`` above it, ``inconclusive`` between, and nan
+    with the ratios found so far when a norm fails.
     """
 
     s: float
     ratios: tuple[tuple[float, float], ...]
     verdict: Verdict
-    growth_two_decades: float
-    growth_total: float
+    kappa_fit: float
 
     def to_dict(self) -> dict:
         return {
             "s": self.s,
             "ratios": [[e, r] for e, r in self.ratios],
             "verdict": self.verdict.value,
-            "growth_two_decades": self.growth_two_decades,
-            "growth_total": self.growth_total,
+            "kappa_fit": self.kappa_fit,
         }
 
 
@@ -251,14 +251,12 @@ def run_probe(
     s: float,
     family_kind: str = "tip_bump",
     epsilons: Sequence[float] | None = None,
-    growth: float = 1.3,
-    variation: float = 0.2,
     beta: float | None = None,
 ) -> ProbeReport:
     """Probe the embedding at exponent ``s`` with a shrinking trial family.
 
     The default schedule spans four decades (1e-1 down to 1e-5, two points
-    per decade).  Any quadrature failure yields an inconclusive verdict.
+    per decade).  Any norm that fails yields an inconclusive verdict.
     """
     epsilons = probe_scales(np.geomspace(1e-1, 1e-5, 9) if epsilons is None else epsilons)
     n = query.n
@@ -272,19 +270,16 @@ def run_probe(
     try:
         for eps, ratio in zip(epsilons, _ratios(members, float(query.p), s, weight, domain)):
             ratios.append((eps, ratio))
-    except ArithmeticError:
-        return ProbeReport(s, tuple(ratios), Verdict.INCONCLUSIVE, math.nan, math.nan)
+    except (ArithmeticError, EvaluationError):
+        return ProbeReport(s, tuple(ratios), Verdict.INCONCLUSIVE, math.nan)
 
-    values = [r for _, r in ratios]
-    # index of the entry two decades above the smallest scale
-    target = epsilons[-1] * 100.0
-    idx = min(range(len(epsilons)), key=lambda i: abs(math.log10(epsilons[i] / target)))
-    g2 = values[-1] / values[idx]
-    gtot = values[-1] / values[0]
-    if g2 >= growth:
+    eps, values = np.array(ratios).T
+    fit = max(2, np.count_nonzero(eps <= 100.0 * (1 + 1e-9) * eps[-1]))
+    kappa = scaling_exponent(eps[-fit:], values[-fit:])
+    if kappa < -SLOPE_BAND:
         verdict = Verdict.BLOW_UP
-    elif g2 <= 1.0 + variation and gtot <= 1.0 + variation:
+    elif kappa > SLOPE_BAND:
         verdict = Verdict.BOUNDED
     else:
         verdict = Verdict.INCONCLUSIVE
-    return ProbeReport(s, tuple(ratios), verdict, g2, gtot)
+    return ProbeReport(s, tuple(ratios), verdict, kappa)

@@ -27,7 +27,7 @@ class TestExponentsCommand:
         out = tmp_path / "out"
         assert main(["exponents", "--config", str(cfg), "--out", str(out)]) == 0
         rep = read_report(out)
-        assert rep["schema"] == 2
+        assert rep["schema"] == 3
         assert rep["results"]["thm6"]["s_max"] == 6.0
         assert rep["results"]["witness"] is not None
         assert rep["config"]["parameters"]["gamma"] == 3
@@ -250,6 +250,23 @@ class TestNumericalCommands:
         assert rep["results"]["probe"]["verdict"] == "blow_up"
         assert (out / "probe.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_probe_norm_overflow_exits_4(self, tmp_path):
+        # the L_s power of the spike overflows at the sixth scale
+        cfg = write_config(
+            tmp_path,
+            "[probe]\nn = 2\np = 2\nalpha = 0\ngamma = 3\ns = 5\n"
+            "family = power_spike\nbeta = 20\n",
+        )
+        out = tmp_path / "out"
+        assert main(["probe", "--config", str(cfg), "--out", str(out)]) == 4
+        probe = read_report(out)["results"]["probe"]
+        assert probe["verdict"] == "inconclusive"
+        assert probe["kappa_fit"] == "nan"
+        assert 0 < len(probe["ratios"]) < 9
+        rows = (out / "probe.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(probe["ratios"])
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -347,8 +364,13 @@ class TestProbeConfig:
             "family = nope\n",
             "family = power_spike\n",  # no beta
             "eps_min = -1e-5\n",
+            "growth = 1.3\n",  # removed: the verdict is the fitted slope
+            "variation = 0.2\n",
         ],
-        ids=["short-span", "two-points", "unknown-family", "spike-without-beta", "negative-scale"],
+        ids=[
+            "short-span", "two-points", "unknown-family", "spike-without-beta",
+            "negative-scale", "removed-growth", "removed-variation",
+        ],
     )
     def test_config_mistake_exits_2(self, tmp_path, extra):
         cfg = write_config(

@@ -10,7 +10,7 @@ from cusplab.cuspmap import (
     ja_exponent_s_bound,
     jacobian_Ja,
 )
-from cusplab.geometry import CuspDomain, Verdict, h1_domain
+from cusplab.geometry import SLOPE_BAND, CuspDomain, Verdict, h1_domain, scaling_exponent
 
 
 HG = CuspDomain(dim=2, exponents=(2.0,))
@@ -161,6 +161,33 @@ class TestQuasiisometry:
         assert rep.verdict == "violated"
         # Q estimates grow without bound toward the tip
         assert rep.scale_trace[-1] > 4.0 * rep.scale_trace[0]
+
+    @staticmethod
+    def band_slope(rep):
+        return scaling_exponent(4.0 ** -np.arange(len(rep.scale_trace)), rep.scale_trace)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.8, 0.95])
+    def test_slope_of_cusp_map_is_a_minus_one(self, n, a):
+        # |D(map)| grows like x_n**(a - 1) toward the tip
+        for seed in range(4):
+            rep = check_quasiisometry(CuspMap(h1_domain(n), a), seed=seed)
+            assert abs(self.band_slope(rep) - (a - 1.0)) <= 0.06
+            assert rep.verdict == "violated"
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bi_lipschitz_maps_read_flat(self, n):
+        class Dilation:
+            dim = n
+
+            def apply(self, p):
+                return 2.0 * np.asarray(p)
+
+        for mapping in (CuspMap(h1_domain(n), 1.0), Dilation()):
+            for seed in range(4):
+                rep = check_quasiisometry(mapping, seed=seed)
+                assert abs(self.band_slope(rep)) < SLOPE_BAND
+                assert rep.verdict == "satisfied"
 
 
 class TestDistortionIntegrals:

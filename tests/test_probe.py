@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cusplab.exponents import EmbeddingQuery
 from cusplab.geometry import Box, CuspDomain
@@ -64,12 +65,14 @@ class TestRunProbe:
     def test_below_threshold_bounded(self):
         rep = run_probe(Q230, 5.0)
         assert rep.verdict == "bounded"
-        assert rep.growth_two_decades < 1.0
+        # kappa(5) = 3/5 - 3/2 + 1
+        assert rep.kappa_fit == pytest.approx(0.1, abs=5e-3)
 
     def test_above_threshold_blow_up(self):
         rep = run_probe(Q230, 7.0)
         assert rep.verdict == "blow_up"
-        assert rep.growth_two_decades >= 1.3
+        # kappa(7) = 3/7 - 3/2 + 1
+        assert rep.kappa_fit == pytest.approx(3 / 7 - 0.5, abs=5e-3)
 
     def test_blow_up_requires_growth_margin(self):
         rep = run_probe(Q230, 7.0)
@@ -109,3 +112,30 @@ class TestWeightedProbe:
         q = EmbeddingQuery(2, 2, 1, 3)
         assert run_probe(q, 3.2).verdict == "bounded"
         assert run_probe(q, 5.0).verdict == "blow_up"
+
+
+class TestFittedExponent:
+    """The tip bump's ratio behaves like eps**kappa with the closed form
+    kappa(s) = (alpha+gamma)/s - (alpha+gamma)/p + 1, zero at the Thm 6
+    ceiling s* = (alpha+gamma)p/(alpha+gamma-p)."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        p=st.floats(1.6, 2.2),
+        alpha=st.floats(0.0, 1.0),
+        total=st.floats(3.5, 5.0),  # alpha + gamma
+        factor=st.one_of(st.floats(0.5, 0.9), st.floats(1.1, 1.5)),  # s / s*
+    )
+    def test_kappa_fit_matches_closed_form(self, p, alpha, total, factor):
+        s = factor * total * p / (total - p)
+        kappa = total / s - total / p + 1.0
+        rep = run_probe(EmbeddingQuery(2, p, alpha, total - alpha), s)
+        assert abs(rep.kappa_fit - kappa) <= 5e-3
+        assert rep.verdict == ("bounded" if kappa > 0.0 else "blow_up")
+
+    def test_band_around_the_ceiling(self):
+        # kappa(s) = 3/s - 1/2 for Q230, whose ceiling is 6
+        verdicts = {k: run_probe(Q230, 6.0 * k / 100).verdict for k in range(90, 111)}
+        assert all(verdicts[k] == "bounded" for k in range(90, 99))
+        assert all(verdicts[k] == "inconclusive" for k in range(99, 103))
+        assert all(verdicts[k] == "blow_up" for k in range(103, 111))
