@@ -1,11 +1,11 @@
 """Domains, graded quadrature grids, and refinement-based integral verdicts.
 
 The integration engine never asks for a value at the singular face ``x_n = 0``
-(or at the origin of a ball): every node is a cell centroid strictly inside
+(or at the center of a ball): every node is a cell centroid strictly inside
 the domain.  Finiteness and divergence are decided from a refinement trace in
-which each level roughly squares the number of resolved decades next to the
-singular face, so that even logarithmic divergences grow geometrically from
-level to level.
+which each level doubles the resolved decades next to the singular face: a
+tail ``t**(c-1)`` there adds at least as much per decade from one level to
+the next exactly when ``c <= 0``, and that is how divergence is read.
 
 Cusp domains are never meshed directly.  Integrals over ``H_g`` are computed
 in reference coordinates ``(u, t)`` on the unit box, ``x_i = u_i * g_i(t)``,
@@ -29,7 +29,6 @@ __all__ = [
     "CuspDomain",
     "Domain",
     "EvaluationError",
-    "GROWTH",
     "IntegralVerdict",
     "QuadratureGrid",
     "RefinementSchedule",
@@ -295,11 +294,14 @@ def _box_grid(
     return QuadratureGrid(box, centers, widths, weights, centers)
 
 
-def _ball_grid(ball: Ball, cells: int) -> QuadratureGrid:
+def _ball_grid(
+    ball: Ball, decades: float, panels_per_decade: int, cells: int
+) -> QuadratureGrid:
+    """A disc as the polar box ``(rho, theta)``, graded toward its center."""
     if ball.dim != 2:
         raise NotImplementedError("grid-based ball quadrature is 2-D only")
-    r_cells = _axis_cells(0.0, ball.radius, max(cells, 16))
-    th_cells = _axis_cells(0.0, 2.0 * math.pi, max(cells, 16))
+    r_cells = _graded_axis_cells(0.0, ball.radius, decades, panels_per_decade)
+    th_cells = _axis_cells(0.0, 2.0 * math.pi, cells)
     centers, widths = _tensor_cells([r_cells, th_cells])
     rho, theta = centers[:, 0], centers[:, 1]
     weights = np.prod(widths, axis=1) * rho
@@ -318,15 +320,15 @@ def grid(
 ) -> QuadratureGrid:
     """Quadrature grid over ``domain``.
 
-    A graded axis (the cusp's ``t``, a box's singular axis) resolves
-    ``decades`` decades next to its singular end with ``panels_per_decade``
-    geometric panels per decade.  Every other axis has ``cells`` uniform
-    cells (at least 16 on a ball, whose polar grid is never graded).
+    A graded axis (the cusp's ``t``, a box's singular axis, a disc's polar
+    radius) resolves ``decades`` decades next to its singular end with
+    ``panels_per_decade`` geometric panels per decade.  Every other axis,
+    the disc's angle included, has ``cells`` uniform cells.
     """
     if isinstance(domain, CuspDomain):
         return _cusp_reference_grid(domain, decades, panels_per_decade, cells)
     if isinstance(domain, Ball):
-        return _ball_grid(domain, cells)
+        return _ball_grid(domain, decades, panels_per_decade, cells)
     if isinstance(domain, Box):
         return _box_grid(domain, decades, panels_per_decade, cells)
     raise TypeError(f"unsupported domain type {type(domain)!r}")
@@ -396,23 +398,19 @@ class IntegralVerdict:
 DEEPEN = 2.0
 #: cross-axis cells at refinement level 0
 CROSS_CELLS = 12
-#: growth of successive estimates, level to level, that reads as divergence
-GROWTH = 1.5
 
 
 @dataclass(frozen=True)
 class RefinementSchedule:
     """Refinement plan for :func:`integrate`.
 
-    The resolved window next to the singular face starts at
-    ``start_decades`` decades and multiplies by :data:`DEEPEN` each level
-    (capped at ``max_decades``), while panel density per decade stays fixed.
-    The super-geometric deepening makes any non-integrable power *or
-    logarithmic* singularity inflate successive estimates by at least
-    :data:`GROWTH` once the singular contribution dominates.  Cross axes
-    start at :data:`CROSS_CELLS` cells and double for three levels; a box
-    without a singular axis starts at ``uniform_start`` cells per axis and
-    doubles for six.
+    The resolved window next to the singular face (a disc's center) starts
+    at ``start_decades`` decades and multiplies by :data:`DEEPEN` each level
+    (capped at ``max_decades``), while panel density per decade stays fixed,
+    so :func:`_verdict` can compare what each refinement adds per decade.
+    Cross axes start at :data:`CROSS_CELLS` cells and double for three
+    levels; a box without a singular axis starts at ``uniform_start`` cells
+    per axis and doubles for six, and has no window to deepen.
     """
 
     start_decades: float = 1.0
@@ -435,15 +433,12 @@ def _level_args(
     ``level``, with every argument the domain's grid does not read set to 0,
     so that equal arguments mean an equal grid."""
     decades = min(schedule.start_decades * DEEPEN**level, schedule.max_decades)
-    cross = CROSS_CELLS * 2 ** min(level, 3)
     if isinstance(domain, Box) and domain.singular_axis is None:
         decades, cells = 0.0, schedule.uniform_start * 2 ** min(level, 6)
-    elif isinstance(domain, Ball):
-        decades, cells = 0.0, cross + 8
     elif domain.dim == 1:
         cells = 0  # a 1-D singular box is its graded axis alone
     else:
-        cells = cross
+        cells = CROSS_CELLS * 2 ** min(level, 3)
     if domain.dim > 2:
         cells = min(cells, 24)  # keep tensor cell counts tractable
     return decades, schedule.panels_per_decade, cells
@@ -468,32 +463,23 @@ def _agrees(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * scale
 
 
-def _verdict(trace: Sequence[float], tol: float) -> Verdict | None:
+def _verdict(trace: Sequence[float], depths: Sequence[float], tol: float) -> Verdict | None:
     """Finite or Divergent once ``trace`` decides it, None while it does not.
 
-    Finite once the last two estimates agree to relative ``tol``; Divergent
-    once they grow by at least :data:`GROWTH` across each of the last two
-    refinements with growth that keeps accelerating or settles high.
+    ``depths[k]`` is the window, in decades, resolved at level ``k``.  Finite
+    once the last two estimates agree to relative ``tol``; Divergent once the
+    last refinement added at least as much per newly resolved decade as the
+    one before, with one sign: for a tail ``t**(c-1)`` exactly ``c <= 0``.
     """
     if len(trace) >= 2 and _agrees(trace[-1], trace[-2], tol):
         return Verdict.FINITE
-    if len(trace) >= 3 and abs(trace[-2]) > 0 and abs(trace[-3]) > 0:
-        r_last = abs(trace[-1]) / abs(trace[-2])
-        r_prev = abs(trace[-2]) / abs(trace[-3])
-        sustained = r_last >= GROWTH and r_prev >= GROWTH
-        # barely-finite integrals also inflate early, but their growth
-        # ratios slide toward 1 with widening steps; true divergence
-        # either keeps accelerating or converges onto the deepening
-        # factor with shrinking steps
-        trending_up = r_last >= r_prev * (1 - 1e-9)
-        converging_high = False
-        if len(trace) >= 4 and abs(trace[-4]) > 0:
-            r_first = abs(trace[-3]) / abs(trace[-4])
-            d_old = r_first - r_prev
-            d_new = r_prev - r_last
-            converging_high = 0.0 < d_new <= 0.7 * d_old
-        if sustained and (trending_up or converging_high):
-            return Verdict.DIVERGENT
+    if len(trace) >= 3:
+        (i0, i1, i2), (d0, d1, d2) = trace[-3:], depths[-3:]
+        a, b = i1 - i0, i2 - i1
+        same_sign = a != 0.0 and b != 0.0 and (a > 0.0) == (b > 0.0)
+        if i0 != 0.0 and same_sign and d0 < d1 < d2:
+            if abs(b) / (d2 - d1) >= abs(a) / (d1 - d0) * (1 - 1e-9):
+                return Verdict.DIVERGENT
     return None
 
 
@@ -514,10 +500,10 @@ def integrate_all(
     trace and leaves the ladder once :func:`_verdict` decides it, so the
     result equals ``[integrate(f_i, domain, schedule, tol) for i in
     range(count)]`` bit for bit.  A non-finite value raises
-    :class:`EvaluationError` unless that integrand's estimates were already
-    inflating (then it is Divergent); the error raised is the lowest-index
-    one, as in that list, with its ``index`` set, and only after every
-    integrand before it is decided.
+    :class:`EvaluationError` unless it comes at the third level after the
+    second raised ``|estimate|`` (then it is Divergent); the error raised is
+    the lowest-index one, as in that list, with its ``index`` set, and only
+    after every integrand before it is decided.
     """
     schedule = schedule or DEFAULT_SCHEDULE
     traces: list[list[float]] = [[] for _ in range(count)]
@@ -525,11 +511,13 @@ def integrate_all(
     active = list(range(count))
     failure: EvaluationError | None = None
     prev_args = None
+    depths: list[float] = []  # window resolved at each level, in decades
     for level in itertools.count():
         args = _level_args(domain, schedule, level)
         if not active or args == prev_args:
             break
         prev_args = args
+        depths.append(args[0])
         level_grid = grid(domain, *args)
         undecided = []
         for i, vals in zip(active, evaluate(level_grid.points, active), strict=True):
@@ -537,16 +525,17 @@ def integrate_all(
             try:
                 trace.append(fixed_grid_sum(lambda _pts, v=vals: v, level_grid))
             except EvaluationError as exc:
-                # overflow at the singular face while the estimates were already
-                # inflating is divergence manifesting, not a broken integrand
-                if len(trace) >= 2 and abs(trace[-1]) >= GROWTH * abs(trace[-2]) > 0:
+                # overflow after |estimate| grew, with no two increments to
+                # compare yet, is divergence manifesting; after shrinking
+                # increments it is a floating-point artifact and raises
+                if len(trace) == 2 and abs(trace[1]) > abs(trace[0]):
                     results[i] = IntegralVerdict(trace[-1], Verdict.DIVERGENT, tuple(trace))
                 elif failure is None or i < failure.index:
                     exc.index, failure = i, exc
                 continue
             finally:
                 del vals  # free these values before the next are computed
-            verdict = _verdict(trace, tol)
+            verdict = _verdict(trace, depths, tol)
             if verdict is None:
                 undecided.append(i)
             else:
@@ -576,10 +565,8 @@ def integrate(
     ``f`` must accept an ``(N, n)`` array of interior points and return
     ``(N,)`` values; singular behavior is allowed only at the boundary or the
     origin.  This is the one-integrand case of :func:`integrate_all`: the
-    verdict is Finite once the last two refinement estimates agree to
-    relative ``tol``, Divergent once they grow by at least :data:`GROWTH`
-    across each of the last two refinements, Inconclusive if the schedule
-    runs out first: at the first level whose grid equals the previous
-    level's, so no verdict ever compares a grid with itself.
+    verdict is Finite or Divergent as :func:`_verdict` decides, Inconclusive
+    if the schedule runs out first: at the first level whose grid equals the
+    previous level's, so no verdict ever compares a grid with itself.
     """
     return integrate_all(lambda pts, _: [f(pts)], 1, domain, schedule, tol)[0]

@@ -160,7 +160,8 @@ def _ratios(
                     yield np.abs(g[:, j - 2]) ** p * w
 
     def ladder(count: int) -> list[IntegralVerdict]:
-        return integrate_all(evaluate, count, domain, _NORM_SCHEDULE, _NORM_TOL)
+        with np.errstate(over="ignore"):  # fixed_grid_sum judges an infinite power
+            return integrate_all(evaluate, count, domain, _NORM_SCHEDULE, _NORM_TOL)
 
     try:
         verdicts = ladder(len(members) * per)

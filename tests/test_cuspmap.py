@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cusplab.cuspmap import (
     CuspMap,
@@ -256,6 +257,43 @@ class TestDistortionIntegrals:
         d = rep.to_dict()
         assert d["Ia"]["verdict"] == "finite"
         assert d["Ja"]["verdict"] == "finite"
+
+
+# the drawn queries: n in {2, 3}, p, alpha, gamma >= n and a.  The 5% margin
+# puts Ja's reduced tail t**(c-1) at c >= n m / 20 / (1 - 0.95 m),
+# m = a (alpha + gamma) / n, on its finite side; a >= 1/2 keeps that c at
+# 0.049 or more, well above the 0.025 that the finite rule resolves.
+QUERIES = dict(
+    n=st.sampled_from([2, 3]),
+    p=st.floats(1.5, 3.0),
+    alpha=st.floats(-0.5, 1.5),
+    extra=st.floats(0.0, 2.0),
+    a=st.floats(0.5, 1.0),
+    factor=st.floats(0.5, 0.95) | st.floats(1.05, 1.5),
+)
+
+
+class TestThresholdProperties:
+    """Outside a 5% margin, the distortion verdicts are the sign the closed
+    forms give: Ia is finite iff q < q*, Ja iff s < s*."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**QUERIES)
+    def test_ia_verdict_is_threshold_sign(self, n, p, alpha, extra, a, factor):
+        gamma = n + extra
+        q = factor * ia_exponent_q_threshold(n, p, alpha, gamma, a)
+        assume(1.0 <= q < p)
+        v = distortion_Ia(p, q, a, alpha, CuspDomain.isotropic(n, gamma))
+        assert v.verdict is (Verdict.FINITE if factor < 1.0 else Verdict.DIVERGENT)
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.floats(2.0, 4.0), **QUERIES)
+    def test_ja_verdict_is_threshold_sign(self, n, p, alpha, extra, a, factor, r):
+        gamma = n + extra
+        s = factor * ja_exponent_s_bound(n, r, alpha, gamma, a)
+        assume(s < r)
+        v = jacobian_Ja(r, s, a, alpha, CuspDomain.isotropic(n, gamma))
+        assert v.verdict is (Verdict.FINITE if factor < 1.0 else Verdict.DIVERGENT)
 
 
 class TestScaledProfiles:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cusplab.geometry import (
     Ball,
@@ -10,7 +10,6 @@ from cusplab.geometry import (
     CuspDomain,
     DEFAULT_SCHEDULE,
     EvaluationError,
-    GROWTH,
     RefinementSchedule,
     Verdict,
     _level_args,
@@ -140,9 +139,18 @@ class TestIntegrate:
         assert abs(v.trace[-1] - v.trace[-2]) <= 1e-3 * abs(v.trace[-1])
 
     def test_divergent_requires_trace_growth(self):
+        # the last refinement added at least as much per resolved decade as
+        # the one before
         v = integrate(lambda p: p[:, 0] ** -1.5, unit_interval())
-        assert abs(v.trace[-1]) >= GROWTH * abs(v.trace[-2])
-        assert abs(v.trace[-2]) >= GROWTH * abs(v.trace[-3])
+        assert v.verdict is Verdict.DIVERGENT
+        d0, d1, d2 = (
+            _level_args(unit_interval(), DEFAULT_SCHEDULE, k)[0]
+            for k in range(len(v.trace) - 3, len(v.trace))
+        )
+        i0, i1, i2 = v.trace[-3:]
+        assert d0 < d1 < d2
+        assert i1 - i0 > 0 and i2 - i1 > 0
+        assert (i2 - i1) / (d2 - d1) >= (i1 - i0) / (d1 - d0)
 
     def test_zero_integrand(self):
         v = integrate(lambda p: np.zeros(len(p)), unit_interval())
@@ -235,6 +243,11 @@ class TestDivergenceDiscrimination:
         for expo in (-0.98, -0.999):
             v = integrate(lambda p, e=expo: p[:, 0] ** e, unit_interval())
             assert v.verdict is Verdict.INCONCLUSIVE, expo
+
+    def test_box_without_singular_axis_never_divergent(self):
+        # no window to deepen: |x|**-3 grows level to level, yet stays open
+        v = integrate(lambda p: np.linalg.norm(p, axis=-1) ** -3.0, Box((0.0, 0.0), (1.0, 1.0)))
+        assert v.verdict is Verdict.INCONCLUSIVE
 
     def test_overflow_during_growth_reads_divergent(self):
         # value overflows at deep levels, but the trace is already inflating
@@ -406,6 +419,22 @@ class TestPurePowers:
         assert v.finite == (beta > -1.0)
         if v.finite and beta <= 2.0:
             assert abs(v.value * (beta + 1.0) - 1.0) <= 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(beta=st.floats(-1.6, -1.0))
+    @example(beta=-1.0)
+    def test_divergent_up_to_minus_one(self, beta):
+        # the per-decade rule is exact at the threshold: no band on this side
+        assert self._power(beta).verdict is Verdict.DIVERGENT
+
+    @pytest.mark.parametrize("beta", [-1.0, -1.3, -0.5])
+    def test_sign_of_integrand_does_not_matter(self, beta):
+        def f(p):
+            return -(p[:, 0] ** beta)
+
+        v = integrate(f, unit_interval())
+        assert v.verdict is self._power(beta).verdict
+        assert v.trace == tuple(-t for t in self._power(beta).trace)
 
     @pytest.mark.xfail(
         strict=True,

@@ -2,9 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import dblquad, quad
 
-from cusplab.geometry import Ball, Box, CuspDomain, Verdict, h1_domain, integrate
+from cusplab.geometry import (
+    Ball,
+    Box,
+    CuspDomain,
+    EvaluationError,
+    Verdict,
+    h1_domain,
+    integrate,
+)
 from cusplab.weights import (
     BallFamily,
     Weight,
@@ -185,6 +194,38 @@ class TestWeightedMeasure:
         w = Weight.tabulated(lambda x: np.linalg.norm(x, axis=-1) ** -2.5, 2)
         assert not power_integral(w, 1.0, Ball((0.0, 0.0), 1.0)).finite
 
+    @staticmethod
+    def _disc_power(beta):
+        w = Weight.tabulated(lambda x: np.linalg.norm(x, axis=-1) ** beta, 2)
+        return power_integral(w, 1.0, Ball((0.0, 0.0), 1.0))
+
+    @settings(max_examples=20, deadline=None)
+    @given(beta=st.floats(-2.6, -2.0))
+    @example(beta=-2.0)
+    def test_tabulated_power_on_disc_divergent_from_minus_two(self, beta):
+        assert self._disc_power(beta).verdict is Verdict.DIVERGENT
+
+    @settings(max_examples=30, deadline=None)
+    @given(beta=st.floats(-1.9, 1.0))
+    @example(beta=-1.9)
+    @example(beta=1.0)
+    def test_tabulated_power_on_disc_finite_above_minus_two(self, beta):
+        # the disc is a polar box graded toward its center: exactly 2 pi / (beta + 2)
+        v = self._disc_power(beta)
+        assert v.verdict is Verdict.FINITE
+        assert v.value == pytest.approx(2.0 * math.pi / (beta + 2.0), rel=1e-3)
+
+    def test_tabulated_power_on_disc_overflow_is_not_divergence(self):
+        # |x|**-1.99 overflows at the deepest level while the increments per
+        # decade shrink: the integral is finite (200 pi), never divergent
+        w = Weight.tabulated(lambda x: np.linalg.norm(x, axis=-1) ** -1.99, 2)
+        with np.errstate(over="ignore"):
+            try:
+                v = power_integral(w, 1.0, Ball((0.0, 0.0), 1.0))
+            except EvaluationError:
+                return
+        assert v.verdict is not Verdict.DIVERGENT
+
     def test_divergent_reported_as_inf(self):
         w = Weight.polynomial(-2.5, 2)
         assert weighted_measure(w, Ball((0.0, 0.0), 1.0)) == math.inf
@@ -231,6 +272,19 @@ class TestTheorem10Condition:
         v = theorem10_condition(Weight.polynomial(3.0, 2), CuspDomain(dim=2, exponents=(2.0,)))
         assert v.verdict is Verdict.DIVERGENT
         assert v.value == math.inf
+
+    @pytest.mark.parametrize("alpha", [2.0, 2.25, 2.5, 3.0])
+    def test_square_divergence_by_the_exact_rule(self, alpha):
+        # |x|**-alpha is not integrable near the corner at the origin
+        v = theorem10_condition(Weight.polynomial(alpha, 2), Box((0.0, 0.0), (1.0, 1.0)))
+        assert v.verdict is Verdict.DIVERGENT
+        assert v.value == math.inf and v.trace == ()
+
+    def test_box_away_from_origin_is_integrated(self):
+        v = theorem10_condition(Weight.polynomial(3.0, 2), Box((0.5, 0.5), (1.0, 1.0)))
+        assert v.verdict is Verdict.FINITE
+        exact = dblquad(lambda y, x: (x * x + y * y) ** -1.5, 0.5, 1.0, 0.5, 1.0)[0]
+        assert v.value == pytest.approx(exact, rel=1e-3)
 
     def test_alpha_two_divergent_in_2d(self):
         w = Weight.polynomial(2.0, 2)
