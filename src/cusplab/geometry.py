@@ -5,7 +5,8 @@ The integration engine never asks for a value at the singular face ``x_n = 0``
 the domain.  Finiteness and divergence are decided from a refinement trace in
 which each level doubles the resolved decades next to the singular face: a
 tail ``t**(c-1)`` there adds at least as much per decade from one level to
-the next exactly when ``c <= 0``, and that is how divergence is read.
+the next exactly when ``c <= 0``, and that is how divergence is read, over
+levels that share their cross grid so that only the window changed.
 
 Cusp domains are never meshed directly.  Integrals over ``H_g`` are computed
 in reference coordinates ``(u, t)`` on the unit box, ``x_i = u_i * g_i(t)``,
@@ -407,10 +408,12 @@ class RefinementSchedule:
     The resolved window next to the singular face (a disc's center) starts
     at ``start_decades`` decades and multiplies by :data:`DEEPEN` each level
     (capped at ``max_decades``), while panel density per decade stays fixed,
-    so :func:`_verdict` can compare what each refinement adds per decade.
-    Cross axes start at :data:`CROSS_CELLS` cells and double for three
-    levels; a box without a singular axis starts at ``uniform_start`` cells
-    per axis and doubles for six, and has no window to deepen.
+    so :func:`_verdict` can compare what each refinement adds per decade
+    once the cross grid stays fixed.  Cross axes start at
+    :data:`CROSS_CELLS` cells and double for three levels (in three or more
+    dimensions, once, up to 24); a box without a singular axis starts at
+    ``uniform_start`` cells per axis and doubles for six, and has no window
+    to deepen.
     """
 
     start_decades: float = 1.0
@@ -466,14 +469,15 @@ def _agrees(a: float, b: float, tol: float) -> bool:
 def _verdict(trace: Sequence[float], depths: Sequence[float], tol: float) -> Verdict | None:
     """Finite or Divergent once ``trace`` decides it, None while it does not.
 
-    ``depths[k]`` is the window, in decades, resolved at level ``k``.  Finite
-    once the last two estimates agree to relative ``tol``; Divergent once the
-    last refinement added at least as much per newly resolved decade as the
-    one before, with one sign: for a tail ``t**(c-1)`` exactly ``c <= 0``.
+    ``depths`` are the windows, in decades, of the last levels, up to this
+    one, that share its cross grid.  Finite once the last two estimates agree
+    to relative ``tol``; Divergent once, over three such levels, the last
+    refinement added at least as much per newly resolved decade as the one
+    before, with one sign: for a tail ``t**(c-1)`` exactly ``c <= 0``.
     """
     if len(trace) >= 2 and _agrees(trace[-1], trace[-2], tol):
         return Verdict.FINITE
-    if len(trace) >= 3:
+    if len(depths) >= 3:
         (i0, i1, i2), (d0, d1, d2) = trace[-3:], depths[-3:]
         a, b = i1 - i0, i2 - i1
         same_sign = a != 0.0 and b != 0.0 and (a > 0.0) == (b > 0.0)
@@ -499,11 +503,14 @@ def integrate_all(
     one integrand's values alive at a time.  Every integrand keeps its own
     trace and leaves the ladder once :func:`_verdict` decides it, so the
     result equals ``[integrate(f_i, domain, schedule, tol) for i in
-    range(count)]`` bit for bit.  A non-finite value raises
-    :class:`EvaluationError` unless it comes at the third level after the
-    second raised ``|estimate|`` (then it is Divergent); the error raised is
-    the lowest-index one, as in that list, with its ``index`` set, and only
-    after every integrand before it is decided.
+    range(count)]`` bit for bit.  On a box graded along one face, a Finite
+    read where only the window was refined turns Divergent if
+    :func:`_verdict` reads the cross axes, one octave per step, so.  A
+    non-finite value ends an integrand Inconclusive once :func:`_verdict`
+    has compared increments on one cross grid; before that it is Divergent
+    if the last level raised ``|estimate|``, and otherwise raises
+    :class:`EvaluationError`: the lowest-index one, as in that list, with
+    its ``index`` set, and only after every integrand before it is decided.
     """
     schedule = schedule or DEFAULT_SCHEDULE
     traces: list[list[float]] = [[] for _ in range(count)]
@@ -511,24 +518,32 @@ def integrate_all(
     active = list(range(count))
     failure: EvaluationError | None = None
     prev_args = None
-    depths: list[float] = []  # window resolved at each level, in decades
+    depths: list[float] = []  # windows of the levels on this level's cross grid
+    # a box's singular face may hold its singularity at one point, which only
+    # the cross axes resolve
+    face_box = isinstance(domain, Box) and domain.singular_axis is not None and domain.dim > 1
     for level in itertools.count():
         args = _level_args(domain, schedule, level)
         if not active or args == prev_args:
             break
+        if prev_args is None or args[2] != prev_args[2]:
+            depths = []
         prev_args = args
         depths.append(args[0])
+        cross_fixed = face_box and len(depths) > 1
         level_grid = grid(domain, *args)
-        undecided = []
+        undecided, settled = [], []
         for i, vals in zip(active, evaluate(level_grid.points, active), strict=True):
             trace = traces[i]
             try:
                 trace.append(fixed_grid_sum(lambda _pts, v=vals: v, level_grid))
             except EvaluationError as exc:
-                # overflow after |estimate| grew, with no two increments to
-                # compare yet, is divergence manifesting; after shrinking
-                # increments it is a floating-point artifact and raises
-                if len(trace) == 2 and abs(trace[1]) > abs(trace[0]):
+                # after increments that did not grow per decade, overflow
+                # ends the ladder undecided; before the rule could compare
+                # them, overflow after |estimate| grew is divergence manifesting
+                if len(depths) > 3:
+                    results[i] = IntegralVerdict(trace[-1], Verdict.INCONCLUSIVE, tuple(trace))
+                elif len(trace) >= 2 and abs(trace[-1]) > abs(trace[-2]):
                     results[i] = IntegralVerdict(trace[-1], Verdict.DIVERGENT, tuple(trace))
                 elif failure is None or i < failure.index:
                     exc.index, failure = i, exc
@@ -538,9 +553,25 @@ def integrate_all(
             verdict = _verdict(trace, depths, tol)
             if verdict is None:
                 undecided.append(i)
+            elif verdict is Verdict.FINITE and cross_fixed:
+                settled.append(i)
             else:
                 results[i] = IntegralVerdict(trace[-1], verdict, tuple(trace))
         del level_grid
+        # only the window was refined, so the cross axes may yet diverge: the
+        # estimates on a quarter, a half and all of this level's cross cells
+        # are a ladder of their own, one octave per step
+        octaves: dict[int, list[float]] = {i: [] for i in settled}
+        for cells in (args[2] // 4, args[2] // 2) if settled else ():
+            coarse = grid(domain, args[0], args[1], cells)
+            for i, vals in zip(settled, evaluate(coarse.points, settled), strict=True):
+                total = float(np.dot(vals, coarse.weights))
+                octaves[i].append(total if math.isfinite(total) else math.nan)
+                del vals
+        for i in settled:
+            across = _verdict(octaves[i] + traces[i][-1:], (0.0, 1.0, 2.0), tol)
+            verdict = Verdict.DIVERGENT if across is Verdict.DIVERGENT else Verdict.FINITE
+            results[i] = IntegralVerdict(traces[i][-1], verdict, tuple(traces[i]))
         # integrands after a failed one cannot change what is raised
         active = [i for i in undecided if failure is None or i < failure.index]
     for i in active:
@@ -567,6 +598,8 @@ def integrate(
     origin.  This is the one-integrand case of :func:`integrate_all`: the
     verdict is Finite or Divergent as :func:`_verdict` decides, Inconclusive
     if the schedule runs out first: at the first level whose grid equals the
-    previous level's, so no verdict ever compares a grid with itself.
+    previous level's, so no verdict ever compares a grid with itself.  A box
+    without a singular axis has no window to compare per decade, so there
+    only an overflow after a rise in ``|estimate|`` reads Divergent.
     """
     return integrate_all(lambda pts, _: [f(pts)], 1, domain, schedule, tol)[0]

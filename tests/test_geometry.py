@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad
 
 from cusplab.geometry import (
     Ball,
@@ -244,10 +245,40 @@ class TestDivergenceDiscrimination:
             v = integrate(lambda p, e=expo: p[:, 0] ** e, unit_interval())
             assert v.verdict is Verdict.INCONCLUSIVE, expo
 
-    def test_box_without_singular_axis_never_divergent(self):
-        # no window to deepen: |x|**-3 grows level to level, yet stays open
+    def test_uniform_box_cannot_decide_divergence(self):
+        # a limitation: with no window to deepen there is nothing to compare
+        # per decade, so |x|**-3 grows level to level, yet stays open
         v = integrate(lambda p: np.linalg.norm(p, axis=-1) ** -3.0, Box((0.0, 0.0), (1.0, 1.0)))
         assert v.verdict is Verdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize("k", [2.0, 2.3, 2.7])
+    def test_point_on_singular_face_divergent_across(self, k):
+        # |x|**-k sits at one corner of the graded face, where only the cross
+        # axis resolves it.  Once that axis is capped the window estimates
+        # settle, but halving the cross cells adds at least as much each time
+        box = Box((0.0, 0.0), (1.0, 1.0), singular_axis=1)
+        v = integrate(lambda p: np.linalg.norm(p, axis=-1) ** -k, box)
+        assert v.verdict is Verdict.DIVERGENT
+
+    def test_point_on_singular_face_resolved_by_the_cross_grid(self):
+        # |x|**-0.5 over the unit square: 4 * int_0^(pi/4) sec(t)**1.5 dt / 3
+        box = Box((0.0, 0.0), (1.0, 1.0), singular_axis=1)
+        v = integrate(lambda p: np.linalg.norm(p, axis=-1) ** -0.5, box)
+        assert v.verdict is Verdict.FINITE
+        exact = 4.0 / 3.0 * quad(lambda t: math.cos(t) ** -1.5, 0.0, math.pi / 4)[0]
+        assert v.value == pytest.approx(exact, rel=1e-3)
+
+    @pytest.mark.parametrize("c", [0.01, 0.02, 0.03])
+    def test_cross_refinement_is_not_a_window_increment(self, c):
+        # |x|**(c - gamma) is integrable over the cusp.  Its first level has
+        # half the cross cells of the next, and increments taken across that
+        # change once passed for those of a divergent tail
+        def f(p):
+            with np.errstate(over="ignore"):  # deep levels overflow
+                return np.linalg.norm(p, axis=-1) ** (c - 3.5)
+
+        v = integrate(f, CuspDomain.isotropic(3, 3.5))
+        assert v.verdict is not Verdict.DIVERGENT
 
     def test_overflow_during_growth_reads_divergent(self):
         # value overflows at deep levels, but the trace is already inflating
