@@ -19,6 +19,8 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 import sympy as sp
+from scipy.linalg import solve_banded
+from scipy.sparse.linalg import LinearOperator, splu
 
 from .geometry import Box, CuspDomain
 from .mollifier import SmoothField
@@ -36,7 +38,6 @@ __all__ = [
     "energy_norm_error",
     "l2_error",
     "manufactured_rhs",
-    "read_mesh",
     "solve_dirichlet",
     "triangulate",
     "weak_residual",
@@ -58,11 +59,13 @@ def _edge_means(mesh: Mesh, per_vertex: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Mesh:
     """Conforming triangulation: vertices, positively oriented triangles,
-    and per-vertex boundary flags."""
+    per-vertex boundary flags, and the shape of the structured vertex grid
+    (vertex ``(i, j)`` is numbered ``i * grid_shape[1] + j``)."""
 
     vertices: np.ndarray  # (N, 2)
     triangles: np.ndarray  # (M, 3) int
     boundary: np.ndarray  # (N,) bool
+    grid_shape: tuple[int, int]
 
     def _edge_lengths(self) -> np.ndarray:
         p = self.vertices[self.triangles]
@@ -174,7 +177,7 @@ def triangulate(
     a = (np.arange(nx, dtype=np.int64)[:, None] * (ny + 1) + np.arange(ny)).ravel()
     b = a + (ny + 1)
     triangles = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1).reshape(-1, 3)
-    mesh = Mesh(vertices=verts, triangles=triangles, boundary=on_bnd)
+    mesh = Mesh(vertices=verts, triangles=triangles, boundary=on_bnd, grid_shape=(nx + 1, ny + 1))
     degenerate = int(np.count_nonzero(mesh.areas <= 0.0))
     if degenerate:
         raise ValueError(
@@ -270,15 +273,135 @@ def assemble(
 # ---------------------------------------------------------------------------
 
 
+#: a level with at most this many unknowns is factored by ``splu``: the
+#: bottom of the multigrid hierarchy, or a whole small system, which CG then
+#: solves in one iteration
+_COARSEST = 500
+#: CG iterations per pass; 7 to 14 reach tol = 1e-10 on squares and cusp
+#: sections, graded or not, at every h down to 1/256
+_MAX_ITERATIONS = 100
+
+
+def _interpolation(cells: int) -> sparse.csr_matrix:
+    """Linear interpolation in index space from ``(cells + 1) // 2`` cells
+    (at least 2) to ``cells`` cells, on the interior nodes of both grids.
+
+    Fine node ``i`` sits at coarse position ``i * coarse / cells``; the grids
+    need not nest, so odd cell counts coarsen like even ones.
+    """
+    coarse = max(2, (cells + 1) // 2)
+    fine = np.arange(1, cells)
+    s = fine * coarse / cells
+    left = np.floor(s).astype(np.int64)
+    theta = s - left
+    rows = np.concatenate([fine, fine]) - 1
+    cols = np.concatenate([left, left + 1]) - 1
+    vals = np.concatenate([1.0 - theta, theta])
+    keep = (cols >= 0) & (cols < coarse - 1) & (vals != 0.0)
+    return sparse.csr_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=(cells - 1, coarse - 1)
+    )
+
+
+def _zebra_lines(A: sparse.csr_matrix, shape: tuple[int, int]) -> list:
+    """``(axis, colour, banded)`` in pre-smoothing order: even then odd
+    lines along axis 0, then along axis 1.  ``banded`` holds the tridiagonal
+    of ``A`` along the colour's lines, laid end to end with zero coupling
+    from one line to the next, in ``solve_banded((1, 1), ...)`` layout."""
+    m0, m1 = shape
+    diag = A.diagonal(0).reshape(shape)
+    along0 = np.zeros(shape)  # coupling of (i, j) to (i + 1, j)
+    along0[:-1] = A.diagonal(m1).reshape(m0 - 1, m1)
+    along1 = np.append(A.diagonal(1), 0.0).reshape(shape)  # (i, j) to (i, j + 1)
+    along1[:, -1] = 0.0
+    lines = []
+    for axis, d, up in ((0, diag.T, along0.T), (1, diag, along1)):
+        for colour in (0, 1):
+            u = up[colour::2].ravel()
+            banded = np.zeros((3, len(u)))
+            banded[0, 1:] = u[:-1]
+            banded[1] = d[colour::2].ravel()
+            banded[2, :-1] = u[:-1]
+            lines.append((axis, colour, banded))
+    return lines
+
+
+def _rows_along(v: np.ndarray, shape: tuple[int, int], axis: int) -> np.ndarray:
+    """A view of the grid vector ``v`` whose rows are its lines along ``axis``."""
+    grid = v.reshape(shape)
+    return grid.T if axis == 0 else grid
+
+
+def _relax(A, x, b, shape, axis, colour, banded) -> None:
+    """Solve exactly on the lines of one colour, the others held fixed."""
+    r = _rows_along(b - A @ x, shape, axis)[colour::2]
+    rows = _rows_along(x, shape, axis)[colour::2]
+    rows += solve_banded(
+        (1, 1), banded, r.ravel(), overwrite_b=True, check_finite=False
+    ).reshape(rows.shape)
+
+
+class _Multigrid:
+    """Geometric multigrid on the structured grid of interior unknowns.
+
+    Each level halves the cell count along both axes through
+    :func:`_interpolation`, with Galerkin coarse operators ``P^T A P``,
+    until at most ``_COARSEST`` unknowns remain; that level is factored by
+    ``splu``.  :meth:`vcycle` applies one symmetric V-cycle, smoothed by
+    zebra line Gauss-Seidel alternating between the axes, so it is an SPD
+    preconditioner for CG.  The cycle is a loop over ``levels``, not a
+    recursion, so the hierarchy holds no reference to itself and is freed
+    as soon as the solve drops it.
+    """
+
+    def __init__(self, A: sparse.csr_matrix, shape: tuple[int, int]):
+        # (operator, grid shape, zebra lines, 1-D interpolations along each axis)
+        self.levels = []
+        while A.shape[0] > _COARSEST:
+            P0, P1 = _interpolation(shape[0] + 1), _interpolation(shape[1] + 1)
+            self.levels.append((A, shape, _zebra_lines(A, shape), P0, P1))
+            P = sparse.kron(P0, P1, format="csr")
+            A = (P.T @ (A @ P)).tocsr()
+            shape = (P0.shape[1], P1.shape[1])
+        # A is SPD: symmetric ordering and no pivoting factor it a third faster
+        self.coarsest = splu(
+            A.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        self.cycles = 0
+
+    def vcycle(self, b: np.ndarray) -> np.ndarray:
+        """One V-cycle from a zero guess; the prolongation ``P0 ⊗ P1`` is
+        applied as ``P0 X P1^T`` on grid-shaped ``X``, never formed."""
+        self.cycles += 1
+        rhs, pre = [b], []
+        for A, shape, lines, P0, P1 in self.levels:
+            x = np.zeros_like(rhs[-1])
+            for line in lines:
+                _relax(A, x, rhs[-1], shape, *line)
+            pre.append(x)
+            rhs.append((P0.T @ (rhs[-1] - A @ x).reshape(shape) @ P1).ravel())
+        x = self.coarsest.solve(rhs.pop())
+        for A, shape, lines, P0, P1 in reversed(self.levels):
+            x = pre.pop() + (P0 @ x.reshape(P0.shape[1], P1.shape[1]) @ P1.T).ravel()
+            b = rhs.pop()
+            for line in reversed(lines):
+                _relax(A, x, b, shape, *line)
+        return x
+
+
 @dataclass(frozen=True)
 class FemSolution:
-    """Discrete solution with zero boundary values, solver residual, and
-    weighted Dirichlet energy ``u^T K u``."""
+    """Discrete solution with zero boundary values, solver residual,
+    weighted Dirichlet energy ``u^T K u`` and the number of CG iterations."""
 
     mesh: Mesh
     values: np.ndarray
     residual: float
     energy: float
+    iterations: int
 
 
 def solve_dirichlet(
@@ -289,24 +412,30 @@ def solve_dirichlet(
 ) -> FemSolution:
     """Conjugate-gradient solve of the weighted Dirichlet problem.
 
-    Jacobi-preconditioned CG on the SPD interior system down to relative
-    residual ``tol``, iteration cap ten times the unknown count.  CG's own
-    residual drifts from the true ``||Kx - b|| / ||b||`` in floating point,
-    so a solve whose true residual is above ``tol`` is restarted once from
-    its result and fails if it is still above.
+    CG on the SPD interior system down to relative residual ``tol``,
+    preconditioned by one multigrid V-cycle (:class:`_Multigrid`) on the
+    mesh's structured grid, and capped at ``_MAX_ITERATIONS`` iterations per
+    pass.  CG stops on its own recursive residual, which drifts from the
+    true ``||Kx - b|| / ||b||`` in floating point, so a solve whose true
+    residual is above ``tol`` is restarted once from its result and fails
+    if it is still above.  ``iterations`` counts the V-cycles applied, one
+    per CG iteration over both passes.
     """
     system = assemble(mesh, w, f)
     K = system.stiffness
     rhs = -system.load
     n = K.shape[0]
+    # the solution outlives the solve, so it is allocated before the
+    # hierarchy: placed above the hierarchy's freed memory, it would keep
+    # that memory resident and raise the peak RSS of later solves
+    values = np.zeros(len(mesh.vertices))
     if not np.any(rhs):
-        values = np.zeros(len(mesh.vertices))
-        return FemSolution(mesh, values, 0.0, 0.0)
-    diag = K.diagonal()
-    M = sparse.diags(1.0 / diag)
+        return FemSolution(mesh, values, 0.0, 0.0, 0)
+    mg = _Multigrid(K, (mesh.grid_shape[0] - 2, mesh.grid_shape[1] - 2))
+    M = LinearOperator(K.shape, matvec=mg.vcycle, dtype=float)
     x = None
     for _ in range(2):
-        x, info = spla.cg(K, rhs, x0=x, rtol=tol, atol=0.0, maxiter=10 * n, M=M)
+        x, info = spla.cg(K, rhs, x0=x, rtol=tol, atol=0.0, maxiter=_MAX_ITERATIONS, M=M)
         if info != 0:
             raise SolverError(
                 f"conjugate gradient stopped after {info} iterations without reaching"
@@ -320,10 +449,9 @@ def solve_dirichlet(
             f"true relative residual {res:.4g} is above {tol:g} on {n} unknowns"
             " after a restart"
         )
-    values = np.zeros(len(mesh.vertices))
     values[system.interior] = x
     energy = float(x @ (K @ x))
-    return FemSolution(mesh, values, res, energy)
+    return FemSolution(mesh, values, res, energy, mg.cycles)
 
 
 def weak_residual(solution: FemSolution, w, f) -> float:
@@ -428,22 +556,3 @@ def write_mesh(mesh: Mesh, path) -> None:
             fh.write(f"v {float(x)!r} {float(y)!r} {int(b)}\n")
         for i, j, k in mesh.triangles:
             fh.write(f"t {i} {j} {k}\n")
-
-
-def read_mesh(path) -> Mesh:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if not header or header[0] != "mesh":
-            raise ValueError("not a mesh file")
-        nv, nt = int(header[1]), int(header[2])
-        verts = np.empty((nv, 2))
-        flags = np.empty(nv, dtype=bool)
-        for i in range(nv):
-            tok = fh.readline().split()
-            verts[i] = (float(tok[1]), float(tok[2]))
-            flags[i] = bool(int(tok[3]))
-        tris = np.empty((nt, 3), dtype=np.int64)
-        for i in range(nt):
-            tok = fh.readline().split()
-            tris[i] = (int(tok[1]), int(tok[2]), int(tok[3]))
-    return Mesh(verts, tris, flags)
