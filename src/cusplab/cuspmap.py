@@ -24,7 +24,6 @@ import numpy as np
 from .geometry import (
     SLOPE_BAND,
     CuspDomain,
-    EvaluationError,
     IntegralVerdict,
     Verdict,
     integrate,
@@ -273,23 +272,20 @@ def _cross_section_power(domain: CuspDomain, expo: float, k: float) -> IntegralV
 
     ``G(t)**k = c**k * t**((gamma-1) k)`` is folded into one power of ``t``:
     two separate powers under- or overflow at deep refinement levels even
-    when their product is a modest power.  A power so negative that it
-    overflows before any estimate exists is divergent by the exact rule
-    (``t**beta`` is integrable on (0, 1) iff ``beta > -1``).
+    when their product is a modest power.  ``t**beta`` is integrable on
+    (0, 1) iff ``beta > -1``: that exact rule decides divergence before any
+    refinement, as :func:`cusplab.weights.power_integral` does on a cusp.
     """
     scale = domain.profile_scale ** ((domain.dim - 1) * k)
     beta = expo + (domain.gamma - 1.0) * k
+    if beta <= -1.0:
+        return IntegralVerdict(math.inf, Verdict.DIVERGENT, ())
 
     def f(pts: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # an overflow is judged below
+        with np.errstate(over="ignore"):  # fixed_grid_sum judges an overflow
             return scale * pts[:, 0] ** beta
 
-    try:
-        return integrate(f, unit_interval())
-    except EvaluationError:
-        if beta <= -1.0:
-            return IntegralVerdict(math.inf, Verdict.DIVERGENT, ())
-        raise
+    return integrate(f, unit_interval())
 
 
 def distortion_Ia(

@@ -46,12 +46,7 @@ __all__ = [
 
 
 class EvaluationError(RuntimeError):
-    """Integrand returned a non-finite value at an interior node.
-
-    ``index`` is the failing integrand's position in an
-    :func:`integrate_all` call, None outside one."""
-
-    index: int | None = None
+    """Integrand returned a non-finite value at an interior node."""
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +209,18 @@ def unit_interval() -> Box:
 class QuadratureGrid:
     """Centroid-rule cells over a reference box, mapped to physical points.
 
-    ``centers``/``widths`` live in reference coordinates and tile the
-    reference box with overlap of measure zero; ``weights`` carry the cell
-    volume times any analytic factor (cusp cross-section, polar radius), so
-    ``sum(weights * f(points))`` approximates the physical integral.
+    ``weights`` carry each cell's reference volume times any analytic factor
+    (cusp cross-section, polar radius), so ``sum(weights * f(points))``
+    approximates the physical integral.
     """
 
     domain: Domain
-    centers: np.ndarray
-    widths: np.ndarray
-    weights: np.ndarray
     points: np.ndarray
+    weights: np.ndarray
 
     @property
     def cell_count(self) -> int:
-        return int(self.centers.shape[0])
-
-    def total_measure(self) -> float:
-        return float(np.sum(self.weights))
+        return int(self.weights.shape[0])
 
 
 def _axis_cells(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -252,15 +241,16 @@ def _graded_axis_cells(
 
 
 def _tensor_cells(per_axis: Sequence[tuple[np.ndarray, np.ndarray]]):
-    """Centers and widths of the product cells, row-major (last axis fastest)."""
+    """Centers ``(N, dim)`` and volumes ``(N,)`` of the product cells,
+    row-major (last axis fastest)."""
     dim = len(per_axis)
-    shape = tuple(len(c) for c, _ in per_axis) + (dim,)
-    centers, widths = np.empty(shape), np.empty(shape)
+    shape = tuple(len(c) for c, _ in per_axis)
+    centers, volumes = np.empty(shape + (dim,)), 1.0
     for ax, (c, w) in enumerate(per_axis):
         along = (slice(None),) + (None,) * (dim - 1 - ax)
         centers[..., ax] = c[along]
-        widths[..., ax] = w[along]
-    return centers.reshape(-1, dim), widths.reshape(-1, dim)
+        volumes = volumes * w[along]
+    return centers.reshape(-1, dim), volumes.reshape(-1)
 
 
 def _cusp_reference_grid(
@@ -269,14 +259,10 @@ def _cusp_reference_grid(
     n = domain.dim
     t_cells = _graded_axis_cells(0.0, 1.0, decades, panels_per_decade)
     per_axis = [_axis_cells(0.0, 1.0, cells) for _ in range(n - 1)] + [t_cells]
-    centers, widths = _tensor_cells(per_axis)
-    t = centers[:, -1]
-    vol = np.prod(widths, axis=1)
-    weights = vol * domain.cross_section(t)
-    points = np.empty_like(centers)
-    points[:, :-1] = centers[:, :-1] * domain.profiles(t)
-    points[:, -1] = t
-    return QuadratureGrid(domain, centers, widths, weights, points)
+    points, volumes = _tensor_cells(per_axis)
+    t = points[:, -1]
+    points[:, :-1] *= domain.profiles(t)  # reference centers to physical points
+    return QuadratureGrid(domain, points, volumes * domain.cross_section(t))
 
 
 def _box_grid(
@@ -290,9 +276,7 @@ def _box_grid(
             )
         else:
             per_axis.append(_axis_cells(box.lo[ax], box.hi[ax], cells))
-    centers, widths = _tensor_cells(per_axis)
-    weights = np.prod(widths, axis=1)
-    return QuadratureGrid(box, centers, widths, weights, centers)
+    return QuadratureGrid(box, *_tensor_cells(per_axis))
 
 
 def _ball_grid(
@@ -303,9 +287,8 @@ def _ball_grid(
         raise NotImplementedError("grid-based ball quadrature is 2-D only")
     r_cells = _graded_axis_cells(0.0, ball.radius, decades, panels_per_decade)
     th_cells = _axis_cells(0.0, 2.0 * math.pi, cells)
-    centers, widths = _tensor_cells([r_cells, th_cells])
-    rho, theta = centers[:, 0], centers[:, 1]
-    weights = np.prod(widths, axis=1) * rho
+    polar, volumes = _tensor_cells([r_cells, th_cells])
+    rho, theta = polar[:, 0], polar[:, 1]
     points = np.stack(
         [
             ball.center[0] + rho * np.cos(theta),
@@ -313,7 +296,7 @@ def _ball_grid(
         ],
         axis=-1,
     )
-    return QuadratureGrid(ball, centers, widths, weights, points)
+    return QuadratureGrid(ball, points, volumes * rho)
 
 
 def grid(
@@ -493,7 +476,7 @@ def integrate_all(
     domain: Domain,
     schedule: RefinementSchedule | None = None,
     tol: float = 1e-3,
-) -> list[IntegralVerdict]:
+) -> list[IntegralVerdict | EvaluationError]:
     """Integrate ``count`` integrands over ``domain`` on one refinement ladder.
 
     Each level's grid is built once, after the previous level's grid is
@@ -501,22 +484,21 @@ def integrate_all(
     the still-active integrands, in the order of the ascending indices in
     ``active``; a generator that computes each array only when asked keeps
     one integrand's values alive at a time.  Every integrand keeps its own
-    trace and leaves the ladder once :func:`_verdict` decides it, so the
-    result equals ``[integrate(f_i, domain, schedule, tol) for i in
-    range(count)]`` bit for bit.  On a box graded along one face, a Finite
-    read where only the window was refined turns Divergent if
-    :func:`_verdict` reads the cross axes, one octave per step, so.  A
-    non-finite value ends an integrand Inconclusive once :func:`_verdict`
-    has compared increments on one cross grid; before that it is Divergent
-    if the last level raised ``|estimate|``, and otherwise raises
-    :class:`EvaluationError`: the lowest-index one, as in that list, with
-    its ``index`` set, and only after every integrand before it is decided.
+    trace and leaves the ladder once :func:`_verdict` decides it, so
+    integrand ``i``'s outcome is the verdict ``integrate(f_i, domain,
+    schedule, tol)`` returns, or the :class:`EvaluationError` it raises, bit
+    for bit.  On a box graded along one face, a Finite read where only the
+    window was refined turns Divergent if :func:`_verdict` reads the cross
+    axes, one octave per step, so.  A non-finite value ends an integrand
+    Inconclusive once :func:`_verdict` has compared increments on one cross
+    grid; before that it is Divergent if the last level raised
+    ``|estimate|``, and otherwise its slot holds the error while every other
+    integrand goes on.
     """
     schedule = schedule or DEFAULT_SCHEDULE
     traces: list[list[float]] = [[] for _ in range(count)]
-    results: list[IntegralVerdict | None] = [None] * count
+    results: list[IntegralVerdict | EvaluationError | None] = [None] * count
     active = list(range(count))
-    failure: EvaluationError | None = None
     prev_args = None
     depths: list[float] = []  # windows of the levels on this level's cross grid
     # a box's singular face may hold its singularity at one point, which only
@@ -545,8 +527,8 @@ def integrate_all(
                     results[i] = IntegralVerdict(trace[-1], Verdict.INCONCLUSIVE, tuple(trace))
                 elif len(trace) >= 2 and abs(trace[-1]) > abs(trace[-2]):
                     results[i] = IntegralVerdict(trace[-1], Verdict.DIVERGENT, tuple(trace))
-                elif failure is None or i < failure.index:
-                    exc.index, failure = i, exc
+                else:
+                    results[i] = exc
                 continue
             finally:
                 del vals  # free these values before the next are computed
@@ -572,16 +554,13 @@ def integrate_all(
             across = _verdict(octaves[i] + traces[i][-1:], (0.0, 1.0, 2.0), tol)
             verdict = Verdict.DIVERGENT if across is Verdict.DIVERGENT else Verdict.FINITE
             results[i] = IntegralVerdict(traces[i][-1], verdict, tuple(traces[i]))
-        # integrands after a failed one cannot change what is raised
-        active = [i for i in undecided if failure is None or i < failure.index]
+        active = undecided
     for i in active:
         trace = traces[i]
         if all(v == 0.0 for v in trace):
             results[i] = IntegralVerdict(0.0, Verdict.FINITE, tuple(trace))
         else:
             results[i] = IntegralVerdict(trace[-1], Verdict.INCONCLUSIVE, tuple(trace))
-    if failure is not None:
-        raise failure
     return results
 
 
@@ -600,6 +579,11 @@ def integrate(
     if the schedule runs out first: at the first level whose grid equals the
     previous level's, so no verdict ever compares a grid with itself.  A box
     without a singular axis has no window to compare per decade, so there
-    only an overflow after a rise in ``|estimate|`` reads Divergent.
+    only an overflow after a rise in ``|estimate|`` reads Divergent.  The
+    :class:`EvaluationError` that :func:`integrate_all` holds in its slot is
+    raised.
     """
-    return integrate_all(lambda pts, _: [f(pts)], 1, domain, schedule, tol)[0]
+    (outcome,) = integrate_all(lambda pts, _: [f(pts)], 1, domain, schedule, tol)
+    if isinstance(outcome, EvaluationError):
+        raise outcome
+    return outcome

@@ -139,8 +139,9 @@ def _ratios(
     ``L_s`` power, ``j = 1`` the ``L_p`` power and ``j = 2 + a`` the ``L_p``
     power of gradient component ``a``.  At each level the weight is computed
     once, and each member's value and gradient once, freed before the next
-    member's.  A norm that fails to stabilize raises ArithmeticError when its
-    member's turn comes, so the ratios of earlier members are yielded first.
+    member's.  A norm that fails to stabilize raises ArithmeticError, and one
+    that cannot be evaluated its EvaluationError, when its member's turn
+    comes, so the ratios of earlier members are yielded first.
     """
     per = 2 + domain.dim
 
@@ -159,16 +160,9 @@ def _ratios(
                         v, g = None, u.grad(points)  # no value power follows
                     yield np.abs(g[:, j - 2]) ** p * w
 
-    def ladder(count: int) -> list[IntegralVerdict]:
-        with np.errstate(over="ignore"):  # fixed_grid_sum judges an infinite power
-            return integrate_all(evaluate, count, domain, _NORM_SCHEDULE, _NORM_TOL)
-
-    try:
-        verdicts = ladder(len(members) * per)
-    except EvaluationError as exc:
-        # decide the integrands before the failed one, so that an earlier
-        # member's unstable norm or zero denominator is raised first
-        verdicts = ladder(exc.index) + [exc]
+    count = len(members) * per
+    with np.errstate(over="ignore"):  # fixed_grid_sum judges an infinite power
+        verdicts = integrate_all(evaluate, count, domain, _NORM_SCHEDULE, _NORM_TOL)
 
     def decided(i: int) -> IntegralVerdict:
         if isinstance(verdicts[i], EvaluationError):

@@ -5,9 +5,10 @@ reduction: the integral of a radial power over a ball is a 1-D integral of
 ``rho**(alpha+n-1)`` times the (n-1)-sphere measure of the shell-ball
 intersection, which is available in closed form through the regularized
 incomplete beta function.  Power-integral verdicts therefore reuse the
-graded 1-D refinement machinery of :mod:`cusplab.geometry`; the A_p ratio
-decides finiteness by the exact rule, ``|x|**beta`` is integrable near the
-origin iff ``beta + n > 0``.
+graded 1-D refinement machinery of :mod:`cusplab.geometry`, after the exact
+rule that both they and the A_p ratio read first: ``|x|**beta`` is
+integrable near the origin iff ``beta + n > 0`` (``beta + gamma > 0`` at a
+cusp's tip).
 
 Infinite averages are reported as ``math.inf`` (a distinguished value), never
 as a floating overflow.
@@ -182,6 +183,23 @@ def _same_grid_ball_averages(
     return out
 
 
+def _diverges_at_origin(w: Weight, power: float, region: Domain) -> bool:
+    """The exact rule for polynomial weights: ``|x|**beta``, ``beta = alpha *
+    power``, is not integrable over ``region`` iff the origin is in the
+    closed region and ``beta + dim <= 0``, with ``dim`` the region's
+    dimension there: ``n`` for a ball or a box, the aggregate ``gamma`` at a
+    cusp's tip.  Always False for a tabulated weight."""
+    if not w.is_polynomial:
+        return False
+    if isinstance(region, CuspDomain):
+        return w.alpha * power + region.gamma <= 0.0
+    if isinstance(region, Ball):
+        at_origin = float(np.linalg.norm(region.center)) <= region.radius
+    else:
+        at_origin = all(lo <= 0.0 <= hi for lo, hi in zip(region.lo, region.hi))
+    return at_origin and w.alpha * power + region.dim <= 0.0
+
+
 def ap_ratio(w: Weight, p: float, ball: Ball) -> float:
     """A_p product ``(avg_B w) * (avg_B w**(1/(1-p)))**(p-1)`` on one ball.
 
@@ -192,11 +210,8 @@ def ap_ratio(w: Weight, p: float, ball: Ball) -> float:
     if p <= 1:
         raise ValueError("A_p needs p > 1")
     dual = 1.0 / (1.0 - p)
-    if w.is_polynomial and float(np.linalg.norm(ball.center)) <= ball.radius:
-        # divergence can only come from the origin inside the closed ball,
-        # where |x|**(alpha*power) is integrable iff alpha*power + n > 0
-        if any(w.alpha * power + w.dim <= 0.0 for power in (1.0, dual)):
-            return math.inf
+    if any(_diverges_at_origin(w, power, ball) for power in (1.0, dual)):
+        return math.inf
     avg_w, avg_dual = _same_grid_ball_averages(w, (1.0, dual), ball)
     if not (math.isfinite(avg_w) and math.isfinite(avg_dual)):
         return math.inf
@@ -290,18 +305,20 @@ def ap_check(w: Weight, p: float, family: BallFamily | None = None) -> ApReport:
 def power_integral(w: Weight, power: float, region: Domain) -> IntegralVerdict:
     """Verdict and value for ``∫_region w(x)**power dx``.
 
-    A polynomial weight on a ball reduces to the 1-D integral of
-    ``|S^(n-1)| rho**(alpha*power + n-1)`` times the fraction of the sphere
-    of radius ``rho`` inside the ball, with the two powers of ``rho`` folded
-    into one so that deep refinement levels do not overflow.
+    A polynomial weight follows the exact rule first
+    (:func:`_diverges_at_origin`); otherwise it is reduced as follows.
 
-    A polynomial weight on a cusp is integrated in reference coordinates,
-    where ``|x|**beta * G(t) = c**(n-1) * t**(beta+gamma-1) * (|x|/t)**beta``
-    and ``|x|/t`` stays between 1 and a constant: the singularity is the one
-    power of ``t``, and the integral is finite iff ``beta + gamma > 0``.
-    A polynomial weight on a box diverges iff the origin is in the closed
-    box and ``beta + n <= 0``, the exact rule of balls.
+    On a ball, to the 1-D integral of ``|S^(n-1)| rho**(beta + n-1)`` times
+    the fraction of the sphere of radius ``rho`` inside the ball, with the
+    two powers of ``rho`` folded into one so that deep refinement levels do
+    not overflow.
+
+    On a cusp, to reference coordinates, where ``|x|**beta * G(t) =
+    c**(n-1) * t**(beta+gamma-1) * (|x|/t)**beta`` and ``|x|/t`` stays
+    between 1 and a constant: the singularity is the one power of ``t``.
     """
+    if _diverges_at_origin(w, power, region):
+        return IntegralVerdict(math.inf, Verdict.DIVERGENT, ())
     if w.is_polynomial and isinstance(region, Ball):
         n = w.dim
         d = float(np.linalg.norm(region.center))
@@ -320,8 +337,6 @@ def power_integral(w: Weight, power: float, region: Domain) -> IntegralVerdict:
     if w.is_polynomial and isinstance(region, CuspDomain):
         n = region.dim
         beta = w.alpha * power
-        if beta + region.gamma <= 0.0:
-            return IntegralVerdict(math.inf, Verdict.DIVERGENT, ())
         c = region.profile_scale
         expo = beta + region.gamma - 1.0
         slopes = np.asarray(region.exponents) - 1.0
@@ -333,10 +348,6 @@ def power_integral(w: Weight, power: float, region: Domain) -> IntegralVerdict:
             return c ** (n - 1) * t**expo * ratio**beta
 
         return integrate(h, Box((0.0,) * n, (1.0,) * n, singular_axis=n - 1))
-    if w.is_polynomial and isinstance(region, Box):
-        origin_in_box = all(lo <= 0.0 <= hi for lo, hi in zip(region.lo, region.hi))
-        if origin_in_box and w.alpha * power + w.dim <= 0.0:
-            return IntegralVerdict(math.inf, Verdict.DIVERGENT, ())
 
     def f(pts: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):

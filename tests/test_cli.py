@@ -321,6 +321,17 @@ class TestSolveValidation:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_overflowing_solvability_integral_exits_3(self, tmp_path, capsys):
+        # ∫ |x|**-300 over the disc around the square is divergent by the
+        # exact rule, before its integrand can overflow; the weight itself
+        # then underflows to 0 at quadrature nodes
+        cfg = write_config(tmp_path, "[solve]\ndomain = square\nh = 0.25\nalpha = 300\nf = 1\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validity error") and "Traceback" not in err
+        assert not out.exists()
+
     def test_cusp_solve_near_critical_weight(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import dblquad, quad
 
 from cusplab.geometry import Ball, Box, CuspDomain, Verdict, h1_domain, integrate
@@ -282,6 +282,52 @@ class TestTheorem10Condition:
         w = Weight.polynomial(2.0, 2)
         v = theorem10_condition(w, Ball((0.0, 0.0), 1.0))
         assert v.verdict is Verdict.DIVERGENT
+
+
+class TestExactPowerRule:
+    """``∫ |x|**beta`` over a region reads divergent iff the origin is in the
+    closed region and ``beta`` plus the region's dimension there (``n`` for a
+    ball or a box, ``gamma`` at a cusp's tip) is at most 0."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # the far side holds integrands that overflow at the first level
+        beta=st.floats(-6.0, 2.0) | st.floats(-400.0, -6.0),
+        n=st.sampled_from([2, 3]),
+        offset=st.floats(0.0, 1.0),
+        radius=st.floats(0.1, 2.0),
+    )
+    @example(beta=-300.0, n=2, offset=0.0, radius=math.sqrt(2.0))  # solve, alpha = 300
+    def test_ball_around_origin(self, beta, n, offset, radius):
+        assume(abs(beta + n) > 0.05)
+        # the origin is inside, or on the sphere when offset = 1
+        ball = Ball((offset * radius,) + (0.0,) * (n - 1), radius)
+        v = power_integral(Weight.polynomial(beta, n), 1.0, ball)
+        assert v.divergent == (beta + n <= 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(-6.0, 2.0),
+        lo=st.tuples(*[st.sampled_from([0.0, -0.5, -1.0])] * 2),
+        hi=st.tuples(*[st.sampled_from([0.5, 1.0])] * 2),
+    )
+    def test_box_holding_origin(self, beta, lo, hi):
+        # no cell centroid of these boxes falls on the origin
+        assume(abs(beta + 2.0) > 0.05)
+        v = power_integral(Weight.polynomial(beta, 2), 1.0, Box(lo, hi))
+        assert v.divergent == (beta + 2.0 <= 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        beta=st.floats(-8.0, 2.0),
+        n=st.sampled_from([2, 3]),
+        extra=st.floats(0.0, 2.0),
+    )
+    def test_cusp(self, beta, n, extra):
+        domain = CuspDomain.isotropic(n, n + extra)
+        assume(abs(beta + domain.gamma) > 0.05)
+        v = power_integral(Weight.polynomial(beta, n), 1.0, domain)
+        assert v.divergent == (beta + domain.gamma <= 0.0)
 
 
 class TestHigherDimension:
