@@ -112,17 +112,27 @@ class RunConfig:
         }
 
 
-def _parse_value(raw: str) -> Any:
+_INTEGER_KEYS = {"n", "m", "n_radii", "n_random", "q_steps", "s_steps", "points", "cells"}
+_TEXT_KEYS = {"domain", "family", "function", "u_exact", "f", "queries_csv"}
+
+
+def _parse_value(key: str, raw: str) -> Any:
+    """Text keys stay text, integer keys are ints, other keys finite numbers."""
     raw = raw.strip()
+    if key in _TEXT_KEYS:
+        return raw
     try:
         return int(raw)
     except ValueError:
-        pass
+        if key in _INTEGER_KEYS:
+            raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        pass
-    return raw
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
+    return value
 
 
 def load_config(command: str, path: str | Path, out: str | Path, seed: int) -> RunConfig:
@@ -141,11 +151,11 @@ def load_config(command: str, path: str | Path, out: str | Path, seed: int) -> R
     for key, raw in parser.items(command):
         if key not in spec["required"] and key not in spec["optional"]:
             raise ConfigError(f"unknown key {key!r} for command {command!r}")
-        params[key] = _parse_value(raw)
+        params[key] = _parse_value(key, raw)
     missing = spec["required"] - params.keys()
     if missing:
         raise ConfigError(f"missing required keys for {command!r}: {sorted(missing)}")
-    return RunConfig(command, params, Path(out), int(seed))
+    return RunConfig(command, params, Path(out), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +197,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
-
-
-def _csv_cell(v: Any) -> str:
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return repr(v)
-    return str(v)
+        writer.writerows(rows)
 
 
 def _count_inconclusive(results: Any) -> int:
@@ -221,16 +222,16 @@ def _count_inconclusive(results: Any) -> int:
 def _query_from(params: dict) -> EmbeddingQuery:
     if "gamma" in params:
         return EmbeddingQuery(
-            n=int(params["n"]),
+            n=params["n"],
             p=params["p"],
             alpha=params["alpha"],
             gamma=params["gamma"],
-            m=int(params.get("m", 1)),
+            m=params.get("m", 1),
         )
     if "sigma" in params:
         return EmbeddingQuery.from_sigma(
-            int(params["n"]), params["p"], params["alpha"], params["sigma"],
-            m=int(params.get("m", 1)),
+            params["n"], params["p"], params["alpha"], params["sigma"],
+            m=params.get("m", 1),
         )
     raise ConfigError("need gamma or sigma")
 
@@ -301,13 +302,13 @@ def _run_exponents(config: RunConfig) -> dict:
 
 def _run_ap_check(config: RunConfig) -> dict:
     params = config.parameters
-    w = Weight.polynomial(float(params["alpha"]), int(params["n"]))
+    w = Weight.polynomial(float(params["alpha"]), params["n"])
     family = BallFamily(
-        dim=int(params["n"]),
+        dim=params["n"],
         r_min=float(params.get("r_min", 1e-3)),
         r_max=float(params.get("r_max", 1.0)),
-        n_radii=int(params.get("n_radii", 7)),
-        n_random=int(params.get("n_random", 8)),
+        n_radii=params.get("n_radii", 7),
+        n_random=params.get("n_random", 8),
         seed=config.seed,
     )
     report = ap_check(w, float(params["p"]), family)
@@ -316,7 +317,7 @@ def _run_ap_check(config: RunConfig) -> dict:
 
 def _run_distortion(config: RunConfig) -> dict:
     params = config.parameters
-    n = int(params["n"])
+    n = params["n"]
     gamma = float(params["gamma"])
     domain = CuspDomain.isotropic(n, gamma)
     p, alpha, a, r = (float(params[k]) for k in ("p", "alpha", "a", "r"))
@@ -330,7 +331,7 @@ def _run_distortion(config: RunConfig) -> dict:
         rep = distortion_report(p, float(params["q"]), r, float(params["s"]), a, alpha, domain)
         results["report"] = rep.to_dict()
     margin = float(params.get("margin", 0.05))
-    q_steps = int(params.get("q_steps", 0))
+    q_steps = params.get("q_steps", 0)
     if q_steps:
         qs = np.linspace(max(1.0, q_star * (1 - 3 * margin)), min(p * (1 - 1e-9), q_star * (1 + 3 * margin)), q_steps)
         rows = []
@@ -340,7 +341,7 @@ def _run_distortion(config: RunConfig) -> dict:
         config.output_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(config.output_dir / "ia_sweep.csv", ["q", "verdict", "value"], rows)
         results["ia_sweep"] = {"rows": len(rows), "output": "ia_sweep.csv"}
-    s_steps = int(params.get("s_steps", 0))
+    s_steps = params.get("s_steps", 0)
     if s_steps:
         ss = np.linspace(s_star * (1 - 3 * margin), min(r * (1 - 1e-9), s_star * (1 + 3 * margin)), s_steps)
         rows = []
@@ -363,16 +364,18 @@ def _run_mollify(config: RunConfig) -> dict:
     params = config.parameters
     delta = float(params["delta"])
     r_max = float(params.get("r_max", delta / 1.5))
-    n_radii = int(params.get("n_radii", 4))
-    radii = [r_max * 2.0**-k for k in range(n_radii)]
+    try:
+        field = SmoothField.from_string(params["function"], 2)
+    except ValueError as exc:
+        raise ConfigError(f"mollify: {exc}") from exc
+    radii = [r_max * 2.0**-k for k in range(params.get("n_radii", 4))]
     region = Box((0.0, 0.0), (1.0, 1.0))
-    field = SmoothField.from_string(str(params["function"]), 2)
     weight = None
     if "alpha" in params:
         weight = Weight.polynomial(float(params["alpha"]), 2)
     seq = convergence_test(
         field, weight, float(params["p"]), delta, radii, region,
-        cells=int(params.get("cells", 64)),
+        cells=params.get("cells", 64),
     )
     config.output_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(config.output_dir / "convergence.csv", ["r", "norm"], [[r, v] for r, v in seq])
@@ -395,8 +398,19 @@ def _run_solve(config: RunConfig) -> dict:
         region = CuspSection(domain, eps=float(params.get("eps_geo", 1e-3)))
     else:
         raise ConfigError("domain must be 'square' or 'cusp'")
-    mesh = triangulate(region, h, grade_exponent=float(grade) if grade else None)
     alpha = params.get("alpha")
+    if ("u_exact" in params) == ("f" in params):
+        raise ConfigError("solve needs one of u_exact and f")
+    exact = None
+    try:
+        if "u_exact" in params:
+            w_text = f"(x**2+y**2)**({float(alpha) / 2.0!r})" if alpha is not None else "1"
+            exact, _, f_fn = manufactured_rhs(params["u_exact"], w_text)
+        else:
+            f_fn = SmoothField.from_string(params["f"], 2)
+    except ValueError as exc:
+        raise ConfigError(f"solve: {exc}") from exc
+    mesh = triangulate(region, h, grade_exponent=float(grade) if grade else None)
     weight = Weight.polynomial(float(alpha), 2) if alpha is not None else 1.0
     results: dict[str, Any] = {"vertices": len(mesh.vertices), "h": mesh.h}
     if isinstance(weight, Weight):
@@ -408,15 +422,6 @@ def _run_solve(config: RunConfig) -> dict:
             check_region = geometry.Ball((0.0, 0.0), math.sqrt(2.0))
         cond = theorem10_condition(weight, check_region)
         results["solvability_condition"] = cond.to_dict()
-    exact = None
-    if "u_exact" in params:
-        w_text = f"(x**2+y**2)**({float(alpha) / 2.0!r})" if alpha is not None else "1"
-        exact, _, f_fn = manufactured_rhs(str(params["u_exact"]), w_text)
-    elif "f" in params:
-        field = SmoothField.from_string(str(params["f"]), 2)
-        f_fn = field
-    else:
-        raise ConfigError("solve needs u_exact or f")
     sol = solve_dirichlet(mesh, weight, f_fn, tol=tol)
     results["residual"] = sol.residual
     results["energy"] = sol.energy
@@ -435,11 +440,13 @@ def _run_solve(config: RunConfig) -> dict:
 def _run_probe(config: RunConfig) -> dict:
     params = config.parameters
     query = _query_from(params)
-    family = str(params.get("family", "tip_bump"))
+    family = params.get("family", "tip_bump")
     try:
         eps_max = float(params.get("eps_max", 1e-1))
         eps_min = float(params.get("eps_min", 1e-5))
-        epsilons = probe_scales(np.geomspace(eps_max, eps_min, int(params.get("points", 9))))
+        if min(eps_max, eps_min) <= 0.0:
+            raise ValueError("scales must be positive and finite")
+        epsilons = probe_scales(np.geomspace(eps_max, eps_min, params.get("points", 9)))
         beta = float(params["beta"]) if "beta" in params else None
         TrialFamily(family, beta=beta).member(epsilons[0])  # checks kind and beta
     except ValueError as exc:

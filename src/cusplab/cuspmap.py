@@ -55,8 +55,7 @@ class CuspMap:
     a: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.a <= 1.0):
-            raise ValueError("bending exponent a must lie in (0, 1]")
+        _check_bending(self.a)
 
     @property
     def image(self) -> CuspDomain:
@@ -255,15 +254,22 @@ def check_quasiisometry(mapping, seed: int = 0) -> QuasiisometryReport:
 # ---------------------------------------------------------------------------
 
 
+def _check_bending(a: float) -> None:
+    if not (0.0 < a <= 1.0):
+        raise ValueError("bending exponent a must lie in (0, 1]")
+
+
 def ia_exponent_q_threshold(n: int, p: float, alpha: float, gamma: float, a: float) -> float:
     """q below which the mean-distortion integral is finite:
     ``n p / (a (alpha + gamma) + p - a p)``."""
+    _check_bending(a)
     return n * p / (a * (alpha + gamma) + p - a * p)
 
 
 def ja_exponent_s_bound(n: int, r: float, alpha: float, gamma: float, a: float) -> float:
     """s below which the weighted-Jacobian integral is finite:
     ``a (alpha + gamma) r / n``."""
+    _check_bending(a)
     return a * (alpha + gamma) * r / n
 
 
@@ -303,8 +309,7 @@ def distortion_Ia(
     """
     if not (1.0 <= q < p):
         raise ValueError("need 1 <= q < p")
-    if not (0.0 < a <= 1.0):
-        raise ValueError("need 0 < a <= 1")
+    _check_bending(a)
     n = domain.dim
     qq = q / (p - q)
     expo = (p * (a - 1.0) - a * (alpha + 1.0) + n) * qq + n - 1.0
@@ -322,8 +327,7 @@ def jacobian_Ja(
     ``t**((a(alpha+1) - n) r/(r-s) + n - 1) * G(t)**(a r/(r-s))`` on ``(0, 1)``."""
     if not (s < r):
         raise ValueError("need s < r")
-    if not (0.0 < a <= 1.0):
-        raise ValueError("need 0 < a <= 1")
+    _check_bending(a)
     n = domain.dim
     rr = r / (r - s)
     expo = (a * (alpha + 1.0) - n) * rr + n - 1.0

@@ -279,12 +279,15 @@ def select_witness(query: EmbeddingQuery, s: Number) -> Optional[Witness]:
     Sweeps ``a`` over a uniform grid of (0, 1); for each ``a`` the feasible
     ``q`` and ``r`` intervals are intersected and mid-points taken.  Returns
     None when ``s`` is at or above the admissibility ceiling (no triple can
-    satisfy the strict chain) or the query is invalid.
+    satisfy the strict chain) or the query is invalid; raises ValidityError
+    unless ``s > 0``.
     """
+    s = float(s)
+    if not s > 0:
+        raise ValidityError("need s > 0")
     report = thm6_threshold(query)
     if not report.valid:
         return None
-    s = float(s)
     if s >= float(report.s_max):
         return None
     n, p = query.n, float(query.p)

@@ -209,8 +209,16 @@ class SmoothField:
 
     @classmethod
     def from_string(cls, text: str, dim: int) -> "SmoothField":
+        """The one parser of formula text: variables ``x0 … x{dim-1}``, with
+        ``x, y`` for ``x0, x1``; ValueError for anything else."""
         vars_ = sp.symbols(f"x0:{dim}")
-        return cls(sp.sympify(text, locals={f"x{i}": v for i, v in enumerate(vars_)}), dim)
+        expr = sp.sympify(text, locals=dict(zip("xy", vars_)))
+        if not isinstance(expr, sp.Expr) or expr.has(sp.Lambda, sp.I, sp.nan, sp.zoo, sp.oo, -sp.oo):
+            raise ValueError(f"{text!r} is not a real, finite formula")
+        unknown = sorted(map(str, expr.free_symbols - set(vars_)))
+        if unknown:
+            raise ValueError(f"unknown variable {unknown[0]!r} in {text!r}")
+        return cls(expr, dim)
 
     def _lambdified(self, alpha: tuple[int, ...]) -> Callable:
         if alpha not in self._cache:
@@ -218,7 +226,7 @@ class SmoothField:
             for var, order in zip(self._vars, alpha):
                 if order:
                     expr = sp.diff(expr, var, order)
-            fn = sp.lambdify(self._vars, expr, "numpy")
+            fn = sp.lambdify(self._vars, expr, "numpy", cse=True)
             self._cache[alpha] = fn
         return self._cache[alpha]
 

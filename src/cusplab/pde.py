@@ -527,20 +527,19 @@ def convergence_rate(errors: Sequence[float]) -> ConvergenceRate:
 def manufactured_rhs(u_text: str, w_text: str) -> tuple[Callable, Callable, Callable]:
     """Symbolic oracle: from ``u`` and ``w`` build ``f = div(w grad u)``.
 
-    Returns vectorized ``(u, grad_u, f)``; expressions use variables
-    ``x`` and ``y``.
+    Returns vectorized ``(u, grad_u, f)``; both texts are read by
+    :meth:`SmoothField.from_string`.
     """
     x, y = sp.symbols("x0:2")  # the variables of SmoothField
-    loc = {"x": x, "y": y}
-    u = SmoothField(sp.sympify(u_text, locals=loc), 2)
-    w = sp.sympify(w_text, locals=loc)
+    u = SmoothField.from_string(u_text, 2)
+    w = SmoothField.from_string(w_text, 2).expr
     fexpr = sp.diff(w * sp.diff(u.expr, x), x) + sp.diff(w * sp.diff(u.expr, y), y)
     gx, gy = u.derivative((1, 0)), u.derivative((0, 1))
 
     def grad_vec(pts):
         return np.stack([gx(pts), gy(pts)], axis=-1)
 
-    return u, grad_vec, SmoothField(sp.simplify(fexpr), 2)
+    return u, grad_vec, SmoothField(fexpr, 2)
 
 
 # ---------------------------------------------------------------------------

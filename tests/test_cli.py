@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import string
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cusplab.cli import main
+from cusplab.cli import _ALLOWED_KEYS, _INTEGER_KEYS, _TEXT_KEYS, main
 from cusplab.geometry import Verdict
 
 
@@ -366,7 +371,8 @@ class TestSolveValidation:
 
 
 class TestProbeConfig:
-    """Probe settings that are config mistakes exit 2 and write nothing."""
+    """Probe settings that are config mistakes exit 2, print only their error
+    line and write nothing."""
 
     @pytest.mark.parametrize(
         "extra",
@@ -384,6 +390,7 @@ class TestProbeConfig:
             "negative-scale", "removed-growth", "removed-variation",
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_config_mistake_exits_2(self, tmp_path, extra):
         cfg = write_config(
             tmp_path, "[probe]\nn = 2\np = 2\nalpha = 0\ngamma = 3\ns = 5\n" + extra
@@ -391,3 +398,179 @@ class TestProbeConfig:
         out = tmp_path / "out"
         assert main(["probe", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def _run_cli(tmp_path, command, text, capsys):
+    cfg = write_config(tmp_path, f"[{command}]\n{text}")
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    return rc, capsys.readouterr().err, out
+
+
+FORMULA_CONFIGS = {
+    "function": ("mollify", "p = 2\ndelta = 0.15\nr_max = 0.1\nn_radii = 2\ncells = 16\n"),
+    "f": ("solve", "domain = square\nh = 0.25\nalpha = 1\n"),
+    "u_exact": ("solve", "domain = square\nh = 0.25\nalpha = 1\n"),
+}
+
+
+class TestFormulaKeys:
+    """Every formula key goes through SmoothField.from_string."""
+
+    @pytest.mark.parametrize("text", ["sin(t)", "x0*"], ids=["unknown-variable", "syntax-error"])
+    @pytest.mark.parametrize("key", sorted(FORMULA_CONFIGS))
+    def test_unreadable_formula_exits_2(self, tmp_path, capsys, key, text):
+        command, base = FORMULA_CONFIGS[key]
+        rc, err, out = _run_cli(tmp_path, command, f"{base}{key} = {text}\n", capsys)
+        assert rc == 2
+        assert err.startswith("config error") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("solve", "domain = square\nh = 0.25\nf = x*y\n"),
+            ("solve", "domain = square\nh = 0.25\nalpha = 1\nu_exact = x*(1-x)*y*(1-y)\n"),
+            ("mollify", "function = sin(x)\np = 2\ndelta = 0.15\nr_max = 0.1\nn_radii = 2\ncells = 16\n"),
+        ],
+        ids=["solve-f", "solve-u_exact", "mollify"],
+    )
+    def test_x_and_y_formulas_run(self, tmp_path, capsys, command, text):
+        rc, err, out = _run_cli(tmp_path, command, text, capsys)
+        assert rc == 0 and err == ""
+        assert (out / "report.json").exists()
+
+    def test_solve_with_both_u_exact_and_f_exits_2(self, tmp_path, capsys):
+        text = "domain = square\nh = 0.25\nu_exact = x*y\nf = 1\n"
+        rc, err, out = _run_cli(tmp_path, "solve", text, capsys)
+        assert rc == 2 and err.startswith("config error")
+        assert not out.exists()
+
+
+class TestConfigValues:
+    """Values are read once, by the kind of each key."""
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("exponents", "n = 2\np = abc\nalpha = 0\ngamma = 3\n"),
+            ("probe", "n = 2\np = 2\nalpha = 0\ngamma = 3\ns = abc\n"),
+            ("exponents", "n = 2.5\np = 2\nalpha = 0\ngamma = 3\n"),
+            ("ap-check", "n = 2\np = 2\nalpha = 1\nn_radii = 1e1\n"),
+            ("ap-check", "n = 2\np = 2\nalpha = nan\n"),
+            ("solve", "domain = square\nh = inf\nf = 1\n"),
+            ("mollify", "function = x0\np = 2\ndelta =\n"),
+        ],
+        ids=["letters", "probe-letters", "fractional-int", "exponent-int", "nan", "inf", "empty"],
+    )
+    def test_unreadable_value_exits_2(self, tmp_path, capsys, command, text):
+        rc, err, out = _run_cli(tmp_path, command, text, capsys)
+        assert rc == 2
+        assert err.startswith("config error") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_echo_keeps_number_types(self, tmp_path, capsys):
+        text = "n = 2\np = 2.0\nalpha = 0\ngamma = 3e0\ns = 5\n"
+        rc, _, out = _run_cli(tmp_path, "exponents", text, capsys)
+        assert rc == 0
+        params = read_report(out)["config"]["parameters"]
+        assert params == {"n": 2, "p": 2.0, "alpha": 0, "gamma": 3.0, "s": 5}
+        assert [type(params[k]) for k in ("n", "p", "alpha", "gamma")] == [int, float, int, float]
+
+
+class TestRangeRules:
+    """A value outside its range exits 3 where it is read; its edge runs."""
+
+    DISTORTION = "n = 2\np = 2\nalpha = 0\ngamma = 3\nr = 3\n"
+    REPORT = "n = 2\np = 2\nalpha = 0\ngamma = 3\n"
+
+    @pytest.mark.parametrize(
+        "command,text,code",
+        [
+            ("distortion", DISTORTION + "a = 0\n", 3),
+            ("distortion", DISTORTION + "a = 1.5\n", 3),
+            ("distortion", DISTORTION + "a = -0.5\n", 3),
+            ("distortion", DISTORTION + "a = 1\n", 0),
+            ("distortion", DISTORTION + "a = abc\n", 2),
+            ("report", REPORT + "a = 0\n", 3),
+            ("report", REPORT + "a = 1.5\n", 3),
+            ("report", REPORT + "a = 0.5\n", 0),
+            ("exponents", REPORT + "s = -1\n", 3),
+            ("exponents", REPORT + "s = 0\n", 3),
+            ("exponents", REPORT + "s = 0.5\n", 0),
+            ("report", REPORT + "s = -1\n", 3),
+        ],
+        ids=[
+            "distortion-a-0", "distortion-a-1.5", "distortion-a-negative", "distortion-a-1",
+            "distortion-a-letters", "report-a-0", "report-a-1.5", "report-a-0.5",
+            "exponents-s-negative", "exponents-s-0", "exponents-s-small", "report-s-negative",
+        ],
+    )
+    def test_exit_code(self, tmp_path, capsys, command, text, code):
+        rc, err, out = _run_cli(tmp_path, command, text, capsys)
+        assert rc == code
+        assert "Traceback" not in err
+        if code == 3:
+            assert err.startswith("validity error")
+        if code:
+            assert not out.exists()
+
+    def test_batch_row_with_negative_s_exits_3(self, tmp_path, capsys):
+        queries = tmp_path / "queries.csv"
+        queries.write_text("n,p,alpha,gamma,s\n2,2,0,3,5\n2,2,0,3,-1\n")
+        rc, err, _ = _run_cli(tmp_path, "exponents", f"n = 2\np = 2\nalpha = 0\nqueries_csv = {queries}\n", capsys)
+        assert rc == 3 and err.startswith("validity error")
+
+
+# one cheap, valid config per command; the fuzz test below makes one of its
+# keys unreadable, so no example gets as far as a computation
+FUZZ_BASES = {
+    "exponents": {"n": "2", "p": "2", "alpha": "0", "gamma": "3"},
+    "ap-check": {"n": "2", "p": "2", "alpha": "1", "n_radii": "2", "n_random": "1"},
+    "distortion": {"n": "2", "p": "2", "alpha": "0", "gamma": "3", "a": "0.5", "r": "3"},
+    "mollify": {"function": "x0", "p": "2", "delta": "0.15", "n_radii": "1", "cells": "8"},
+    "solve": {"domain": "square", "h": "0.5", "f": "1"},
+    "probe": {"n": "2", "p": "2", "alpha": "0", "gamma": "3", "s": "7", "points": "3"},
+    "report": {"n": "2", "p": "2", "alpha": "0", "gamma": "3"},
+}
+_LETTERS = st.text(st.sampled_from(string.ascii_letters), min_size=1, max_size=8)
+# the letter words that are formulas: the two variables and sympy's real constants
+_FORMULA_WORDS = {"x", "y", "pi", "E", "EulerGamma", "Catalan", "GoldenRatio", "TribonacciConstant"}
+_FORMULA_KEYS = {"function", "u_exact", "f"}
+
+
+def _unreadable(key: str) -> st.SearchStrategy[str]:
+    if key in _INTEGER_KEYS:
+        return st.one_of(_LETTERS, st.sampled_from(["", "1e", "2.5", "1e3", "nan"]))
+    if key in _FORMULA_KEYS:
+        words = _LETTERS.filter(lambda w: w not in _FORMULA_WORDS)
+        return st.one_of(words, st.sampled_from(["", "1e", "x0*", "sin(t)", "x0 + x2"]))
+    if key in _TEXT_KEYS:
+        return st.one_of(_LETTERS.filter(lambda w: w not in {"square", "cusp"}), st.just(""))
+    return st.one_of(_LETTERS, st.sampled_from(["", "1e", "x0*", "1.5.2", "inf"]))
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [(c, k) for c, spec in _ALLOWED_KEYS.items() for k in sorted(spec["required"] | spec["optional"])],
+)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_unreadable_value_never_tracebacks(command, key, data):
+    value = data.draw(_unreadable(key), label=key)
+    params = dict(FUZZ_BASES[command])
+    if key in ("u_exact", "f"):
+        params.pop("f")
+    with tempfile.TemporaryDirectory() as tmp:
+        if key == "queries_csv" and value:
+            value = str(Path(tmp) / value)  # a file that does not exist
+        params[key] = value
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(f"[{command}]\n" + "".join(f"{k} = {v}\n" for k, v in params.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        assert rc in (2, 3), (params, err.getvalue())
+        assert err.getvalue().startswith(("config error", "validity error"))
+        assert "Traceback" not in err.getvalue()
+        assert not (Path(tmp) / "out").exists()

@@ -196,6 +196,23 @@ class TestDistortionIntegrals:
         assert ia_exponent_q_threshold(2, 2.0, 0.0, 3.0, 0.5) == pytest.approx(1.6)
         assert ja_exponent_s_bound(2, 3.0, 0.0, 3.0, 0.5) == pytest.approx(2.25)
 
+    @pytest.mark.parametrize("a", [0.0, -0.5, 1.5])
+    def test_bending_outside_unit_interval_rejected_everywhere(self, a):
+        with pytest.raises(ValueError, match="bending exponent"):
+            ia_exponent_q_threshold(2, 2.0, 0.0, 3.0, a)
+        with pytest.raises(ValueError, match="bending exponent"):
+            ja_exponent_s_bound(2, 3.0, 0.0, 3.0, a)
+        with pytest.raises(ValueError, match="bending exponent"):
+            distortion_Ia(2.0, 1.2, a, 0.0, HG)
+        with pytest.raises(ValueError, match="bending exponent"):
+            jacobian_Ja(3.0, 2.0, a, 0.0, HG)
+        with pytest.raises(ValueError, match="bending exponent"):
+            CuspMap(HG, a)
+
+    def test_bending_one_is_allowed(self):
+        assert ia_exponent_q_threshold(2, 2.0, 0.0, 3.0, 1.0) == pytest.approx(4.0 / 3.0)
+        assert ja_exponent_s_bound(2, 3.0, 0.0, 3.0, 1.0) == pytest.approx(4.5)
+
     def test_ia_dichotomy(self):
         below = distortion_Ia(2.0, 1.2, 0.5, 0.0, HG)
         assert below.verdict is Verdict.FINITE

@@ -170,6 +170,13 @@ class TestWitness:
                 w = select_witness(q, 1)
                 assert w is not None and witness_satisfies(q, 1, w)
 
+    @pytest.mark.parametrize("s", [0, -1, -1e-300, F(-1, 2)])
+    def test_nonpositive_s_is_a_validity_error(self, s):
+        with pytest.raises(ValidityError, match="need s > 0"):
+            select_witness(Q230, s)
+        with pytest.raises(ValidityError, match="need s > 0"):
+            select_witness(EmbeddingQuery(2, 5, 0, 3), s)  # even for an invalid query
+
     def test_invalid_query_has_no_witness(self):
         q = EmbeddingQuery(2, 5, 0, 3)  # p outside both windows
         assert select_witness(q, 2) is None

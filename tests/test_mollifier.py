@@ -85,6 +85,38 @@ class TestMollify:
         assert vc == pytest.approx(2.0 * vf + 3.0 * vg, rel=1e-12)
 
 
+class TestFromString:
+    PTS = np.array([[0.3, 0.7], [0.9, 0.2], [0.55, 0.55]])
+
+    def test_x_y_spell_x0_x1(self):
+        a = SmoothField.from_string("exp(x/2)*sin(y) + x*y**2", 2)
+        b = SmoothField.from_string("exp(x0/2)*sin(x1) + x0*x1**2", 2)
+        for alpha in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+            assert np.array_equal(a.derivative(alpha)(self.PTS), b.derivative(alpha)(self.PTS))
+
+    @pytest.mark.parametrize(
+        "text,dim,name",
+        [("sin(t)", 2, "'t'"), ("x0 + x2", 2, "'x2'"), ("x + y", 1, "'y'"), ("a*b", 2, "'a'")],
+    )
+    def test_unknown_variable_is_named(self, text, dim, name):
+        with pytest.raises(ValueError, match=f"unknown variable {name}"):
+            SmoothField.from_string(text, dim)
+
+    @pytest.mark.parametrize("text", ["x0*", "", "1e", "sin(x0", "x0 = 1"])
+    def test_syntax_error_is_value_error(self, text):
+        with pytest.raises(ValueError):
+            SmoothField.from_string(text, 2)
+
+    @pytest.mark.parametrize("text", ["tan", "S", "Id", "I*x0", "nan", "oo", "1/0", "x0 + zoo"])
+    def test_no_real_finite_formula(self, text):
+        with pytest.raises(ValueError, match="not a real, finite formula"):
+            SmoothField.from_string(text, 2)
+
+    def test_constants_are_formulas(self):
+        f = SmoothField.from_string("pi + E*x", 2)
+        assert np.allclose(f(self.PTS), np.pi + np.e * self.PTS[:, 0], rtol=1e-15)
+
+
 class TestCommutation:
     def test_polynomial_first_order(self):
         f = SmoothField.from_string("x0**3 + 2*x0*x1**2 - x1**3", 2)

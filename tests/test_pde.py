@@ -109,6 +109,37 @@ class TestAssemble:
         assert np.sum(system.load) == pytest.approx(1.0, rel=1e-12)
 
 
+class TestManufacturedRhs:
+    RNG = np.random.default_rng(7)
+    PTS = RNG.uniform(0.01, 1.0, size=(2000, 2))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.25, 2.5])
+    def test_against_hand_derived_f(self, alpha):
+        # u = sin(pi x) sin(pi y), w = |x|^alpha:
+        # f = w lap(u) + grad(w).grad(u)
+        #   = -2 pi^2 r^a u + a pi r^(a-2) (x cos(pi x) sin(pi y) + y sin(pi x) cos(pi y))
+        _, _, f_fn = manufactured_rhs("sin(pi*x)*sin(pi*y)", f"(x**2+y**2)**({alpha / 2.0!r})")
+        x, y = self.PTS.T
+        r = np.hypot(x, y)
+        sx, cx, sy, cy = np.sin(np.pi * x), np.cos(np.pi * x), np.sin(np.pi * y), np.cos(np.pi * y)
+        expected = -2.0 * np.pi**2 * r**alpha * sx * sy + alpha * np.pi * r ** (alpha - 2.0) * (
+            x * cx * sy + y * sx * cy
+        )
+        got = f_fn(self.PTS)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_x_y_and_x0_x1_bit_identical(self):
+        a = manufactured_rhs("sin(pi*x)*sin(pi*y)*exp(x)", "(x**2+y**2)**0.25")
+        b = manufactured_rhs("sin(pi*x0)*sin(pi*x1)*exp(x0)", "(x0**2+x1**2)**0.25")
+        for fa, fb in zip(a, b):
+            assert np.array_equal(fa(self.PTS), fb(self.PTS))
+
+    @pytest.mark.parametrize("u_text,w_text", [("sin(t)", "1"), ("x*y", "t"), ("x0*", "1")])
+    def test_unreadable_text_raises_value_error(self, u_text, w_text):
+        with pytest.raises(ValueError):
+            manufactured_rhs(u_text, w_text)
+
+
 class TestSolve:
     def test_classical_manufactured_convergence(self):
         u_fn, gu_fn, f_fn = manufactured_rhs("sin(pi*x)*sin(pi*y)", "1")
