@@ -135,6 +135,15 @@ def _parse_value(key: str, raw: str) -> Any:
     return value
 
 
+def _at_least(params: dict, key: str, lower: int, default: int | None = None) -> int:
+    """An integer key with its lower bound; a value below it is a validity
+    error, so read the key before anything is computed or written."""
+    value = params.get(key, default)
+    if value < lower:
+        raise ValidityError(f"{key} must be >= {lower}, got {value}")
+    return value
+
+
 def load_config(command: str, path: str | Path, out: str | Path, seed: int) -> RunConfig:
     if command not in _ALLOWED_KEYS:
         raise ConfigError(f"unknown command {command!r}")
@@ -251,6 +260,22 @@ def _threshold_block(query: EmbeddingQuery, s=None) -> dict:
     return block
 
 
+def _csv_cells(row: dict, line: int) -> dict[str, Any]:
+    """The query cells of one ``queries_csv`` row, read like config values;
+    an empty ``m`` or ``s`` cell is absent, any other unreadable cell is a
+    config error."""
+    cells = {}
+    for key in ("n", "p", "alpha", "gamma", "m", "s"):
+        raw = row.get(key) or ""  # None in a short row
+        if key in ("m", "s") and not raw.strip():
+            continue
+        try:
+            cells[key] = _parse_value(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"queries_csv line {line}: {exc}") from None
+    return cells
+
+
 def _run_exponents(config: RunConfig) -> dict:
     params = config.parameters
     if "queries_csv" in params:
@@ -265,17 +290,18 @@ def _run_exponents(config: RunConfig) -> dict:
             if missing:
                 raise ConfigError(f"queries_csv lacks columns {sorted(missing)}")
             for row in reader:
+                cells = _csv_cells(row, reader.line_num)
                 q = EmbeddingQuery(
-                    n=int(row["n"]),
-                    p=float(row["p"]),
-                    alpha=float(row["alpha"]),
-                    gamma=float(row["gamma"]),
-                    m=int(row.get("m", 1) or 1),
+                    n=cells["n"],
+                    p=float(cells["p"]),
+                    alpha=float(cells["alpha"]),
+                    gamma=float(cells["gamma"]),
+                    m=cells.get("m", 1),
                 )
                 t6 = thm6_threshold(q)
                 t8 = thm8_threshold(q)
                 bz = besov_threshold(q)
-                s_req = float(row["s"]) if row.get("s") else None
+                s_req = float(cells["s"]) if "s" in cells else None
                 wit = select_witness(q, s_req) if s_req is not None else None
                 rows_out.append(
                     [
@@ -302,13 +328,14 @@ def _run_exponents(config: RunConfig) -> dict:
 
 def _run_ap_check(config: RunConfig) -> dict:
     params = config.parameters
-    w = Weight.polynomial(float(params["alpha"]), params["n"])
+    n = _at_least(params, "n", 1)
+    w = Weight.polynomial(float(params["alpha"]), n)
     family = BallFamily(
-        dim=params["n"],
+        dim=n,
         r_min=float(params.get("r_min", 1e-3)),
         r_max=float(params.get("r_max", 1.0)),
-        n_radii=params.get("n_radii", 7),
-        n_random=params.get("n_random", 8),
+        n_radii=_at_least(params, "n_radii", 1, 7),
+        n_random=_at_least(params, "n_random", 0, 8),
         seed=config.seed,
     )
     report = ap_check(w, float(params["p"]), family)
@@ -317,7 +344,9 @@ def _run_ap_check(config: RunConfig) -> dict:
 
 def _run_distortion(config: RunConfig) -> dict:
     params = config.parameters
-    n = params["n"]
+    n = _at_least(params, "n", 2)
+    q_steps = _at_least(params, "q_steps", 0, 0)
+    s_steps = _at_least(params, "s_steps", 0, 0)
     gamma = float(params["gamma"])
     domain = CuspDomain.isotropic(n, gamma)
     p, alpha, a, r = (float(params[k]) for k in ("p", "alpha", "a", "r"))
@@ -331,7 +360,6 @@ def _run_distortion(config: RunConfig) -> dict:
         rep = distortion_report(p, float(params["q"]), r, float(params["s"]), a, alpha, domain)
         results["report"] = rep.to_dict()
     margin = float(params.get("margin", 0.05))
-    q_steps = params.get("q_steps", 0)
     if q_steps:
         qs = np.linspace(max(1.0, q_star * (1 - 3 * margin)), min(p * (1 - 1e-9), q_star * (1 + 3 * margin)), q_steps)
         rows = []
@@ -341,7 +369,6 @@ def _run_distortion(config: RunConfig) -> dict:
         config.output_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(config.output_dir / "ia_sweep.csv", ["q", "verdict", "value"], rows)
         results["ia_sweep"] = {"rows": len(rows), "output": "ia_sweep.csv"}
-    s_steps = params.get("s_steps", 0)
     if s_steps:
         ss = np.linspace(s_star * (1 - 3 * margin), min(r * (1 - 1e-9), s_star * (1 + 3 * margin)), s_steps)
         rows = []
@@ -368,14 +395,16 @@ def _run_mollify(config: RunConfig) -> dict:
         field = SmoothField.from_string(params["function"], 2)
     except ValueError as exc:
         raise ConfigError(f"mollify: {exc}") from exc
-    radii = [r_max * 2.0**-k for k in range(params.get("n_radii", 4))]
+    n_radii = _at_least(params, "n_radii", 1, 4)
+    cells = _at_least(params, "cells", 1, 64)
+    radii = [r_max * 2.0**-k for k in range(n_radii)]
     region = Box((0.0, 0.0), (1.0, 1.0))
     weight = None
     if "alpha" in params:
         weight = Weight.polynomial(float(params["alpha"]), 2)
     seq = convergence_test(
         field, weight, float(params["p"]), delta, radii, region,
-        cells=params.get("cells", 64),
+        cells=cells,
     )
     config.output_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(config.output_dir / "convergence.csv", ["r", "norm"], [[r, v] for r, v in seq])

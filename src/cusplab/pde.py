@@ -60,7 +60,10 @@ def _edge_means(mesh: Mesh, per_vertex: np.ndarray) -> np.ndarray:
 class Mesh:
     """Conforming triangulation: vertices, positively oriented triangles,
     per-vertex boundary flags, and the shape of the structured vertex grid
-    (vertex ``(i, j)`` is numbered ``i * grid_shape[1] + j``)."""
+    (vertex ``(i, j)`` is numbered ``i * grid_shape[1] + j``, and cell
+    ``(i, j)`` is split along its diagonal from ``(i, j)`` to
+    ``(i+1, j+1)``, as :func:`triangulate` does; :func:`assemble` and the
+    multigrid solve rely on that layout)."""
 
     vertices: np.ndarray  # (N, 2)
     triangles: np.ndarray  # (M, 3) int
@@ -219,12 +222,56 @@ def _p1_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return grads, areas
 
 
-def _at_midpoints(fn, points: np.ndarray) -> np.ndarray:
-    """A constant or a vectorised callable sampled at the flattened edge
-    midpoints of :meth:`Mesh.edge_midpoints`, one row per triangle."""
+def _sampled(fn, points: np.ndarray) -> np.ndarray:
+    """A constant or a vectorised callable sampled at ``points``."""
     if isinstance(fn, (int, float)):
-        return np.full(points.shape[0], float(fn)).reshape(-1, 3)
-    return np.asarray(fn(points), dtype=float).reshape(-1, 3)
+        return np.full(len(points), float(fn))
+    return np.asarray(fn(points), dtype=float)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+
+
+#: the 7-point stencil of the structured triangulation, columns ascending
+_STENCIL = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _stencil_csr(
+    keep: np.ndarray,
+    diag: np.ndarray,
+    along0: np.ndarray,
+    along1: np.ndarray,
+    across: np.ndarray,
+) -> sparse.csr_matrix:
+    """The rows and columns ``keep`` of the symmetric 7-point matrix on the
+    vertex grid of shape ``diag.shape``, from its diagonal and its couplings
+    of ``(i, j)`` to ``(i+1, j)``, ``(i, j+1)`` and ``(i+1, j+1)``; kept
+    vertices are renumbered in order."""
+    n0, n1 = diag.shape
+    vals = np.zeros((n0, n1, 7))
+    vals[1:, 1:, 0] = across
+    vals[1:, :, 1] = along0
+    vals[:, 1:, 2] = along1
+    vals[:, :, 3] = diag
+    vals[:, :-1, 4] = along1
+    vals[:-1, :, 5] = along0
+    vals[:-1, :-1, 6] = across
+    # the kept number of every vertex, -1 for dropped ones and off the grid
+    number = np.full((n0 + 2, n1 + 2), -1, dtype=np.int32)
+    number[1:-1, 1:-1] = np.where(keep, np.cumsum(keep, dtype=np.int32) - 1, -1).reshape(n0, n1)
+    cols = np.stack(
+        [number[1 + di : n0 + 1 + di, 1 + dj : n1 + 1 + dj] for di, dj in _STENCIL], axis=-1
+    )
+    cols[~keep.reshape(n0, n1)] = -1
+    # flat masks select without building index arrays
+    present = cols.ravel() >= 0
+    indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int32)
+    np.cumsum(present.reshape(-1, 7).sum(axis=1, dtype=np.int32)[keep], out=indptr[1:])
+    size = len(indptr) - 1
+    return sparse.csr_matrix(
+        (vals.ravel()[present], cols.ravel()[present], indptr), shape=(size, size)
+    )
 
 
 def assemble(
@@ -236,36 +283,77 @@ def assemble(
 
     The weight is averaged per triangle from the three edge midpoints (exact
     for quadratics); assembly fails if a midpoint sample is not positive.
-    """
-    flat = mesh.edge_midpoints().reshape(-1, 2)
-    wvals = _at_midpoints(w, flat)
-    if not np.all(np.isfinite(wvals)) or np.any(wvals <= 0.0):
-        raise ValueError("weight must be positive and finite at quadrature nodes")
-    wbar = wvals.mean(axis=1)
-    fvals = _at_midpoints(f, flat)
+    The load takes ``f`` at the same midpoints.
 
-    grads, areas = _p1_gradients(mesh)
-    local = np.einsum("tkd,tld->tkl", grads, grads) * (areas * wbar)[:, None, None]
-    # midpoints: m_0=(v0+v1)/2, m_1=(v1+v2)/2, m_2=(v2+v0)/2; the hat of
-    # vertex k is 1/2 on midpoints k and (k-1)%3 and zero on the third
-    local_load = np.zeros((len(mesh.triangles), 3))
-    for k in range(3):
-        local_load[:, k] = (
-            (fvals[:, k] + fvals[:, (k - 1) % 3]) * 0.5 * (areas / 3.0)
+    Assembly runs on the structured grid of :func:`triangulate`: cell
+    ``(i, j)`` holds the triangles ``(a, b, c)`` and ``(a, c, d)`` with
+    ``a = (i, j)``, ``b = (i+1, j)``, ``c = (i+1, j+1)``, ``d = (i, j+1)``,
+    so every edge runs along axis 0, along axis 1 or across a cell.  ``w``
+    and ``f`` are each called once, on the midpoints of the unique edges of
+    the three kinds in that order; each triangle adds its P1 entries
+    ``wbar (E_k . E_l) / (4 A)``, with ``E_k`` the edge opposite vertex
+    ``k``, into grid arrays for the diagonal and the three couplings, which
+    fill the fixed 7-point pattern of a CSR matrix.
+    """
+    n0, n1 = mesh.grid_shape
+    X = mesh.vertices.reshape(n0, n1, 2)
+    mids = 0.5 * np.concatenate(
+        [
+            (X[:-1] + X[1:]).reshape(-1, 2),
+            (X[:, :-1] + X[:, 1:]).reshape(-1, 2),
+            (X[:-1, :-1] + X[1:, 1:]).reshape(-1, 2),
+        ]
+    )
+    cut0, cut1 = (n0 - 1) * n1, (n0 - 1) * n1 + n0 * (n1 - 1)
+
+    def on_edges(values):
+        return (
+            values[:cut0].reshape(n0 - 1, n1),
+            values[cut0:cut1].reshape(n0, n1 - 1),
+            values[cut1:].reshape(n0 - 1, n1 - 1),
         )
 
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    K_full = sparse.coo_matrix(
-        (local.ravel(), (rows, cols)),
-        shape=(len(mesh.vertices), len(mesh.vertices)),
-    ).tocsr()
-    load_full = np.zeros(len(mesh.vertices))
-    np.add.at(load_full, mesh.triangles.ravel(), local_load.ravel())
+    wvals = _sampled(w, mids)
+    if not np.all(np.isfinite(wvals)) or np.any(wvals <= 0.0):
+        raise ValueError("weight must be positive and finite at quadrature nodes")
+    w0, w1, wx = on_edges(wvals)
+    f0, f1, fx = on_edges(_sampled(f, mids))
 
+    # edge vectors of cell (i, j): a->b, b->c, a->c, a->d, d->c
+    e0, e1 = X[1:] - X[:-1], X[:, 1:] - X[:, :-1]
+    ab, bc, ac, ad, dc = e0[:, :-1], e1[1:], X[1:, 1:] - X[:-1, :-1], e1[:-1], e0[:, 1:]
+    area1 = 0.5 * (ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
+    area2 = 0.5 * (ac[..., 0] * ad[..., 1] - ac[..., 1] * ad[..., 0])
+    s1 = (w0[:, :-1] + w1[1:] + wx) / 3.0 / (4.0 * area1)
+    s2 = (wx + w0[:, 1:] + w1[:-1]) / 3.0 / (4.0 * area2)
+
+    # (a, b, c) has opposite edges -bc, ac, -ab; (a, c, d) has dc, ad, -ac
+    diag = np.zeros((n0, n1))
+    diag[:-1, :-1] += s1 * _dot(bc, bc) + s2 * _dot(dc, dc)
+    diag[1:, :-1] += s1 * _dot(ac, ac)
+    diag[1:, 1:] += s1 * _dot(ab, ab) + s2 * _dot(ad, ad)
+    diag[:-1, 1:] += s2 * _dot(ac, ac)
+    along0 = np.zeros((n0 - 1, n1))
+    along0[:, :-1] -= s1 * _dot(bc, ac)
+    along0[:, 1:] -= s2 * _dot(ad, ac)
+    along1 = np.zeros((n0, n1 - 1))
+    along1[1:] -= s1 * _dot(ac, ab)
+    along1[:-1] -= s2 * _dot(dc, ac)
+    across = s1 * _dot(bc, ab) + s2 * _dot(dc, ad)
+
+    # the hat of a vertex is 1/2 at the midpoints of its two edges in a
+    # triangle and 0 at the third
+    third1, third2 = area1 / 3.0, area2 / 3.0
+    load = np.zeros((n0, n1))
+    load[:-1, :-1] += (f0[:, :-1] + fx) * third1 + (fx + f1[:-1]) * third2
+    load[1:, :-1] += (f1[1:] + f0[:, :-1]) * third1
+    load[1:, 1:] += (fx + f1[1:]) * third1 + (f0[:, 1:] + fx) * third2
+    load[:-1, 1:] += (f1[:-1] + f0[:, 1:]) * third2
+    load *= 0.5
+
+    K = _stencil_csr(~mesh.boundary, diag, along0, along1, across)
     interior = mesh.interior
-    K = K_full[interior][:, interior].tocsr()
-    return AssembledSystem(mesh, K, load_full[interior], interior)
+    return AssembledSystem(mesh, K, load.ravel()[interior], interior)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +567,7 @@ def l2_error(solution: FemSolution, exact: Callable[[np.ndarray], np.ndarray]) -
     """L2 distance to a reference field by the mid-edge rule (exact for P2)."""
     mesh = solution.mesh
     uh = _edge_means(mesh, solution.values)
-    ue = _at_midpoints(exact, mesh.edge_midpoints().reshape(-1, 2))
+    ue = _sampled(exact, mesh.edge_midpoints().reshape(-1, 2)).reshape(-1, 3)
     err2 = np.sum((uh - ue) ** 2, axis=1) * mesh.areas / 3.0
     return float(math.sqrt(np.sum(err2)))
 
@@ -495,7 +583,7 @@ def energy_norm_error(
     gh = np.einsum("tk,tkd->td", solution.values[mesh.triangles], grads)
     flat = mesh.edge_midpoints().reshape(-1, 2)
     ge = np.asarray(exact_grad(flat), dtype=float).reshape(-1, 3, 2)
-    wv = _at_midpoints(w, flat)
+    wv = _sampled(w, flat).reshape(-1, 3)
     diff2 = np.sum((ge - gh[:, None, :]) ** 2, axis=2)
     return float(math.sqrt(np.sum(np.mean(diff2 * wv, axis=1) * areas)))
 

@@ -65,6 +65,24 @@ class TestExponentsCommand:
         assert main(["exponents", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row",
+        ["2.5,2,0,3,1,5", "2,abc,0,3,1,5", "2,2,x,3,1,5", "2,2,0,,1,5", "2,2,0,3,1.5,5", "2,2,0,3,1,inf"],
+        ids=["n", "p", "alpha", "gamma", "m", "s"],
+    )
+    def test_unreadable_cell_exits_2_without_files(self, tmp_path, capsys, row):
+        # cells are read by the kind of their column, like config values
+        queries = tmp_path / "queries.csv"
+        queries.write_text(f"n,p,alpha,gamma,m,s\n2,2,0,3,1,5\n{row}\n")
+        cfg = write_config(
+            tmp_path, f"[exponents]\nn = 2\np = 2\nalpha = 0\nqueries_csv = {queries}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["exponents", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: queries_csv line 3:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_malformed_config_exits_2_without_files(self, tmp_path):
         cfg = write_config(tmp_path, "garbage [[[\n")
         out = tmp_path / "out"
@@ -514,6 +532,44 @@ class TestRangeRules:
             assert err.startswith("validity error")
         if code:
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("ap-check", "n = 0\np = 2\nalpha = 0\n"),
+            ("ap-check", "n = 2\np = 2\nalpha = 0\nn_radii = 0\n"),
+            ("ap-check", "n = 2\np = 2\nalpha = 0\nn_random = -1\n"),
+            ("distortion", "n = 1\np = 2\nalpha = 0\ngamma = 3\na = 0.5\nr = 3\n"),
+            ("distortion", DISTORTION + "a = 0.5\nq_steps = 2\ns_steps = -1\n"),
+            ("distortion", DISTORTION + "a = 0.5\nq_steps = -1\n"),
+            ("mollify", "function = x*y\np = 2\ndelta = 0.15\nn_radii = 0\n"),
+            ("mollify", "function = x*y\np = 2\ndelta = 0.15\ncells = 0\n"),
+        ],
+        ids=[
+            "ap-check-n", "ap-check-n_radii", "ap-check-n_random", "distortion-n",
+            "distortion-s_steps", "distortion-q_steps", "mollify-n_radii", "mollify-cells",
+        ],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_integer_below_its_bound_exits_3(self, tmp_path, capsys, command, text):
+        rc, err, out = _run_cli(tmp_path, command, text, capsys)
+        assert rc == 3
+        assert err.startswith("validity error") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("ap-check", "n = 1\np = 2\nalpha = 0\nn_radii = 1\nn_random = 0\n"),
+            ("distortion", DISTORTION + "a = 0.5\nq_steps = 0\ns_steps = 0\n"),
+            ("mollify", "function = x*y\np = 2\ndelta = 0.15\nn_radii = 1\ncells = 1\n"),
+        ],
+        ids=["ap-check", "distortion", "mollify"],
+    )
+    def test_integers_at_their_bounds_run(self, tmp_path, capsys, command, text):
+        rc, err, out = _run_cli(tmp_path, command, text, capsys)
+        assert rc == 0 and err == ""
+        assert (out / "report.json").exists()
 
     def test_batch_row_with_negative_s_exits_3(self, tmp_path, capsys):
         queries = tmp_path / "queries.csv"

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from cusplab import pde
@@ -23,6 +24,7 @@ from cusplab.pde import (
 from cusplab.weights import Weight
 
 SQUARE = Box((0.0, 0.0), (1.0, 1.0))
+CUSP3 = CuspSection(CuspDomain.isotropic(2, 3.0), eps=1e-3)
 W1 = Weight.polynomial(1.0, 2)
 
 
@@ -107,6 +109,75 @@ class TestAssemble:
         free = dataclasses.replace(mesh, boundary=np.zeros(len(mesh.vertices), bool))
         system = assemble(free, 1.0, 1.0)
         assert np.sum(system.load) == pytest.approx(1.0, rel=1e-12)
+
+
+def _reference_assemble(mesh, w, f):
+    """Element-by-element P1 assembly through COO triplets: the oracle for
+    :func:`assemble`, which works on the structured grid instead."""
+    mids = mesh.edge_midpoints().reshape(-1, 2)
+    wbar = w(mids).reshape(-1, 3).mean(axis=1)
+    fvals = f(mids).reshape(-1, 3)
+    areas = mesh.areas
+    p = mesh.vertices[mesh.triangles]
+    # the hat of vertex k has gradient: its opposite edge turned, over 2A
+    opposite = p[:, [1, 2, 0]] - p[:, [2, 0, 1]]
+    grads = np.stack([opposite[..., 1], -opposite[..., 0]], axis=-1) / (2.0 * areas)[:, None, None]
+    local = np.einsum("tkd,tld->tkl", grads, grads) * (areas * wbar)[:, None, None]
+    # the hat of vertex k is 1/2 at midpoints k and k-1, 0 at the third
+    local_load = 0.5 * (fvals + np.roll(fvals, 1, axis=1)) * (areas / 3.0)[:, None]
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    size = len(mesh.vertices)
+    K = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size)).tocsr()
+    load = np.zeros(size)
+    np.add.at(load, mesh.triangles.ravel(), local_load.ravel())
+    return K[mesh.interior][:, mesh.interior].tocsr(), load[mesh.interior]
+
+
+def _no_boundary(mesh):
+    return dataclasses.replace(mesh, boundary=np.zeros(len(mesh.vertices), bool))
+
+
+ORACLE_MESHES = {
+    "square": lambda: triangulate(SQUARE, 1 / 16),
+    "graded-square": lambda: triangulate(SQUARE, 1 / 16, grade_exponent=2.0),
+    "graded-cusp": lambda: triangulate(CUSP3, 1 / 32, grade_exponent=1.5),
+    "thin-box": lambda: triangulate(Box((0.0, 0.0), (1.0, 0.01)), 1e-3),
+    "no-boundary": lambda: _no_boundary(triangulate(SQUARE, 1 / 16)),
+}
+
+
+class TestAssembleOracle:
+    """The grid assembly against element-by-element COO assembly."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+    def test_matches_element_assembly(self, name):
+        mesh = ORACLE_MESHES[name]()
+        w = Weight.polynomial(0.5, 2)
+        _, _, f = manufactured_rhs("sin(pi*x)*sin(pi*y)*exp(x)", "(x**2+y**2)**0.25")
+        K_ref, load_ref = _reference_assemble(mesh, w, f)
+        system = assemble(mesh, w, f)
+        K = system.stiffness
+        assert np.array_equal(K.indptr, K_ref.indptr)
+        assert np.array_equal(K.indices, K_ref.indices)
+        assert np.max(np.abs(K.data - K_ref.data)) <= 1e-14 * np.max(np.abs(K_ref.data))
+        assert np.max(np.abs(system.load - load_ref)) <= 1e-14 * np.max(np.abs(load_ref))
+        assert np.array_equal(system.interior, mesh.interior)
+        assert (K != K.T).nnz == 0
+
+    def test_fields_sampled_once_per_unique_edge(self):
+        mesh = triangulate(CUSP3, 1 / 16, grade_exponent=1.5)
+        n0, n1 = mesh.grid_shape
+        seen = []
+
+        def recording(points):
+            seen.append(points.copy())
+            return np.ones(len(points))
+
+        assemble(mesh, recording, 0.0)
+        edges = (n0 - 1) * n1 + n0 * (n1 - 1) + (n0 - 1) * (n1 - 1)
+        assert len(seen) == 1 and seen[0].shape == (edges, 2)
+        assert len(np.unique(seen[0], axis=0)) == edges
 
 
 class TestManufacturedRhs:
@@ -268,8 +339,6 @@ class TestRatesAndIO:
         assert np.array_equal(flags, mesh.boundary)
         assert np.array_equal(tris, mesh.triangles)
 
-
-CUSP3 = CuspSection(CuspDomain.isotropic(2, 3.0), eps=1e-3)
 
 
 class TestMultigrid:
