@@ -509,14 +509,23 @@ def _run_report(config: RunConfig) -> dict:
     q_star = ia_exponent_q_threshold(n, p, alpha, gamma, a)
     r_ref = 3.0
     s_star = ja_exponent_s_bound(n, r_ref, alpha, gamma, a)
+
+    # both sides of each threshold are clipped into the exponent's valid
+    # range, 1 <= q < p and s < r; at a = 1 a threshold can sit outside it
+    def q_in(q):
+        return min(max(1.0, q), p * (1 - 1e-9))
+
+    def s_in(s):
+        return min(s, r_ref * (1 - 1e-9))
+
     results["distortion"] = {
         "a": a,
         "q_threshold": q_star,
         "s_bound": s_star,
-        "Ia_below": distortion_Ia(p, max(1.0, q_star * (1 - margin)), a, alpha, domain).to_dict(),
-        "Ia_above": distortion_Ia(p, min(q_star * (1 + margin), p * (1 - 1e-9)), a, alpha, domain).to_dict(),
-        "Ja_below": jacobian_Ja(r_ref, s_star * (1 - margin), a, alpha, domain).to_dict(),
-        "Ja_above": jacobian_Ja(r_ref, min(s_star * (1 + margin), r_ref * (1 - 1e-9)), a, alpha, domain).to_dict(),
+        "Ia_below": distortion_Ia(p, q_in(q_star * (1 - margin)), a, alpha, domain).to_dict(),
+        "Ia_above": distortion_Ia(p, q_in(q_star * (1 + margin)), a, alpha, domain).to_dict(),
+        "Ja_below": jacobian_Ja(r_ref, s_in(s_star * (1 - margin)), a, alpha, domain).to_dict(),
+        "Ja_above": jacobian_Ja(r_ref, s_in(s_star * (1 + margin)), a, alpha, domain).to_dict(),
     }
     return results
 

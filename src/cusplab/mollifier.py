@@ -312,9 +312,14 @@ def convergence_test(
     """Norm sequence ``||A_r f - f||_{L_p(D_delta, w)}`` over decreasing radii.
 
     Every radius is measured on the same inset node set, so the sequence is
-    comparable entry to entry.
+    comparable entry to entry.  ``cells < 1`` and an empty ``radii`` raise
+    ``ValueError`` before any work.
     """
     radii = list(radii)
+    if cells < 1:
+        raise ValueError(f"need cells >= 1, got {cells}")
+    if not radii:
+        raise ValueError("need at least one radius")
     if any(r >= delta for r in radii):
         raise ValueError("all radii must be below delta")
     if weight is not None and weight.is_polynomial:

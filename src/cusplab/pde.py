@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 import sympy as sp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import LinearOperator, splu
 
 from .geometry import Box, CuspDomain
@@ -49,21 +49,14 @@ class SolverError(RuntimeError):
     """Iterative solve failed to converge within its iteration cap."""
 
 
-def _edge_means(mesh: Mesh, per_vertex: np.ndarray) -> np.ndarray:
-    """Mean of a per-vertex array over the two ends of each triangle edge,
-    edges ordered ``(v0 v1, v1 v2, v2 v0)``: shape ``(M, 3) + per_vertex.shape[1:]``."""
-    v = per_vertex[mesh.triangles]
-    return 0.5 * np.stack([v[:, 0] + v[:, 1], v[:, 1] + v[:, 2], v[:, 2] + v[:, 0]], axis=1)
-
-
 @dataclass(frozen=True)
 class Mesh:
     """Conforming triangulation: vertices, positively oriented triangles,
     per-vertex boundary flags, and the shape of the structured vertex grid
     (vertex ``(i, j)`` is numbered ``i * grid_shape[1] + j``, and cell
     ``(i, j)`` is split along its diagonal from ``(i, j)`` to
-    ``(i+1, j+1)``, as :func:`triangulate` does; :func:`assemble` and the
-    multigrid solve rely on that layout)."""
+    ``(i+1, j+1)``, as :func:`triangulate` does; :func:`assemble`,
+    :func:`l2_error` and the multigrid solve rely on that layout)."""
 
     vertices: np.ndarray  # (N, 2)
     triangles: np.ndarray  # (M, 3) int
@@ -98,8 +91,10 @@ class Mesh:
         return np.flatnonzero(~self.boundary)
 
     def edge_midpoints(self) -> np.ndarray:
-        """(M, 3, 2) midpoints of the three edges of every triangle."""
-        return _edge_means(self, self.vertices)
+        """(M, 3, 2) midpoints of the three edges of every triangle, edges
+        ordered ``(v0 v1, v1 v2, v2 v0)``."""
+        p = self.vertices[self.triangles]
+        return 0.5 * np.stack([p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -233,6 +228,44 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
 
 
+def _edge_means(grid: np.ndarray) -> np.ndarray:
+    """Means of a vertex-grid array over the two ends of each unique edge of
+    the structured triangulation, laid end to end: the edges along axis 0,
+    then along axis 1, then across each cell from ``(i, j)`` to
+    ``(i+1, j+1)``.  Of the vertex coordinates, these are the edge
+    midpoints; :func:`_on_edges` splits the result by kind."""
+    tail = grid.shape[2:]
+    return 0.5 * np.concatenate(
+        [
+            (grid[:-1] + grid[1:]).reshape(-1, *tail),
+            (grid[:, :-1] + grid[:, 1:]).reshape(-1, *tail),
+            (grid[:-1, :-1] + grid[1:, 1:]).reshape(-1, *tail),
+        ]
+    )
+
+
+def _on_edges(values: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-edge values in the order of :func:`_edge_means` on the vertex
+    grid of ``shape``, as three grid arrays, one per kind of edge."""
+    n0, n1 = shape
+    cut0, cut1 = (n0 - 1) * n1, (n0 - 1) * n1 + n0 * (n1 - 1)
+    return (
+        values[:cut0].reshape(n0 - 1, n1),
+        values[cut0:cut1].reshape(n0, n1 - 1),
+        values[cut1:].reshape(n0 - 1, n1 - 1),
+    )
+
+
+def _cell_areas(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Areas of the triangles ``(a, b, c)`` and ``(a, c, d)`` of every cell
+    of the vertex grid ``X`` (see :func:`assemble`)."""
+    ab, ac, ad = X[1:, :-1] - X[:-1, :-1], X[1:, 1:] - X[:-1, :-1], X[:-1, 1:] - X[:-1, :-1]
+    return (
+        0.5 * (ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0]),
+        0.5 * (ac[..., 0] * ad[..., 1] - ac[..., 1] * ad[..., 0]),
+    )
+
+
 #: the 7-point stencil of the structured triangulation, columns ascending
 _STENCIL = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -297,33 +330,17 @@ def assemble(
     """
     n0, n1 = mesh.grid_shape
     X = mesh.vertices.reshape(n0, n1, 2)
-    mids = 0.5 * np.concatenate(
-        [
-            (X[:-1] + X[1:]).reshape(-1, 2),
-            (X[:, :-1] + X[:, 1:]).reshape(-1, 2),
-            (X[:-1, :-1] + X[1:, 1:]).reshape(-1, 2),
-        ]
-    )
-    cut0, cut1 = (n0 - 1) * n1, (n0 - 1) * n1 + n0 * (n1 - 1)
-
-    def on_edges(values):
-        return (
-            values[:cut0].reshape(n0 - 1, n1),
-            values[cut0:cut1].reshape(n0, n1 - 1),
-            values[cut1:].reshape(n0 - 1, n1 - 1),
-        )
-
+    mids = _edge_means(X)
     wvals = _sampled(w, mids)
     if not np.all(np.isfinite(wvals)) or np.any(wvals <= 0.0):
         raise ValueError("weight must be positive and finite at quadrature nodes")
-    w0, w1, wx = on_edges(wvals)
-    f0, f1, fx = on_edges(_sampled(f, mids))
+    w0, w1, wx = _on_edges(wvals, (n0, n1))
+    f0, f1, fx = _on_edges(_sampled(f, mids), (n0, n1))
 
     # edge vectors of cell (i, j): a->b, b->c, a->c, a->d, d->c
     e0, e1 = X[1:] - X[:-1], X[:, 1:] - X[:, :-1]
     ab, bc, ac, ad, dc = e0[:, :-1], e1[1:], X[1:, 1:] - X[:-1, :-1], e1[:-1], e0[:, 1:]
-    area1 = 0.5 * (ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
-    area2 = 0.5 * (ac[..., 0] * ad[..., 1] - ac[..., 1] * ad[..., 0])
+    area1, area2 = _cell_areas(X)
     s1 = (w0[:, :-1] + w1[1:] + wx) / 3.0 / (4.0 * area1)
     s2 = (wx + w0[:, 1:] + w1[:-1]) / 3.0 / (4.0 * area2)
 
@@ -391,42 +408,77 @@ def _interpolation(cells: int) -> sparse.csr_matrix:
     )
 
 
-def _zebra_lines(A: sparse.csr_matrix, shape: tuple[int, int]) -> list:
-    """``(axis, colour, banded)`` in pre-smoothing order: even then odd
-    lines along axis 0, then along axis 1.  ``banded`` holds the tridiagonal
-    of ``A`` along the colour's lines, laid end to end with zero coupling
-    from one line to the next, in ``solve_banded((1, 1), ...)`` layout."""
-    m0, m1 = shape
-    diag = A.diagonal(0).reshape(shape)
-    along0 = np.zeros(shape)  # coupling of (i, j) to (i + 1, j)
-    along0[:-1] = A.diagonal(m1).reshape(m0 - 1, m1)
-    along1 = np.append(A.diagonal(1), 0.0).reshape(shape)  # (i, j) to (i, j + 1)
-    along1[:, -1] = 0.0
-    lines = []
-    for axis, d, up in ((0, diag.T, along0.T), (1, diag, along1)):
-        for colour in (0, 1):
-            u = up[colour::2].ravel()
-            banded = np.zeros((3, len(u)))
-            banded[0, 1:] = u[:-1]
-            banded[1] = d[colour::2].ravel()
-            banded[2, :-1] = u[:-1]
-            lines.append((axis, colour, banded))
-    return lines
-
-
 def _rows_along(v: np.ndarray, shape: tuple[int, int], axis: int) -> np.ndarray:
     """A view of the grid vector ``v`` whose rows are its lines along ``axis``."""
     grid = v.reshape(shape)
     return grid.T if axis == 0 else grid
 
 
-def _relax(A, x, b, shape, axis, colour, banded) -> None:
-    """Solve exactly on the lines of one colour, the others held fixed."""
-    r = _rows_along(b - A @ x, shape, axis)[colour::2]
-    rows = _rows_along(x, shape, axis)[colour::2]
-    rows += solve_banded(
-        (1, 1), banded, r.ravel(), overwrite_b=True, check_finite=False
-    ).reshape(rows.shape)
+def _zebra_lines(A: sparse.csr_matrix, shape: tuple[int, int]) -> list:
+    """The colour sweeps of zebra line relaxation on ``A``, in pre-smoothing
+    order: even then odd lines along axis 0, then along axis 1.
+
+    Each sweep is ``(axis, colour, off, d, e)`` for the colour's unknowns
+    listed line by line, ``index``: ``T`` is the tridiagonal of ``A`` along
+    those lines, laid end to end with zero coupling from one line to the
+    next, and ``d, e`` are its ``dpttrf`` factors (``T`` is a principal
+    submatrix of SPD ``A``, so SPD); ``off = A[index] - T`` keeps every
+    other entry of those rows.  Galerkin levels coarsened from odd cell
+    counts couple lines two apart, so ``off`` keeps the entries between
+    lines of one colour too, and ``T`` takes the couplings above its
+    diagonal, so ``off`` also keeps the rounding by which a Galerkin
+    operator's couplings below differ from them.  A sweep is then exactly
+    the update ``x[index] += T^-1 (b - A x)[index]``.  Built once per level,
+    with the hierarchy; a line block that ``dpttrf`` cannot factor raises
+    :class:`SolverError`.
+    """
+    # in A's own index type, so that scipy need not check the arrays' range
+    numbers = np.arange(A.shape[0], dtype=A.indices.dtype).reshape(shape)
+    diag = A.diagonal()
+    sweeps = []
+    for axis, step in ((0, shape[1]), (1, 1)):
+        along = A.diagonal(step)  # coupling of unknown k to unknown k + step
+        for colour in (0, 1):
+            lines = _rows_along(numbers, shape, axis)[colour::2]
+            if lines.size == 0:  # a grid one line wide has no odd lines
+                continue
+            index = lines.ravel()
+            d = diag[index]
+            # coupling of each unknown to the next on its line, 0 at line ends
+            e = np.zeros(lines.shape)
+            e[:, :-1] = along[lines[:, :-1]]
+            e = e.ravel()[:-1]
+            k = np.arange(len(index), dtype=index.dtype)
+            T = sparse.csr_matrix(
+                (
+                    np.concatenate([d, e, e]),
+                    (np.concatenate([k, k[:-1], k[1:]]), np.concatenate([index, index[1:], index[:-1]])),
+                ),
+                shape=(len(index), A.shape[1]),
+            )
+            off = A[index] - T
+            off.eliminate_zeros()
+            d, e, info = dpttrf(d, e)
+            if info != 0:
+                raise SolverError(
+                    f"line block of {len(index)} unknowns is not positive definite"
+                    f" (dpttrf info {info})"
+                )
+            sweeps.append((axis, colour, off, d, e))
+    return sweeps
+
+
+def _relax(x, b, shape, sweep, from_zero=False) -> None:
+    """Set the lines of one colour to the exact solve on them, the other
+    unknowns held fixed: ``T^-1 (b - off @ x)`` on the colour's unknowns,
+    read and written through strided views of the grid.  With ``from_zero``
+    the caller promises ``x == 0``, which skips the product."""
+    axis, colour, off, d, e = sweep
+    r = _rows_along(b, shape, axis)[colour::2].flatten()  # a copy: dpttrs writes into it
+    if not from_zero:
+        r -= off @ x
+    lines = _rows_along(x, shape, axis)[colour::2]
+    lines[...] = dpttrs(d, e, r, overwrite_b=True)[0].reshape(lines.shape)
 
 
 class _Multigrid:
@@ -436,8 +488,12 @@ class _Multigrid:
     :func:`_interpolation`, with Galerkin coarse operators ``P^T A P``,
     until at most ``_COARSEST`` unknowns remain; that level is factored by
     ``splu``.  :meth:`vcycle` applies one symmetric V-cycle, smoothed by
-    zebra line Gauss-Seidel alternating between the axes, so it is an SPD
-    preconditioner for CG.  The cycle is a loop over ``levels``, not a
+    zebra line Gauss-Seidel alternating between the axes (Trottenberg,
+    Oosterlee and Schüller, *Multigrid*, 2001, §5.1), so it is an SPD
+    preconditioner for CG.  Each level's line blocks are factored once, when
+    the hierarchy is built (:func:`_zebra_lines`), so a colour sweep costs
+    one product with the couplings off its lines and one pre-factored
+    tridiagonal solve.  The cycle is a loop over ``levels``, not a
     recursion, so the hierarchy holds no reference to itself and is freed
     as soon as the solve drops it.
     """
@@ -465,18 +521,18 @@ class _Multigrid:
         applied as ``P0 X P1^T`` on grid-shaped ``X``, never formed."""
         self.cycles += 1
         rhs, pre = [b], []
-        for A, shape, lines, P0, P1 in self.levels:
+        for A, shape, sweeps, P0, P1 in self.levels:
             x = np.zeros_like(rhs[-1])
-            for line in lines:
-                _relax(A, x, rhs[-1], shape, *line)
+            for k, sweep in enumerate(sweeps):
+                _relax(x, rhs[-1], shape, sweep, from_zero=k == 0)
             pre.append(x)
             rhs.append((P0.T @ (rhs[-1] - A @ x).reshape(shape) @ P1).ravel())
         x = self.coarsest.solve(rhs.pop())
-        for A, shape, lines, P0, P1 in reversed(self.levels):
+        for A, shape, sweeps, P0, P1 in reversed(self.levels):
             x = pre.pop() + (P0 @ x.reshape(P0.shape[1], P1.shape[1]) @ P1.T).ravel()
             b = rhs.pop()
-            for line in reversed(lines):
-                _relax(A, x, b, shape, *line)
+            for sweep in reversed(sweeps):
+                _relax(x, b, shape, sweep)
         return x
 
 
@@ -564,12 +620,21 @@ def weak_residual(solution: FemSolution, w, f) -> float:
 
 
 def l2_error(solution: FemSolution, exact: Callable[[np.ndarray], np.ndarray]) -> float:
-    """L2 distance to a reference field by the mid-edge rule (exact for P2)."""
+    """L2 distance to a reference field by the mid-edge rule (exact for P2).
+
+    Runs on the structured grid, as :func:`assemble` does: ``exact`` is
+    called once, on the midpoints of the unique edges (about 3N points), the
+    P1 values there are the means of the two ends, and each cell adds the
+    squared errors on its triangles' edges times a third of their areas.
+    """
     mesh = solution.mesh
-    uh = _edge_means(mesh, solution.values)
-    ue = _sampled(exact, mesh.edge_midpoints().reshape(-1, 2)).reshape(-1, 3)
-    err2 = np.sum((uh - ue) ** 2, axis=1) * mesh.areas / 3.0
-    return float(math.sqrt(np.sum(err2)))
+    n0, n1 = mesh.grid_shape
+    X = mesh.vertices.reshape(n0, n1, 2)
+    err = _edge_means(solution.values.reshape(n0, n1)) - _sampled(exact, _edge_means(X))
+    d0, d1, dx = _on_edges(err**2, (n0, n1))
+    area1, area2 = _cell_areas(X)
+    err2 = (d0[:, :-1] + d1[1:] + dx) * area1 + (dx + d0[:, 1:] + d1[:-1]) * area2
+    return float(math.sqrt(np.sum(err2) / 3.0))
 
 
 def energy_norm_error(

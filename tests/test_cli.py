@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cusplab.cli import _ALLOWED_KEYS, _INTEGER_KEYS, _TEXT_KEYS, main
-from cusplab.geometry import Verdict
+from cusplab.cli import _ALLOWED_KEYS, _INTEGER_KEYS, _TEXT_KEYS, _jsonable, main
+from cusplab.cuspmap import distortion_Ia, ia_exponent_q_threshold, ja_exponent_s_bound, jacobian_Ja
+from cusplab.geometry import CuspDomain, Verdict
 
 
 def write_config(tmp_path: Path, text: str) -> Path:
@@ -184,6 +185,44 @@ class TestNearCriticalExponents:
         above = read_report(out)["results"]["distortion"]["Ia_above"]
         assert above["verdict"] == "divergent"
         assert above["value"] == "inf"
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "[report]\nn = 2\np = 2\nalpha = 0\ngamma = 3\na = 1\n",
+            "[report]\nn = 2\np = 2\nalpha = -0.5\ngamma = 2\na = 1\n",
+        ],
+        ids=["s-bound-above-r", "q-threshold-below-1"],
+    )
+    def test_report_at_a_equal_1_runs(self, tmp_path, section):
+        # at a = 1 either q* >= p or s* >= r: both sides are clipped into range
+        cfg = write_config(tmp_path, section)
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        block = read_report(out)["results"]["distortion"]
+        assert block["a"] == 1.0
+        assert all(block[side]["verdict"] in ("finite", "divergent") for side in ("Ia_below", "Ja_below"))
+
+    def test_report_inside_both_ranges_keeps_its_bytes(self, tmp_path):
+        # at a = 0.5 no clip is active: the block is the one the unclipped
+        # exponents give, byte for byte
+        cfg = write_config(tmp_path, "[report]\nn = 2\np = 2\nalpha = 0\ngamma = 3\na = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        domain = CuspDomain.isotropic(2, 3.0)
+        q, s = ia_exponent_q_threshold(2, 2.0, 0.0, 3.0, 0.5), ja_exponent_s_bound(2, 3.0, 0.0, 3.0, 0.5)
+        assert 1.0 < q * 0.95 and q * 1.05 < 2.0 and s * 1.05 < 3.0
+        expected = {
+            "a": 0.5,
+            "q_threshold": q,
+            "s_bound": s,
+            "Ia_below": distortion_Ia(2.0, q * (1 - 0.05), 0.5, 0.0, domain).to_dict(),
+            "Ia_above": distortion_Ia(2.0, q * (1 + 0.05), 0.5, 0.0, domain).to_dict(),
+            "Ja_below": jacobian_Ja(3.0, s * (1 - 0.05), 0.5, 0.0, domain).to_dict(),
+            "Ja_above": jacobian_Ja(3.0, s * (1 + 0.05), 0.5, 0.0, domain).to_dict(),
+        }
+        got = read_report(out)["results"]["distortion"]
+        assert json.dumps(got, sort_keys=True) == json.dumps(_jsonable(expected), sort_keys=True)
 
 
 ACCEPTANCE_CONFIGS = {

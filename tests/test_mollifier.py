@@ -178,6 +178,16 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_test(lambda p: p[:, 0], None, 2.0, 0.05, [0.1], SQUARE)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "radii, cells, message",
+        [([0.1], 0, "cells >= 1"), ([0.1], -3, "cells >= 1"), ([], 64, "at least one radius")],
+        ids=["no-cells", "negative-cells", "no-radii"],
+    )
+    def test_range_rules_raise_before_any_work(self, radii, cells, message):
+        with pytest.raises(ValueError, match=message):
+            convergence_test(lambda p: p[:, 0], None, 2.0, 0.15, radii, SQUARE, cells=cells)
+
 
 class TestInset:
     def test_box_inset(self):

@@ -1,11 +1,13 @@
 import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from cusplab import pde
 from cusplab.geometry import Box, CuspDomain
@@ -180,6 +182,44 @@ class TestAssembleOracle:
         assert len(np.unique(seen[0], axis=0)) == edges
 
 
+def _reference_l2_error(solution, exact):
+    """Per-triangle mid-edge rule: the oracle for :func:`l2_error`, which
+    works on the unique edges of the structured grid instead."""
+    mesh = solution.mesh
+    v = solution.values[mesh.triangles]
+    uh = 0.5 * np.stack([v[:, 0] + v[:, 1], v[:, 1] + v[:, 2], v[:, 2] + v[:, 0]], axis=1)
+    ue = np.asarray(exact(mesh.edge_midpoints().reshape(-1, 2)), dtype=float).reshape(-1, 3)
+    err2 = np.sum((uh - ue) ** 2, axis=1) * mesh.areas / 3.0
+    return float(math.sqrt(np.sum(err2)))
+
+
+class TestL2ErrorOracle:
+    """The grid ``l2_error`` against the per-triangle mid-edge rule."""
+
+    @pytest.mark.parametrize("name", ["square", "graded-cusp", "thin-box"])
+    def test_matches_per_triangle_rule(self, name):
+        mesh = ORACLE_MESHES[name]()
+        u, _, _ = manufactured_rhs("sin(pi*x)*sin(pi*y)*exp(x)", "1")
+        noise = np.random.default_rng(2).standard_normal(len(mesh.vertices))
+        sol = pde.FemSolution(mesh, u(mesh.vertices) + 1e-3 * noise, 0.0, 0.0, 0)
+        want = _reference_l2_error(sol, u)
+        assert l2_error(sol, u) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_exact_sampled_once_per_unique_edge(self):
+        mesh = triangulate(CUSP3, 1 / 16, grade_exponent=1.5)
+        n0, n1 = mesh.grid_shape
+        seen = []
+
+        def recording(points):
+            seen.append(points.copy())
+            return np.zeros(len(points))
+
+        l2_error(pde.FemSolution(mesh, np.zeros(len(mesh.vertices)), 0.0, 0.0, 0), recording)
+        edges = (n0 - 1) * n1 + n0 * (n1 - 1) + (n0 - 1) * (n1 - 1)
+        assert len(seen) == 1 and seen[0].shape == (edges, 2)
+        assert len(np.unique(seen[0], axis=0)) == edges
+
+
 class TestManufacturedRhs:
     RNG = np.random.default_rng(7)
     PTS = RNG.uniform(0.01, 1.0, size=(2000, 2))
@@ -341,9 +381,115 @@ class TestRatesAndIO:
 
 
 
+def _reference_zebra_lines(A, shape):
+    """``(axis, colour, banded)`` in pre-smoothing order, ``banded`` the
+    tridiagonal of ``A`` along the colour's lines in ``solve_banded((1, 1),
+    ...)`` layout: the line blocks of the increment-form smoother."""
+    m0, m1 = shape
+    diag = A.diagonal(0).reshape(shape)
+    along0 = np.zeros(shape)  # coupling of (i, j) to (i + 1, j)
+    along0[:-1] = A.diagonal(m1).reshape(m0 - 1, m1)
+    along1 = np.append(A.diagonal(1), 0.0).reshape(shape)  # (i, j) to (i, j + 1)
+    along1[:, -1] = 0.0
+    lines = []
+    for axis, d, up in ((0, diag.T, along0.T), (1, diag, along1)):
+        for colour in (0, 1):
+            u = up[colour::2].ravel()
+            banded = np.zeros((3, len(u)))
+            banded[0, 1:] = u[:-1]
+            banded[1] = d[colour::2].ravel()
+            banded[2, :-1] = u[:-1]
+            lines.append((axis, colour, banded))
+    return lines
+
+
+def _reference_relax(A, x, b, shape, axis, colour, banded):
+    """Increment-form zebra line relaxation: the full residual ``b - A x``
+    on the colour's lines, solved by ``solve_banded`` and added to ``x``."""
+    r = pde._rows_along(b - A @ x, shape, axis)[colour::2]
+    rows = pde._rows_along(x, shape, axis)[colour::2]
+    rows += solve_banded((1, 1), banded, r.ravel()).reshape(rows.shape)
+
+
+SMOOTHER_MESHES = {
+    "square": lambda: triangulate(SQUARE, 1 / 64),
+    "graded-cusp": lambda: triangulate(CUSP3, 1 / 64, grade_exponent=1.5),
+}
+
+
+def _coarsened_from_odd(mg):
+    """The levels of ``mg`` whose finer level has an odd cell count along an
+    axis: there the interpolation does not nest."""
+    return [
+        level
+        for finer, level in zip(mg.levels, mg.levels[1:])
+        if any((m + 1) % 2 for m in finer[1])
+    ]
+
+
+class TestLineSmoother:
+    """Zebra line relaxation with pre-factored line blocks and the couplings
+    off the lines against the increment form it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(SMOOTHER_MESHES))
+    def test_one_sweep_matches_increment_form(self, name):
+        mesh = SMOOTHER_MESHES[name]()
+        K = assemble(mesh, W1, 0.0).stiffness
+        mg = pde._Multigrid(K, (mesh.grid_shape[0] - 2, mesh.grid_shape[1] - 2))
+        assert _coarsened_from_odd(mg)
+        rng = np.random.default_rng(3)
+        for A, shape, sweeps, _, _ in mg.levels:
+            reference = {(axis, colour): banded for axis, colour, banded in _reference_zebra_lines(A, shape)}
+            assert [sweep[:2] for sweep in sweeps] == list(reference)
+            for sweep in sweeps:
+                x, b = rng.standard_normal((2, A.shape[0]))
+                for start in (x, np.zeros_like(x)):
+                    want = start.copy()
+                    _reference_relax(A, want, b, shape, *sweep[:2], reference[sweep[:2]])
+                    got = start.copy()
+                    pde._relax(got, b, shape, sweep, from_zero=not start.any())
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", sorted(SMOOTHER_MESHES))
+    def test_off_keeps_every_entry_but_the_line_blocks(self, name):
+        mesh = SMOOTHER_MESHES[name]()
+        K = assemble(mesh, W1, 0.0).stiffness
+        mg = pde._Multigrid(K, (mesh.grid_shape[0] - 2, mesh.grid_shape[1] - 2))
+        odd = [id(level[0]) for level in _coarsened_from_odd(mg)]
+        for A, shape, sweeps, _, _ in mg.levels:
+            numbers = np.arange(A.shape[0]).reshape(shape)
+            for axis, colour, off, d, e in sweeps:
+                index = pde._rows_along(numbers, shape, axis)[colour::2].ravel()
+                T = (A[index] - off).tocoo()
+                # what off leaves out is the diagonal and the neighbours on one line
+                step = np.abs(T.col - index[T.row])
+                assert set(np.unique(step)) <= {0, 1 if axis == 1 else shape[1]}
+                assert np.array_equal(np.sort(T.col[T.col == index[T.row]]), np.sort(index))
+                # lines of one colour couple only where the grids do not nest
+                same = np.zeros(A.shape[0], bool)
+                same[index] = True
+                coupling = np.abs(off.data[same[off.indices]])
+                big = coupling.size and coupling.max() > 1e-8 * np.abs(A.data).max()
+                assert bool(big) == (id(A) in odd)
+
+    def test_indefinite_line_block_raises(self):
+        K = assemble(triangulate(SQUARE, 1 / 16), W1, 0.0).stiffness
+        with pytest.raises(pde.SolverError, match="not positive definite"):
+            pde._zebra_lines(-K, (22, 22))
+
+
 class TestMultigrid:
     """CG preconditioned by one multigrid V-cycle with alternating zebra
     line relaxation: iteration counts flat in h on both mesh families."""
+
+    # CG iterations at h = 1/32, 1/64, 1/128 as the increment-form smoother
+    # with solve_banded gave them
+    RECORDED_ITERATIONS = {
+        "square": (SQUARE, None, (7, 7, 7)),
+        "square-graded-2": (SQUARE, 2.0, (8, 7, 8)),
+        "cusp": (CUSP3, None, (9, 9, 10)),
+        "cusp-graded-1.5": (CUSP3, 1.5, (9, 9, 10)),
+    }
 
     @pytest.mark.parametrize(
         "region, grade",
@@ -356,6 +502,16 @@ class TestMultigrid:
             sol = solve_dirichlet(triangulate(region, h, grade_exponent=grade), W1, f_fn)
             assert sol.residual <= 1e-10
             assert 1 <= sol.iterations <= 15, (h, sol.iterations)
+
+    @pytest.mark.parametrize("name", sorted(RECORDED_ITERATIONS))
+    def test_iterations_as_recorded(self, name):
+        region, grade, recorded = self.RECORDED_ITERATIONS[name]
+        _, _, f_fn = manufactured_rhs("sin(pi*x)*sin(pi*y)", "sqrt(x**2+y**2)")
+        counts = tuple(
+            solve_dirichlet(triangulate(region, h, grade_exponent=grade), W1, f_fn).iterations
+            for h in (1 / 32, 1 / 64, 1 / 128)
+        )
+        assert counts == recorded
 
     @pytest.mark.parametrize("region, grade", [(SQUARE, None), (CUSP3, 1.5)], ids=["square", "cusp"])
     def test_matches_direct_solve(self, region, grade):
@@ -377,6 +533,12 @@ class TestMultigrid:
         assert sol.residual <= 1e-10
         assert sol.iterations <= 15
 
+    def test_thin_box_and_finest_cusp_rung_iterations_as_recorded(self):
+        _, _, f_fn = manufactured_rhs("x*(y**2-x)*(y-0.001)*(1-y)", "(x**2+y**2)**(0.25)")
+        finest = solve_dirichlet(triangulate(CUSP3, 1 / 256, grade_exponent=1.5), Weight.polynomial(0.5, 2), f_fn)
+        thin = solve_dirichlet(triangulate(Box((0.0, 0.0), (1.0, 0.01)), 1e-3), W1, -1.0)
+        assert (finest.iterations, thin.iterations) == (12, 8)
+
     def test_small_system_is_one_direct_solve(self):
         mesh = triangulate(SQUARE, 1 / 16)
         assert len(mesh.interior) == 484
@@ -391,12 +553,32 @@ class TestMultigrid:
         assert sol.residual <= 1e-10
         assert sol.iterations <= 15
 
+    def test_one_line_wide_grid_solves(self):
+        # 2 cells across: the finest level is one line wide, with no odd lines
+        mesh = triangulate(Box((0.0, 0.0), (1.0, 0.001)), 1e-3)
+        assert mesh.grid_shape[1] - 2 == 1 and len(mesh.interior) > pde._COARSEST
+        sol = solve_dirichlet(mesh, W1, -1.0)
+        assert sol.residual <= 1e-10
+
     def test_vcycle_is_symmetric(self):
         mesh = triangulate(CUSP3, 1 / 64, grade_exponent=1.5)
         system = assemble(mesh, W1, 0.0)
         mg = pde._Multigrid(system.stiffness, (mesh.grid_shape[0] - 2, mesh.grid_shape[1] - 2))
         assert len(mg.levels) >= 2
         rng = np.random.default_rng(0)
+        u, v = rng.standard_normal((2, system.stiffness.shape[0]))
+        mu, mv = mg.vcycle(u), mg.vcycle(v)
+        assert v @ mu == pytest.approx(u @ mv, rel=1e-12)
+        assert u @ mu > 0.0 and v @ mv > 0.0
+
+    def test_vcycle_is_symmetric_on_the_square(self):
+        # 91 cells per axis: level 1 is coarsened from an odd cell count, as
+        # level 1 of the cusp above is along one axis
+        mesh = SMOOTHER_MESHES["square"]()
+        system = assemble(mesh, W1, 0.0)
+        mg = pde._Multigrid(system.stiffness, (mesh.grid_shape[0] - 2, mesh.grid_shape[1] - 2))
+        assert _coarsened_from_odd(mg)
+        rng = np.random.default_rng(1)
         u, v = rng.standard_normal((2, system.stiffness.shape[0]))
         mu, mv = mg.vcycle(u), mg.vcycle(v)
         assert v @ mu == pytest.approx(u @ mv, rel=1e-12)
