@@ -27,6 +27,7 @@ from .geometry import (
     IntegralVerdict,
     Verdict,
     integrate,
+    radius,
     scaling_exponent,
     unit_interval,
 )
@@ -227,13 +228,13 @@ def check_quasiisometry(mapping, seed: int = 0) -> QuasiisometryReport:
         x = _sample_h1_band(rng, n, t_lo, t_hi, _QI_PAIRS)
         step = 1e-4 * t_lo
         direction = rng.normal(size=(_QI_PAIRS, n))
-        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        direction /= radius(direction)[:, None]
         z = x + step * direction
         # nudge pairs back inside the open cusp
         z[:, -1] = np.clip(z[:, -1], t_lo * (1 + 1e-9), 1.0 - 1e-9)
         z[:, :-1] = np.clip(z[:, :-1], 1e-12, z[:, -1][:, None] * (1 - 1e-9))
         moved = mapping.apply(z) - mapping.apply(x)
-        quot = np.linalg.norm(moved, axis=-1) / np.linalg.norm(z - x, axis=-1)
+        quot = radius(moved) / radius(z - x)
         q_band = max(float(np.max(quot)), 1.0 / float(np.min(quot)))
         trace.append(q_band)
     slope = scaling_exponent(scales[:-1], trace)

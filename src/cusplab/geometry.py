@@ -40,6 +40,7 @@ __all__ = [
     "h1_domain",
     "integrate",
     "integrate_all",
+    "radius",
     "scaling_exponent",
     "unit_interval",
 ]
@@ -47,6 +48,24 @@ __all__ = [
 
 class EvaluationError(RuntimeError):
     """Integrand returned a non-finite value at an interior node."""
+
+
+def radius(points: np.ndarray) -> np.ndarray:
+    """``|x|`` of each row of ``points``, the same bits as
+    ``np.linalg.norm(points, axis=-1)``.
+
+    That norm adds a row's squares in column order, and so does this, a
+    column at a time instead of by a strided reduce along each row, several
+    times faster on two or three columns.  numpy's reduce sums eight or
+    more terms pairwise, so rows that wide go to the norm itself.
+    """
+    width = points.shape[-1]
+    if width > 7:
+        return np.linalg.norm(points, axis=-1)
+    sq = points[..., 0] * points[..., 0]
+    for k in range(1, width):
+        sq += points[..., k] * points[..., k]
+    return np.sqrt(sq)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 import sympy as sp
 from scipy.integrate import quad
 
-from .geometry import Box, CuspDomain, Domain, grid
+from .geometry import Box, CuspDomain, Domain, grid, radius
 from .weights import Weight, polynomial_ap_range, sphere_surface
 
 __all__ = [
@@ -83,7 +83,7 @@ class MollifierKernel:
     def profile(self, z: np.ndarray) -> np.ndarray:
         """Kernel values at points of the unit ball (normalized)."""
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        return self.normalization * _bump_profile(np.linalg.norm(z, axis=-1))
+        return self.normalization * _bump_profile(radius(z))
 
     @property
     def rule(self) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +99,7 @@ def _kernel_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
     wts = np.ones(pts.shape[0])
     for axis_w in np.meshgrid(*([w] * dim), indexing="ij"):
         wts = wts * axis_w.ravel()
-    kernel_vals = _bump_profile(np.linalg.norm(pts, axis=-1)) / _bump_mass(dim)
+    kernel_vals = _bump_profile(radius(pts)) / _bump_mass(dim)
     keep = kernel_vals > 0.0
     return pts[keep], (wts * kernel_vals)[keep]
 

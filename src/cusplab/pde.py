@@ -22,7 +22,7 @@ import sympy as sp
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import LinearOperator, splu
 
-from .geometry import Box, CuspDomain
+from .geometry import Box, CuspDomain, radius
 from .mollifier import SmoothField
 from .weights import Weight
 
@@ -68,7 +68,7 @@ class Mesh:
         e = np.concatenate(
             [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=0
         )
-        return np.linalg.norm(e, axis=1)
+        return radius(e)
 
     @property
     def h(self) -> float:

@@ -11,9 +11,11 @@ Every norm integral of a probe, ``(2 + n)`` per scale (the ``L_s`` and
 ``L_p`` powers of the value and the ``L_p`` power of each gradient
 component), is decided on one refinement ladder
 (:func:`cusplab.geometry.integrate_all`): each level's grid is built once,
-the weight is evaluated once per level and each scale's value and gradient
-once per level, and each integral still stops by its own trace, so the
-ratios are the same bits as when every integral runs its own ladder.
+the weight and the radii ``|x|`` of its points are computed once per level,
+the radii shared by every scale's radial trial function, each scale's value
+and gradient once per level, and each integral still stops by its own
+trace, so the ratios are the same bits as when every integral runs its own
+ladder.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .geometry import (
     RefinementSchedule,
     Verdict,
     integrate_all,
+    radius,
     scaling_exponent,
 )
 from .weights import Weight
@@ -50,25 +53,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrialFunction:
-    """Lipschitz trial function vanishing outside the domain, with explicit
-    gradient components."""
+    """Radial Lipschitz trial function vanishing outside the domain, with
+    explicit gradient components.
+
+    Both families depend on ``|x|`` alone, so ``value`` takes the radii
+    ``r`` (N,) of the points and ``grad`` the points (N, n) and their radii;
+    the probe computes ``r`` once per quadrature level and shares it across
+    every scale.
+    """
 
     value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]  # (N, n) components
+    grad: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (N, n) components
 
 
 def _tip_bump(eps: float) -> TrialFunction:
-    def value(pts: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(pts, axis=-1)
+    def value(r: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, 1.0 - r / eps)
 
-    def grad(pts: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(pts, axis=-1)
-        inside = (r < eps) & (r > 0.0)
-        g = np.zeros_like(pts)
-        # the same quotients as boolean indexing, without its gather and scatter
-        np.divide(-pts, (r * eps)[:, None], out=g, where=inside[:, None])
-        return g
+    def grad(pts: np.ndarray, r: np.ndarray) -> np.ndarray:
+        # an infinite denominator off the support and at the tip makes the
+        # quotient ±0 there, with no mask on the (N, n) division
+        den = r * eps
+        den[(r >= eps) | (r == 0.0)] = np.inf
+        return pts / -den[:, None]  # -pts / den, without negating an (N, n) array
 
     return TrialFunction(value, grad)
 
@@ -80,13 +87,11 @@ _SPIKE_OUTER = 0.5
 def _power_spike(beta: float, eps: float) -> TrialFunction:
     cap = eps**-beta
 
-    def value(pts: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(pts, axis=-1)
+    def value(r: np.ndarray) -> np.ndarray:
         v = np.minimum(np.maximum(r, 1e-300) ** -beta, cap) - _SPIKE_OUTER**-beta
         return np.maximum(0.0, v)
 
-    def grad(pts: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(pts, axis=-1)
+    def grad(pts: np.ndarray, r: np.ndarray) -> np.ndarray:
         live = (r > eps) & (r < _SPIKE_OUTER)
         g = np.zeros_like(pts)
         g[live] = -beta * r[live, None] ** (-beta - 2.0) * pts[live]
@@ -137,8 +142,9 @@ def _ratios(
 
     Integrand ``k * (2 + n) + j`` belongs to ``members[k]``: ``j = 0`` is the
     ``L_s`` power, ``j = 1`` the ``L_p`` power and ``j = 2 + a`` the ``L_p``
-    power of gradient component ``a``.  At each level the weight is computed
-    once, and each member's value and gradient once, freed before the next
+    power of gradient component ``a``.  At each level the weight and the
+    radii ``|x|`` of the points are computed once, the radii shared by every
+    member, and each member's value and gradient once, freed before the next
     member's.  A norm that fails to stabilize raises ArithmeticError, and one
     that cannot be evaluated its EvaluationError, when its member's turn
     comes, so the ratios of earlier members are yielded first.
@@ -146,18 +152,18 @@ def _ratios(
     per = 2 + domain.dim
 
     def evaluate(points: np.ndarray, active: list[int]) -> Iterator[np.ndarray]:
-        w = weight(points)
+        w, r = weight(points), radius(points)
         for k, norms in itertools.groupby(active, key=lambda i: i // per):
             u, v, g = members[k], None, None
             for i in norms:
                 j = i % per
                 if j < 2:
                     if v is None:
-                        v = u.value(points)
+                        v = u.value(r)
                     yield np.abs(v) ** (s if j == 0 else p) * w
                 else:
                     if g is None:
-                        v, g = None, u.grad(points)  # no value power follows
+                        v, g = None, u.grad(points, r)  # no value power follows
                     yield np.abs(g[:, j - 2]) ** p * w
 
     count = len(members) * per

@@ -32,6 +32,7 @@ from .geometry import (
     Verdict,
     grid,
     integrate,
+    radius,
 )
 
 __all__ = [
@@ -101,7 +102,7 @@ class Weight:
         if x.shape[-1] != self.dim:
             raise ValueError(f"points have dimension {x.shape[-1]}, expected {self.dim}")
         if self.is_polynomial:
-            r = np.linalg.norm(x, axis=-1)
+            r = radius(x)
             if self.alpha < 0 and np.any(r == 0.0):
                 raise ZeroDivisionError("polynomial weight with alpha < 0 at the origin")
             with np.errstate(divide="ignore"):

@@ -19,8 +19,10 @@ from cusplab.geometry import (
     h1_domain,
     integrate,
     integrate_all,
+    radius,
     unit_interval,
 )
+from cusplab.probe import _NORM_SCHEDULE
 
 
 def ones(p):
@@ -98,6 +100,51 @@ class TestGrids:
         assert dom.exponents == (1.5, 1.5)
         assert dom.gamma == 4.0
         assert CuspDomain.isotropic(2, 2) == h1_domain(2)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def _rows(draw):
+    """Points of 1 to 4 coordinates, each a random sign times a magnitude
+    between 1e-160 and 1e160, so squares overflow and underflow.  A row's
+    decades lie within three of its own scale or, in a spread row, anywhere,
+    so that the order of a sum of comparable squares shows in its bits."""
+    dim = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        scale, spread = draw(st.integers(-160, 159)), draw(st.booleans())
+        row = []
+        for _ in range(dim):
+            e = draw(st.integers(-160, 159)) if spread else scale + draw(st.integers(-3, 3))
+            m = draw(st.floats(1.0, 10.0, exclude_max=True))
+            row.append((-m if draw(st.booleans()) else m) * 10.0 ** min(max(e, -160), 159))
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestRadius:
+    @settings(max_examples=300, deadline=None)
+    @given(points=_rows())
+    # radii 0 (squares underflow), inf (overflow), subnormal and -0 rows
+    @example(points=np.array([[1e-170, -1e-170], [2e155, 1.0], [3e-160, 4e-160], [-0.0, 0.0]]))
+    def test_same_bits_as_numpy_norm(self, points):
+        with np.errstate(over="ignore", under="ignore"):
+            assert _same_bits(radius(points), np.linalg.norm(points, axis=-1))
+
+    @pytest.mark.parametrize("dim", [8, 9])
+    def test_wide_rows_as_numpy_norm(self, dim):
+        points = np.random.default_rng(dim).normal(size=(500, dim))
+        assert _same_bits(radius(points), np.linalg.norm(points, axis=-1))
+
+    @pytest.mark.parametrize("n, gamma", [(2, 3.0), (3, 4.5)])
+    def test_same_bits_on_probe_grids(self, n, gamma):
+        domain = CuspDomain.isotropic(n, gamma)
+        for level in (0, 3):
+            points = grid(domain, *_level_args(domain, _NORM_SCHEDULE, level)).points
+            assert _same_bits(radius(points), np.linalg.norm(points, axis=-1))
 
 
 class TestIntegrate:

@@ -28,8 +28,8 @@ class TestEmbeddingRatio:
 
         for c in (3.0, 0.2):
             scaled = TrialFunction(
-                value=lambda p, c=c: c * u.value(p),
-                grad=lambda p, c=c: c * u.grad(p),
+                value=lambda r, c=c: c * u.value(r),
+                grad=lambda p, r, c=c: c * u.grad(p, r),
             )
             assert embedding_ratio(scaled, 2.0, 5.0, W0, HG) == pytest.approx(
                 base, rel=1e-9

@@ -9,7 +9,7 @@ import pytest
 
 from cusplab.cli import main
 from cusplab.exponents import EmbeddingQuery
-from cusplab.geometry import CuspDomain, EvaluationError, Verdict, integrate
+from cusplab.geometry import CuspDomain, EvaluationError, Verdict, grid, integrate
 from cusplab.probe import (
     _NORM_SCHEDULE,
     _NORM_TOL,
@@ -60,17 +60,22 @@ recorded_summation = pytest.mark.skipif(
 
 
 def _reference_ratio(u, p, s, weight, domain):
-    """The embedding ratio with every norm integral on its own ladder."""
+    """The embedding ratio with every norm integral on its own ladder, each
+    computing its radii with ``np.linalg.norm``, not the probe's helper."""
 
     def norm(f):
         v = integrate(f, domain, schedule=_NORM_SCHEDULE, tol=_NORM_TOL)
         assert v.verdict is Verdict.FINITE
         return v.value
 
-    value = norm(lambda pts: np.abs(u.value(pts)) ** s * weight(pts)) ** (1.0 / s)
-    denom = norm(lambda pts: np.abs(u.value(pts)) ** p * weight(pts)) ** (1.0 / p)
+    def r(pts):
+        return np.linalg.norm(pts, axis=-1)
+
+    value = norm(lambda pts: np.abs(u.value(r(pts))) ** s * weight(pts)) ** (1.0 / s)
+    denom = norm(lambda pts: np.abs(u.value(r(pts))) ** p * weight(pts)) ** (1.0 / p)
     grads = [
-        norm(lambda pts, a=a: np.abs(u.grad(pts)[:, a]) ** p * weight(pts)) ** (1.0 / p)
+        norm(lambda pts, a=a: np.abs(u.grad(pts, r(pts))[:, a]) ** p * weight(pts))
+        ** (1.0 / p)
         for a in range(domain.dim)
     ]
     return value / (denom + sum(grads))
@@ -132,12 +137,80 @@ def test_probe_builds_each_level_grid_once(monkeypatch):
     assert 0 < len(built) == len(set(built)) <= 6
 
 
-def _power(b):
-    def value(pts):
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.linalg.norm(pts, axis=-1) ** -b
+def test_probe_computes_the_radius_once_per_level(monkeypatch):
+    import cusplab.geometry as geometry
+    import cusplab.probe as probe
 
-    return TrialFunction(value, np.zeros_like)
+    cells, radii = [], []
+    real_grid, real_radius = geometry.grid, probe.radius
+
+    def counting_grid(domain, *args):
+        g = real_grid(domain, *args)
+        cells.append(g.cell_count)
+        return g
+
+    def counting_radius(points):
+        radii.append(len(points))
+        return real_radius(points)
+
+    monkeypatch.setattr(geometry, "grid", counting_grid)
+    monkeypatch.setattr(probe, "radius", counting_radius)
+    run_probe(Q230, 5.0)
+    # one radius per level, on that level's points, for all nine scales; the
+    # weight computes its own through cusplab.weights
+    assert radii == cells and len(cells) > 1
+
+
+def _masked_tip_grad(pts, eps):
+    """The tip bump's gradient as zeros with ``np.divide`` where ``0 < r < eps``."""
+    r = np.linalg.norm(pts, axis=-1)
+    g = np.zeros_like(pts)
+    np.divide(-pts, (r * eps)[:, None], out=g, where=((r < eps) & (r > 0.0))[:, None])
+    return g
+
+
+def _around_the_tip(n, eps):
+    """Points at radii from 0 to 1000 eps, those at exactly 0 and eps among them."""
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(400, n))
+    pts *= (eps * np.geomspace(1e-3, 1e3, 400) / np.linalg.norm(pts, axis=-1))[:, None]
+    pts[0] = 0.0
+    pts[1] = 0.0
+    pts[1, -1] = eps
+    return pts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-5])
+def test_tip_bump_gradient_is_zero_off_its_support_and_at_the_tip(n, eps):
+    pts = _around_the_tip(n, eps)
+    r = np.linalg.norm(pts, axis=-1)
+    off = (r >= eps) | (r == 0.0)
+    assert off[0] and off[1] and 0 < np.count_nonzero(off) < len(r)
+    with np.errstate(all="raise"):
+        g = TrialFamily("tip_bump").member(eps).grad(pts, r)
+    assert not np.isnan(g).any()
+    assert np.all(np.abs(g[off]) == 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-5])
+def test_tip_bump_gradient_has_the_bits_of_the_masked_division(n, eps):
+    domain = CuspDomain.isotropic(n, 3.0 if n == 2 else 4.5)
+    pts = np.concatenate([_around_the_tip(n, eps), grid(domain, 6.0, 32, 12).points])
+    r = np.linalg.norm(pts, axis=-1)
+    inside = (r < eps) & (r > 0.0)
+    assert np.count_nonzero(inside) > 100
+    g = np.abs(TrialFamily("tip_bump").member(eps).grad(pts, r))
+    assert np.array_equal(g.view(np.uint64), np.abs(_masked_tip_grad(pts, eps)).view(np.uint64))
+
+
+def _power(b):
+    def value(r):
+        with np.errstate(over="ignore", divide="ignore"):
+            return r**-b
+
+    return TrialFunction(value, lambda pts, r: np.zeros_like(pts))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -146,7 +219,11 @@ def _power(b):
     [
         (_power(2.0), _power(400.0), ArithmeticError),  # unstable norm first
         (_power(400.0), _power(2.0), EvaluationError),  # overflow first
-        (TrialFunction(lambda p: np.zeros(len(p)), np.zeros_like), _power(400.0), ValueError),
+        (
+            TrialFunction(np.zeros_like, lambda pts, r: np.zeros_like(pts)),
+            _power(400.0),
+            ValueError,
+        ),
     ],
     ids=["unstable-then-overflow", "overflow-then-unstable", "zero-then-overflow"],
 )
