@@ -203,6 +203,7 @@ def _write_report(config: RunConfig, results: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -315,7 +316,6 @@ def _run_exponents(config: RunConfig) -> dict:
                         "" if wit is None else wit.r,
                     ]
                 )
-        config.output_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(
             config.output_dir / "thresholds.csv",
             ["n", "p", "alpha", "gamma", "m", "thm6", "thm8", "besov", "s", "wit_a", "wit_q", "wit_r"],
@@ -366,7 +366,6 @@ def _run_distortion(config: RunConfig) -> dict:
         for qv in qs:
             v = distortion_Ia(p, float(qv), a, alpha, domain)
             rows.append([float(qv), v.verdict.value, v.value])
-        config.output_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(config.output_dir / "ia_sweep.csv", ["q", "verdict", "value"], rows)
         results["ia_sweep"] = {"rows": len(rows), "output": "ia_sweep.csv"}
     if s_steps:
@@ -375,7 +374,6 @@ def _run_distortion(config: RunConfig) -> dict:
         for sv in ss:
             v = jacobian_Ja(r, float(sv), a, alpha, domain)
             rows.append([float(sv), v.verdict.value, v.value])
-        config.output_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(config.output_dir / "ja_sweep.csv", ["s", "verdict", "value"], rows)
         results["ja_sweep"] = {"rows": len(rows), "output": "ja_sweep.csv"}
     if "q" in params and "s" not in params:
@@ -406,7 +404,6 @@ def _run_mollify(config: RunConfig) -> dict:
         field, weight, float(params["p"]), delta, radii, region,
         cells=cells,
     )
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(config.output_dir / "convergence.csv", ["r", "norm"], [[r, v] for r, v in seq])
     return {
         "radii": [r for r, _ in seq],
@@ -477,7 +474,7 @@ def _run_probe(config: RunConfig) -> dict:
             raise ValueError("scales must be positive and finite")
         epsilons = probe_scales(np.geomspace(eps_max, eps_min, params.get("points", 9)))
         beta = float(params["beta"]) if "beta" in params else None
-        TrialFamily(family, beta=beta).member(epsilons[0])  # checks kind and beta
+        TrialFamily(family, beta=beta)  # rejects an unknown kind or a missing beta
     except ValueError as exc:
         raise ConfigError(f"probe: {exc}") from exc
     report = run_probe(
@@ -487,7 +484,6 @@ def _run_probe(config: RunConfig) -> dict:
         epsilons=epsilons,
         beta=beta,
     )
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         config.output_dir / "probe.csv",
         ["epsilon", "ratio"],

@@ -59,17 +59,6 @@ class CuspMap:
         _check_bending(self.a)
 
     @property
-    def image(self) -> CuspDomain:
-        """Exact image: the cusp with the profile constants raised to ``a``
-        (coincides with the target for unit-scale profiles)."""
-        c1, c2 = self.target.scale_bounds
-        return CuspDomain(
-            dim=self.target.dim,
-            exponents=self.target.exponents,
-            scale_bounds=(c1**self.a, c2**self.a),
-        )
-
-    @property
     def dim(self) -> int:
         return self.target.dim
 
@@ -121,8 +110,7 @@ class CuspMap:
             raise ZeroDivisionError("Jacobian undefined at x_n = 0")
         n, a = self.dim, self.a
         expo = a - n + a * (self.target.gamma - 1.0)
-        scale = self.target.profile_scale ** (a * (n - 1))
-        vals = a * scale * t**expo
+        vals = a * t**expo
         return vals[0] if single else vals
 
     def derivative_matrix(self, x) -> np.ndarray:
@@ -135,9 +123,8 @@ class CuspMap:
         n = self.dim
         a = self.a
         exps = np.asarray(self.target.exponents)
-        scale = self.target.profile_scale
-        g = scale * t[:, None] ** exps
-        dg = scale * exps * t[:, None] ** (exps - 1.0)
+        g = t[:, None] ** exps
+        dg = exps * t[:, None] ** (exps - 1.0)
         mats = np.zeros((pts.shape[0], n, n))
         idx = np.arange(n - 1)
         mats[:, idx, idx] = g**a / t[:, None]
@@ -158,14 +145,14 @@ class CuspMap:
         """Constant ``c1`` with ``|D(map)(x)| <= c1 * x_n**(a - 1)`` on ``H_1``.
 
         Frobenius bound assembled from the per-entry envelopes induced by the
-        Lipschitz profile bounds ``g_i(t) <= M t`` and ``g_i'(t) <= M``.
+        pure-power profiles, ``g_i(t) <= t`` and ``t g_i'(t) = gamma_i g_i(t)``
+        on ``(0, 1)``.
         """
         a = self.a
-        c2 = self.target.profile_scale
         total = a**2
         for gi in self.target.exponents:
-            total += (c2**a) ** 2
-            total += ((1.0 + a * gi) * c2**a) ** 2
+            total += 1.0
+            total += (1.0 + a * gi) ** 2
         return math.sqrt(total)
 
 
@@ -277,20 +264,19 @@ def ja_exponent_s_bound(n: int, r: float, alpha: float, gamma: float, a: float) 
 def _cross_section_power(domain: CuspDomain, expo: float, k: float) -> IntegralVerdict:
     """Verdict for ``∫_0^1 t**expo * G(t)**k dt``.
 
-    ``G(t)**k = c**k * t**((gamma-1) k)`` is folded into one power of ``t``:
+    ``G(t)**k = t**((gamma-1) k)`` is folded into one power of ``t``:
     two separate powers under- or overflow at deep refinement levels even
     when their product is a modest power.  ``t**beta`` is integrable on
     (0, 1) iff ``beta > -1``: that exact rule decides divergence before any
     refinement, as :func:`cusplab.weights.power_integral` does on a cusp.
     """
-    scale = domain.profile_scale ** ((domain.dim - 1) * k)
     beta = expo + (domain.gamma - 1.0) * k
     if beta <= -1.0:
         return IntegralVerdict(math.inf, Verdict.DIVERGENT, ())
 
     def f(pts: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # fixed_grid_sum judges an overflow
-            return scale * pts[:, 0] ** beta
+            return pts[:, 0] ** beta
 
     return integrate(f, unit_interval())
 

@@ -10,8 +10,9 @@ levels that share their cross grid so that only the window changed.
 
 Cusp domains are never meshed directly.  Integrals over ``H_g`` are computed
 in reference coordinates ``(u, t)`` on the unit box, ``x_i = u_i * g_i(t)``,
-``x_n = t``, with the cross-section volume ``G(t) = prod g_i(t)`` folded in as
-an analytic weight.
+``x_n = t``, with the profiles pure powers ``g_i(t) = t**gamma_i`` and the
+cross-section volume ``G(t) = prod g_i(t) = t**(gamma - 1)`` folded in as an
+analytic weight.
 """
 
 from __future__ import annotations
@@ -137,16 +138,12 @@ class Ball:
 class CuspDomain:
     """Anisotropic power cusp ``{0 < x_n < 1, 0 < x_i < g_i(x_n)}``.
 
-    Profiles are ``g_i(t) = c * t**exponents[i]`` with every exponent >= 1;
-    ``scale_bounds = (C1, C2)`` admits generalized profiles pinched between
-    ``C1 t**gamma_i`` and ``C2 t**gamma_i``.  Membership and integrals are
-    evaluated on the ``C2`` envelope; every finiteness verdict computed here
-    is independent of the constants.
+    Profiles are pure powers ``g_i(t) = t**exponents[i]`` with every
+    exponent >= 1, so the cross-section volume is ``G(t) = t**(gamma - 1)``.
     """
 
     dim: int
     exponents: tuple[float, ...]
-    scale_bounds: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -155,9 +152,6 @@ class CuspDomain:
             raise ValueError("need one profile exponent per transverse axis")
         if any(g < 1.0 for g in self.exponents):
             raise ValueError("profile exponents must be >= 1")
-        c1, c2 = self.scale_bounds
-        if not (0 < c1 <= c2):
-            raise ValueError("scale bounds must satisfy 0 < C1 <= C2")
         object.__setattr__(self, "exponents", tuple(float(g) for g in self.exponents))
 
     @property
@@ -165,25 +159,14 @@ class CuspDomain:
         """Aggregate exponent ``1 + sum gamma_i`` (equals n for the Lipschitz case)."""
         return 1.0 + float(sum(self.exponents))
 
-    @property
-    def sigma(self) -> float:
-        return (self.gamma - 1.0) / (self.dim - 1)
-
-    @property
-    def profile_scale(self) -> float:
-        return float(self.scale_bounds[1])
-
     def profiles(self, t):
         """Per-axis widths ``g_i(t)``, shape ``(..., n-1)``."""
         t = np.asarray(t, dtype=float)
-        exps = np.asarray(self.exponents)
-        return self.profile_scale * t[..., None] ** exps
+        return t[..., None] ** np.asarray(self.exponents)
 
     def cross_section(self, t):
         """Cross-section volume ``G(t) = prod_i g_i(t)``."""
-        t = np.asarray(t, dtype=float)
-        c = self.profile_scale ** (self.dim - 1)
-        return c * t ** (self.gamma - 1.0)
+        return np.asarray(t, dtype=float) ** (self.gamma - 1.0)
 
     @classmethod
     def isotropic(cls, dim: int, gamma: float) -> "CuspDomain":
@@ -203,7 +186,7 @@ class CuspDomain:
     @property
     def volume(self) -> float:
         # integral of G over (0,1)
-        return self.profile_scale ** (self.dim - 1) / self.gamma
+        return 1.0 / self.gamma
 
 
 Domain = Union[Box, Ball, CuspDomain]

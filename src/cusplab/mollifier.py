@@ -19,7 +19,7 @@ import numpy as np
 import sympy as sp
 from scipy.integrate import quad
 
-from .geometry import Box, CuspDomain, Domain, grid, radius
+from .geometry import Box, CuspDomain, Domain, _tensor_cells, grid, radius
 from .weights import Weight, polynomial_ap_range, sphere_surface
 
 __all__ = [
@@ -93,12 +93,7 @@ class MollifierKernel:
 
 @lru_cache(maxsize=8)
 def _kernel_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(KERNEL_NODES)
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = np.ones(pts.shape[0])
-    for axis_w in np.meshgrid(*([w] * dim), indexing="ij"):
-        wts = wts * axis_w.ravel()
+    pts, wts = _tensor_cells([np.polynomial.legendre.leggauss(KERNEL_NODES)] * dim)
     kernel_vals = _bump_profile(radius(pts)) / _bump_mass(dim)
     keep = kernel_vals > 0.0
     return pts[keep], (wts * kernel_vals)[keep]

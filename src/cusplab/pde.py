@@ -198,7 +198,6 @@ class AssembledSystem:
     Galerkin right-hand side of the Dirichlet problem is ``-load``.
     """
 
-    mesh: Mesh
     stiffness: sparse.csr_matrix
     load: np.ndarray
     interior: np.ndarray
@@ -370,7 +369,7 @@ def assemble(
 
     K = _stencil_csr(~mesh.boundary, diag, along0, along1, across)
     interior = mesh.interior
-    return AssembledSystem(mesh, K, load.ravel()[interior], interior)
+    return AssembledSystem(K, load.ravel()[interior], interior)
 
 
 # ---------------------------------------------------------------------------

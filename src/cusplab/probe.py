@@ -105,20 +105,23 @@ class TrialFamily:
     """Family of admissible trial functions on a weighted cusp domain.
 
     ``kind`` is ``"tip_bump"`` (cone of height 1 and radius eps at the tip)
-    or ``"power_spike"`` (truncated radial power with exponent ``beta``).
+    or ``"power_spike"`` (truncated radial power with exponent ``beta``);
+    any other kind, or a power spike without ``beta``, raises ValueError.
     """
 
     kind: str
     beta: float | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("tip_bump", "power_spike"):
+            raise ValueError(f"unknown trial family kind {self.kind!r}")
+        if self.kind == "power_spike" and self.beta is None:
+            raise ValueError("power_spike needs a beta exponent")
+
     def member(self, eps: float) -> TrialFunction:
         if self.kind == "tip_bump":
             return _tip_bump(eps)
-        if self.kind == "power_spike":
-            if self.beta is None:
-                raise ValueError("power_spike needs a beta exponent")
-            return _power_spike(self.beta, eps)
-        raise ValueError(f"unknown trial family kind {self.kind!r}")
+        return _power_spike(self.beta, eps)
 
 
 _NORM_SCHEDULE = RefinementSchedule(

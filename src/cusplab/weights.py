@@ -315,8 +315,8 @@ def power_integral(w: Weight, power: float, region: Domain) -> IntegralVerdict:
     not overflow.
 
     On a cusp, to reference coordinates, where ``|x|**beta * G(t) =
-    c**(n-1) * t**(beta+gamma-1) * (|x|/t)**beta`` and ``|x|/t`` stays
-    between 1 and a constant: the singularity is the one power of ``t``.
+    t**(beta+gamma-1) * (|x|/t)**beta`` and ``|x|/t`` stays between 1 and
+    ``sqrt(n)``: the singularity is the one power of ``t``.
     """
     if _diverges_at_origin(w, power, region):
         return IntegralVerdict(math.inf, Verdict.DIVERGENT, ())
@@ -338,15 +338,14 @@ def power_integral(w: Weight, power: float, region: Domain) -> IntegralVerdict:
     if w.is_polynomial and isinstance(region, CuspDomain):
         n = region.dim
         beta = w.alpha * power
-        c = region.profile_scale
         expo = beta + region.gamma - 1.0
         slopes = np.asarray(region.exponents) - 1.0
 
         def h(ref: np.ndarray) -> np.ndarray:
             t = ref[:, -1]
-            across = ref[:, :-1] * c * t[:, None] ** slopes  # x_i / t
+            across = ref[:, :-1] * t[:, None] ** slopes  # x_i / t
             ratio = np.sqrt(1.0 + np.sum(across**2, axis=1))  # |x| / t
-            return c ** (n - 1) * t**expo * ratio**beta
+            return t**expo * ratio**beta
 
         return integrate(h, Box((0.0,) * n, (1.0,) * n, singular_axis=n - 1))
 

@@ -312,26 +312,3 @@ class TestThresholdProperties:
         v = jacobian_Ja(r, s, a, alpha, CuspDomain.isotropic(n, gamma))
         assert v.verdict is (Verdict.FINITE if factor < 1.0 else Verdict.DIVERGENT)
 
-
-class TestScaledProfiles:
-    def test_scaled_profile_jacobian_consistency(self):
-        dom = CuspDomain(dim=2, exponents=(2.0,), scale_bounds=(0.7, 0.7))
-        m = CuspMap(dom, a=0.6)
-        pts = interior_sample(np.random.default_rng(11), 2, 300)
-        dets = np.linalg.det(m.derivative_matrix(pts))
-        assert np.allclose(dets, m.jacobian(pts), rtol=1e-12)
-
-    def test_scaled_profile_image_domain(self):
-        dom = CuspDomain(dim=2, exponents=(2.0,), scale_bounds=(0.7, 0.7))
-        m = CuspMap(dom, a=0.6)
-        assert m.image.scale_bounds[1] == pytest.approx(0.7**0.6)
-        pts = interior_sample(np.random.default_rng(12), 2, 200)
-        for y in m.apply(pts):
-            assert m.image.contains(y)
-
-    def test_scaled_roundtrip(self):
-        dom = CuspDomain(dim=2, exponents=(2.0,), scale_bounds=(0.5, 0.9))
-        m = CuspMap(dom, a=0.4)
-        pts = interior_sample(np.random.default_rng(13), 2, 200)
-        back = m.apply_inverse(m.apply(pts))
-        assert np.max(np.abs(back - pts)) < 1e-10

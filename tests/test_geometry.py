@@ -51,7 +51,6 @@ class TestDomains:
             assert h1_domain(n).gamma == n
             dom = CuspDomain(dim=n, exponents=(1.5,) * (n - 1))
             assert dom.gamma >= n
-            assert dom.sigma >= 1.0
 
     def test_invalid_exponents_rejected(self):
         with pytest.raises(ValueError):

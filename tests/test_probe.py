@@ -56,9 +56,10 @@ class TestEmbeddingRatio:
         assert math.isfinite(r) and r > 0.0
 
     def test_unknown_family_rejected(self):
-        fam = TrialFamily("mystery")
         with pytest.raises(ValueError):
-            fam.member(0.1)
+            TrialFamily("mystery")
+        with pytest.raises(ValueError):
+            TrialFamily("power_spike")
 
 
 class TestRunProbe:

@@ -74,6 +74,37 @@ class TestApRatio:
             r = rng.uniform(1e-3, 1.0)
             assert ap_ratio(w, 2.0, Ball(tuple(c), r)) >= 1.0 - 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        p=st.floats(1.1, 4.0),
+        place=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        center=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        decade=st.floats(-3.0, 0.0),
+    )
+    def test_polynomial_ratio_at_least_one_on_random_balls(self, n, p, place, center, decade):
+        # discrete Hölder on the shared radial nodes, anywhere in the window
+        lo, hi = polynomial_ap_range(n, p)
+        alpha = lo + place * (hi - lo)
+        assume(lo < alpha < hi)
+        ball = Ball(tuple(center[:n]), 10.0**decade)
+        assert ap_ratio(Weight.polynomial(alpha, n), p, ball) >= 1.0 - 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p=st.floats(1.1, 4.0),
+        place=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        decade=st.floats(-3.0, 0.0),
+    )
+    def test_tabulated_ratio_at_least_one_on_random_balls(self, p, place, center, decade):
+        # the same power sampled on the disc's polar nodes
+        lo, hi = polynomial_ap_range(2, p)
+        alpha = lo + place * (hi - lo)
+        assume(lo < alpha < hi)
+        w = Weight.tabulated(lambda x: np.linalg.norm(x, axis=-1) ** alpha, 2)
+        assert ap_ratio(w, p, Ball(center, 10.0**decade)) >= 1.0 - 1e-12
+
     def test_scale_invariance_at_origin(self):
         w = Weight.polynomial(1.5, 2)
         vals = [ap_ratio(w, 3.0, Ball((0.0, 0.0), r)) for r in (1e-3, 1e-2, 0.1, 1.0)]
