@@ -19,10 +19,8 @@ from .weights import (
     Weight,
     ap_check,
     ap_ratio,
-    eval_weight,
     polynomial_ap_range,
     theorem10_condition,
-    weighted_measure,
 )
 from .cuspmap import (
     CuspMap,

@@ -45,7 +45,15 @@ from .exponents import (
 )
 from .geometry import Box, CuspDomain, Verdict
 from .mollifier import SmoothField, convergence_test
-from .pde import CuspSection, l2_error, manufactured_rhs, solve_dirichlet, triangulate, write_mesh
+from .pde import (
+    CuspSection,
+    SolverError,
+    l2_error,
+    manufactured_rhs,
+    solve_dirichlet,
+    triangulate,
+    write_mesh,
+)
 from .probe import TrialFamily, probe_scales, run_probe
 from .weights import BallFamily, Weight, ap_check, theorem10_condition
 
@@ -541,7 +549,7 @@ def run(config: RunConfig) -> int:
     """Execute one validated run; returns the process exit code."""
     try:
         results = _COMMANDS[config.command](config)
-    except (ValidityError, ValueError, ZeroDivisionError) as exc:
+    except (ValidityError, ValueError, ZeroDivisionError, SolverError) as exc:
         if isinstance(exc, ConfigError):
             raise
         print(f"validity error: {exc}", file=sys.stderr)

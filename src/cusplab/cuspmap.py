@@ -1,4 +1,4 @@
-"""The explicit cusp homeomorphism, its derivative calculus, quasiisometry
+"""The explicit cusp homeomorphism, its closed-form Jacobian, quasiisometry
 checks, and the two distortion integrals that control composition bounds.
 
 The map sends the Lipschitz reference cusp ``H_1`` onto the power cusp
@@ -85,17 +85,7 @@ class CuspMap:
         out[:, -1] = t**self.a
         return out[0] if single else out
 
-    def apply_inverse(self, y) -> np.ndarray:
-        """Componentwise inverse: ``x_n = y_n**(1/a)``, ``x_i = y_i x_n / g_i(x_n)**a``."""
-        single = np.asarray(y).ndim == 1
-        pts = self._check_source(y)
-        t = pts[:, -1] ** (1.0 / self.a)
-        out = np.empty_like(pts)
-        out[:, :-1] = pts[:, :-1] * t[:, None] / self.target.profiles(t) ** self.a
-        out[:, -1] = t
-        return out[0] if single else out
-
-    # -- derivative calculus ------------------------------------------------
+    # -- Jacobian -----------------------------------------------------------
 
     def jacobian(self, x) -> np.ndarray:
         """Closed-form Jacobian determinant ``a * t**(a-n) * G(t)**a``, t = x_n.
@@ -112,48 +102,6 @@ class CuspMap:
         expo = a - n + a * (self.target.gamma - 1.0)
         vals = a * t**expo
         return vals[0] if single else vals
-
-    def derivative_matrix(self, x) -> np.ndarray:
-        """Explicit n-by-n derivative, nonzero on the diagonal and last column."""
-        single = np.asarray(x).ndim == 1
-        pts = self._check_source(x)
-        t = pts[:, -1]
-        if np.any(t <= 0.0):
-            raise ZeroDivisionError("derivative undefined at x_n = 0")
-        n = self.dim
-        a = self.a
-        exps = np.asarray(self.target.exponents)
-        g = t[:, None] ** exps
-        dg = exps * t[:, None] ** (exps - 1.0)
-        mats = np.zeros((pts.shape[0], n, n))
-        idx = np.arange(n - 1)
-        mats[:, idx, idx] = g**a / t[:, None]
-        mats[:, :-1, -1] = pts[:, :-1] * (
-            -(g**a) / t[:, None] ** 2 + a * g ** (a - 1.0) * dg / t[:, None]
-        )
-        mats[:, -1, -1] = a * t ** (a - 1.0)
-        return mats[0] if single else mats
-
-    def derivative_norm(self, x) -> np.ndarray:
-        """Operator (spectral) norm of the derivative matrix."""
-        single = np.asarray(x).ndim == 1
-        mats = self.derivative_matrix(np.atleast_2d(np.asarray(x, dtype=float)))
-        norms = np.linalg.norm(mats, ord=2, axis=(1, 2))
-        return norms[0] if single else norms
-
-    def derivative_norm_bound_constant(self) -> float:
-        """Constant ``c1`` with ``|D(map)(x)| <= c1 * x_n**(a - 1)`` on ``H_1``.
-
-        Frobenius bound assembled from the per-entry envelopes induced by the
-        pure-power profiles, ``g_i(t) <= t`` and ``t g_i'(t) = gamma_i g_i(t)``
-        on ``(0, 1)``.
-        """
-        a = self.a
-        total = a**2
-        for gi in self.target.exponents:
-            total += 1.0
-            total += (1.0 + a * gi) ** 2
-        return math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------

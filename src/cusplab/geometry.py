@@ -96,10 +96,6 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
-
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
@@ -121,11 +117,6 @@ class Ball:
     @property
     def dim(self) -> int:
         return len(self.center)
-
-    @property
-    def volume(self) -> float:
-        n = self.dim
-        return float(math.pi ** (n / 2) / math.gamma(n / 2 + 1) * self.radius**n)
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -182,11 +173,6 @@ class CuspDomain:
         if not (0.0 < t < 1.0):
             return False
         return bool(np.all(x[:-1] > 0.0) and np.all(x[:-1] < self.profiles(t)))
-
-    @property
-    def volume(self) -> float:
-        # integral of G over (0,1)
-        return 1.0 / self.gamma
 
 
 Domain = Union[Box, Ball, CuspDomain]

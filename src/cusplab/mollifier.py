@@ -50,13 +50,6 @@ def _bump_mass(dim: int) -> float:
     return sphere_surface(dim) * val
 
 
-@lru_cache(maxsize=8)
-def _bump_second_moment(dim: int) -> float:
-    """``∫ |z|^2 ω(z) dz`` for the normalized kernel."""
-    val, _ = quad(lambda r: math.exp(-1.0 / (1.0 - r * r)) * r ** (dim + 1), 0.0, 1.0)
-    return sphere_surface(dim) * val / _bump_mass(dim)
-
-
 #: Gauss-Legendre points per axis of the convolution rule
 KERNEL_NODES = 16
 
@@ -75,10 +68,6 @@ class MollifierKernel:
     @property
     def normalization(self) -> float:
         return 1.0 / _bump_mass(self.dim)
-
-    @property
-    def second_moment(self) -> float:
-        return _bump_second_moment(self.dim)
 
     def profile(self, z: np.ndarray) -> np.ndarray:
         """Kernel values at points of the unit ball (normalized)."""

@@ -35,7 +35,6 @@ __all__ = [
     "SolverError",
     "assemble",
     "convergence_rate",
-    "energy_norm_error",
     "l2_error",
     "manufactured_rhs",
     "solve_dirichlet",
@@ -76,10 +75,6 @@ class Mesh:
         return float(np.max(self._edge_lengths()))
 
     @property
-    def min_edge(self) -> float:
-        return float(np.min(self._edge_lengths()))
-
-    @property
     def areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
         d1 = p[:, 1] - p[:, 0]
@@ -89,12 +84,6 @@ class Mesh:
     @property
     def interior(self) -> np.ndarray:
         return np.flatnonzero(~self.boundary)
-
-    def edge_midpoints(self) -> np.ndarray:
-        """(M, 3, 2) midpoints of the three edges of every triangle, edges
-        ordered ``(v0 v1, v1 v2, v2 v0)``."""
-        p = self.vertices[self.triangles]
-        return 0.5 * np.stack([p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -201,19 +190,6 @@ class AssembledSystem:
     stiffness: sparse.csr_matrix
     load: np.ndarray
     interior: np.ndarray
-
-
-def _p1_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    p = mesh.vertices[mesh.triangles]
-    areas = mesh.areas
-    grads = np.empty((len(mesh.triangles), 3, 2))
-    for k in range(3):
-        opp1 = p[:, (k + 1) % 3]
-        opp2 = p[:, (k + 2) % 3]
-        grads[:, k, 0] = opp1[:, 1] - opp2[:, 1]
-        grads[:, k, 1] = opp2[:, 0] - opp1[:, 0]
-    grads /= (2.0 * areas)[:, None, None]
-    return grads, areas
 
 
 def _sampled(fn, points: np.ndarray) -> np.ndarray:
@@ -634,22 +610,6 @@ def l2_error(solution: FemSolution, exact: Callable[[np.ndarray], np.ndarray]) -
     area1, area2 = _cell_areas(X)
     err2 = (d0[:, :-1] + d1[1:] + dx) * area1 + (dx + d0[:, 1:] + d1[:-1]) * area2
     return float(math.sqrt(np.sum(err2) / 3.0))
-
-
-def energy_norm_error(
-    solution: FemSolution,
-    exact_grad: Callable[[np.ndarray], np.ndarray],
-    w=1.0,
-) -> float:
-    """Weighted H1-seminorm distance using the element-constant gradient."""
-    mesh = solution.mesh
-    grads, areas = _p1_gradients(mesh)
-    gh = np.einsum("tk,tkd->td", solution.values[mesh.triangles], grads)
-    flat = mesh.edge_midpoints().reshape(-1, 2)
-    ge = np.asarray(exact_grad(flat), dtype=float).reshape(-1, 3, 2)
-    wv = _sampled(w, flat).reshape(-1, 3)
-    diff2 = np.sum((ge - gh[:, None, :]) ** 2, axis=2)
-    return float(math.sqrt(np.sum(np.mean(diff2 * wv, axis=1) * areas)))
 
 
 @dataclass(frozen=True)

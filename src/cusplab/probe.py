@@ -85,7 +85,9 @@ _SPIKE_OUTER = 0.5
 
 
 def _power_spike(beta: float, eps: float) -> TrialFunction:
-    cap = eps**-beta
+    # a cap past the float range is inf, so the spike is uncapped
+    with np.errstate(over="ignore"):
+        cap = np.float64(eps) ** -beta
 
     def value(r: np.ndarray) -> np.ndarray:
         v = np.minimum(np.maximum(r, 1e-300) ** -beta, cap) - _SPIKE_OUTER**-beta

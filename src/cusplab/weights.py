@@ -1,4 +1,4 @@
-"""Weight functions, Muckenhoupt A_p verification, and weighted measures.
+"""Weight functions, Muckenhoupt A_p verification, and power integrals.
 
 Polynomial weights ``|x|**alpha`` are handled through an exact radial
 reduction: the integral of a radial power over a ball is a 1-D integral of
@@ -41,12 +41,10 @@ __all__ = [
     "Weight",
     "ap_check",
     "ap_ratio",
-    "eval_weight",
     "polynomial_ap_range",
     "power_integral",
     "sphere_surface",
     "theorem10_condition",
-    "weighted_measure",
 ]
 
 
@@ -112,11 +110,6 @@ class Weight:
             if np.any(vals < 0.0):
                 raise ValueError("tabulated weight produced a negative value")
         return vals
-
-
-def eval_weight(w: Weight, x) -> float:
-    """Evaluate a weight at a single point."""
-    return float(w(np.asarray(x, dtype=float)[None, :])[0])
 
 
 def polynomial_ap_range(n: int, p: float) -> tuple[float, float]:
@@ -299,7 +292,7 @@ def ap_check(w: Weight, p: float, family: BallFamily | None = None) -> ApReport:
 
 
 # ---------------------------------------------------------------------------
-# weighted measures and integrability conditions
+# power integrals and integrability conditions
 # ---------------------------------------------------------------------------
 
 
@@ -354,15 +347,6 @@ def power_integral(w: Weight, power: float, region: Domain) -> IntegralVerdict:
             return w(pts) ** power
 
     return integrate(f, region)
-
-
-def weighted_measure(w: Weight, region: Domain) -> float:
-    """Weighted measure ``∫_region w dx``; ``inf`` when divergent, ``nan``
-    when the refinement schedule cannot decide."""
-    v = power_integral(w, 1.0, region)
-    if v.finite:
-        return v.value
-    return math.inf if v.divergent else math.nan
 
 
 def theorem10_condition(w: Weight, domain: Domain) -> IntegralVerdict:

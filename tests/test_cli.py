@@ -330,6 +330,19 @@ class TestNumericalCommands:
         rows = (out / "probe.csv").read_text().splitlines()
         assert len(rows) == 1 + len(probe["ratios"])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_probe_spike_cap_past_the_float_range_exits_4(self, tmp_path, capsys):
+        # eps**-beta passes the float range at the smallest scales: the cap is
+        # inf, the norm overflows and is judged, and nothing reaches stderr
+        rc, err, out = _run_cli(
+            tmp_path,
+            "probe",
+            "n = 2\np = 2\nalpha = 0\ngamma = 3\ns = 5\nfamily = power_spike\nbeta = 70\n",
+            capsys,
+        )
+        assert rc == 4 and err == ""
+        assert read_report(out)["results"]["probe"]["verdict"] == "inconclusive"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -392,6 +405,16 @@ class TestSolveValidation:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("validity error") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_unreachable_tol_exits_3(self, tmp_path, capsys):
+        # the solve stops near a relative residual of 1e-14, far above tol
+        rc, err, out = _run_cli(
+            tmp_path, "solve", "domain = square\nh = 0.0625\nf = 1\ntol = 1e-30\n", capsys
+        )
+        assert rc == 3
+        assert err.startswith("validity error") and err.count("\n") == 1
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_cusp_solve_near_critical_weight(self, tmp_path):

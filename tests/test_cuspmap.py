@@ -66,12 +66,6 @@ class TestApply:
         for y in m.apply(pts):
             assert HG.contains(y)
 
-    def test_bijectivity_roundtrip(self):
-        m = CuspMap(HG, a=0.5)
-        pts = interior_sample(np.random.default_rng(1), 2, 500)
-        back = m.apply_inverse(m.apply(pts))
-        assert np.max(np.abs(back - pts)) < 1e-10
-
     def test_a_range_enforced(self):
         with pytest.raises(ValueError):
             CuspMap(HG, a=0.0)
@@ -93,50 +87,24 @@ class TestJacobian:
             assert np.all(m.jacobian(pts) == 1.0)
 
     def test_matches_finite_difference_determinant(self):
-        m = CuspMap(HG, a=0.5)
-        pts = interior_sample(np.random.default_rng(3), 2, 1000)
-        jac = m.jacobian(pts)
-        for x, j in zip(pts, jac):
-            fd = fd_jacobian_det(m, x)
-            assert abs(fd - j) / abs(j) < 1e-6
-
-    def test_matches_derivative_matrix_determinant(self):
-        m = CuspMap(CuspDomain(dim=3, exponents=(2.0, 1.5)), a=0.7)
-        pts = interior_sample(np.random.default_rng(4), 3, 200)
-        dets = np.linalg.det(m.derivative_matrix(pts))
-        assert np.allclose(dets, m.jacobian(pts), rtol=1e-12)
+        # the planar map, and an anisotropic 3-D map
+        cases = [
+            (CuspMap(HG, a=0.5), interior_sample(np.random.default_rng(3), 2, 1000)),
+            (
+                CuspMap(CuspDomain(dim=3, exponents=(2.0, 1.5)), a=0.7),
+                interior_sample(np.random.default_rng(4), 3, 200),
+            ),
+        ]
+        for m, pts in cases:
+            jac = m.jacobian(pts)
+            for x, j in zip(pts, jac):
+                fd = fd_jacobian_det(m, x)
+                assert abs(fd - j) / abs(j) < 1e-6
 
     def test_rejects_zero_height(self):
         m = CuspMap(HG, a=0.5)
         with pytest.raises(ZeroDivisionError):
             m.jacobian([0.0, 0.0])
-
-
-class TestDerivativeNorm:
-    def test_identity_norm_one(self):
-        m = CuspMap(h1_domain(2), a=1.0)
-        pts = interior_sample(np.random.default_rng(5), 2, 50)
-        assert np.allclose(m.derivative_norm(pts), 1.0)
-
-    def test_blowup_envelope(self):
-        m = CuspMap(HG, a=0.5)
-        c1 = m.derivative_norm_bound_constant()
-        pts = interior_sample(np.random.default_rng(6), 2, 400)
-        norms = m.derivative_norm(pts)
-        assert np.all(norms <= c1 * pts[:, -1] ** (m.a - 1.0) + 1e-12)
-        assert np.all(np.isfinite(norms))
-
-    def test_matches_finite_differences(self):
-        m = CuspMap(HG, a=0.5)
-        pts = interior_sample(np.random.default_rng(7), 2, 50)
-        h = 1e-6
-        for x in pts:
-            J = np.empty((2, 2))
-            for j in range(2):
-                e = np.zeros(2)
-                e[j] = h
-                J[:, j] = (m.apply(x + e) - m.apply(x - e)) / (2 * h)
-            assert abs(np.linalg.norm(J, 2) - m.derivative_norm(x)) < 1e-4
 
 
 class TestQuasiisometry:

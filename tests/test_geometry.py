@@ -62,7 +62,6 @@ class TestDomains:
         b = Box((0.0, 0.0), (1.0, 2.0))
         assert b.contains((0.5, 1.5))
         assert not b.contains((1.5, 0.5))
-        assert b.volume == 2.0
 
 
 class TestGrids:

@@ -15,7 +15,6 @@ from cusplab.pde import (
     CuspSection,
     assemble,
     convergence_rate,
-    energy_norm_error,
     l2_error,
     manufactured_rhs,
     solve_dirichlet,
@@ -45,7 +44,9 @@ class TestTriangulate:
     def test_graded_mesh_small_edges_near_origin(self):
         h = 1 / 8
         m = triangulate(SQUARE, h, grade_exponent=2.0)
-        assert m.min_edge < h / 4
+        p = m.vertices[m.triangles]
+        edges = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
+        assert np.min(np.linalg.norm(edges, axis=1)) < h / 4
 
     def test_positive_orientation(self):
         for mesh in (triangulate(SQUARE, 0.3), triangulate(SQUARE, 0.1, grade_exponent=2.0)):
@@ -113,10 +114,17 @@ class TestAssemble:
         assert np.sum(system.load) == pytest.approx(1.0, rel=1e-12)
 
 
+def _edge_midpoints(mesh):
+    """(M, 3, 2) midpoints of the three edges of every triangle, edges
+    ordered ``(v0 v1, v1 v2, v2 v0)``."""
+    p = mesh.vertices[mesh.triangles]
+    return 0.5 * np.stack([p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1)
+
+
 def _reference_assemble(mesh, w, f):
     """Element-by-element P1 assembly through COO triplets: the oracle for
     :func:`assemble`, which works on the structured grid instead."""
-    mids = mesh.edge_midpoints().reshape(-1, 2)
+    mids = _edge_midpoints(mesh).reshape(-1, 2)
     wbar = w(mids).reshape(-1, 3).mean(axis=1)
     fvals = f(mids).reshape(-1, 3)
     areas = mesh.areas
@@ -188,7 +196,7 @@ def _reference_l2_error(solution, exact):
     mesh = solution.mesh
     v = solution.values[mesh.triangles]
     uh = 0.5 * np.stack([v[:, 0] + v[:, 1], v[:, 1] + v[:, 2], v[:, 2] + v[:, 0]], axis=1)
-    ue = np.asarray(exact(mesh.edge_midpoints().reshape(-1, 2)), dtype=float).reshape(-1, 3)
+    ue = np.asarray(exact(_edge_midpoints(mesh).reshape(-1, 2)), dtype=float).reshape(-1, 3)
     err2 = np.sum((uh - ue) ** 2, axis=1) * mesh.areas / 3.0
     return float(math.sqrt(np.sum(err2)))
 
@@ -253,16 +261,13 @@ class TestManufacturedRhs:
 
 class TestSolve:
     def test_classical_manufactured_convergence(self):
-        u_fn, gu_fn, f_fn = manufactured_rhs("sin(pi*x)*sin(pi*y)", "1")
-        l2s, h1s = [], []
+        u_fn, _, f_fn = manufactured_rhs("sin(pi*x)*sin(pi*y)", "1")
+        l2s = []
         for h in (1 / 16, 1 / 32, 1 / 64):
             sol = solve_dirichlet(triangulate(SQUARE, h), 1.0, f_fn)
             l2s.append(l2_error(sol, u_fn))
-            h1s.append(energy_norm_error(sol, gu_fn))
         r2 = convergence_rate(l2s)
-        r1 = convergence_rate(h1s)
         assert not r2.inconclusive and abs(r2.estimate - 2.0) <= 0.3
-        assert not r1.inconclusive and abs(r1.estimate - 1.0) <= 0.3
 
     def test_sign_convention_recovers_positive_bump(self):
         # f = -2 pi^2 sin sin with unit weight gives u = +sin sin

@@ -55,6 +55,23 @@ class TestEmbeddingRatio:
         r = embedding_ratio(u, 2.0, 5.0, W0, HG)
         assert math.isfinite(r) and r > 0.0
 
+    @pytest.mark.parametrize("beta", [0.45, 20.0])
+    def test_power_spike_cap_is_the_float_power(self, beta):
+        # inside eps the spike is its cap eps**-beta, less the outer level
+        for eps in np.geomspace(1e-1, 1e-5, 9):
+            u = TrialFamily("power_spike", beta=beta).member(float(eps))
+            with np.errstate(over="ignore"):
+                inner = u.value(np.array([0.0, 0.5 * eps]))
+            assert np.all(inner == float(eps) ** -beta - 0.5**-beta)
+
+    def test_power_spike_cap_past_the_float_range_is_inf(self):
+        # 1e-5**-70 is past 1.8e308: the member builds and is uncapped
+        u = TrialFamily("power_spike", beta=70.0).member(1e-5)
+        with np.errstate(over="ignore"):
+            vals = u.value(np.array([0.0, 1e-5, 0.25]))
+        assert vals[0] == vals[1] == math.inf
+        assert vals[2] == 0.25**-70.0 - 0.5**-70.0
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             TrialFamily("mystery")
