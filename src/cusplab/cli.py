@@ -424,6 +424,8 @@ def _run_solve(config: RunConfig) -> dict:
     params = config.parameters
     h = float(params["h"])
     tol = float(params.get("tol", 1e-10))
+    if not tol > 0.0:
+        raise ValidityError(f"tol must be > 0, got {tol:g}")
     grade = params.get("grade")
     if params["domain"] == "square":
         region: Box | CuspSection = Box((0.0, 0.0), (1.0, 1.0))

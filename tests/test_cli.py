@@ -417,6 +417,17 @@ class TestSolveValidation:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_tol_not_positive_exits_3_before_any_work(self, tmp_path, capsys, tol):
+        # read by a range rule, before CG could run to its cap and warn
+        rc, err, out = _run_cli(
+            tmp_path, "solve", f"domain = square\nh = 0.0625\nf = 1\ntol = {tol}\n", capsys
+        )
+        assert rc == 3
+        assert err == f"validity error: tol must be > 0, got {tol}\n"
+        assert not out.exists()
+
     def test_cusp_solve_near_critical_weight(self, tmp_path):
         cfg = write_config(
             tmp_path,
