@@ -164,14 +164,15 @@ def triangulate(
     a = (np.arange(nx, dtype=np.int64)[:, None] * (ny + 1) + np.arange(ny)).ravel()
     b = a + (ny + 1)
     triangles = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1).reshape(-1, 3)
-    mesh = Mesh(vertices=verts, triangles=triangles, boundary=on_bnd, grid_shape=(nx + 1, ny + 1))
-    degenerate = int(np.count_nonzero(mesh.areas <= 0.0))
+    # the cell areas on the vertex grid, interleaved, are Mesh.areas bit for bit
+    area1, area2 = _cell_areas(verts.reshape(nx + 1, ny + 1, 2))
+    degenerate = int(np.count_nonzero(area1 <= 0.0) + np.count_nonzero(area2 <= 0.0))
     if degenerate:
         raise ValueError(
             f"{degenerate} of {len(triangles)} triangles have zero area: the grading"
             " merges nodes in floating point"
         )
-    return mesh
+    return Mesh(vertices=verts, triangles=triangles, boundary=on_bnd, grid_shape=(nx + 1, ny + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,13 @@ the radii shared by every scale's radial trial function, each scale's value
 and gradient once per level, and each integral still stops by its own
 trace, so the ratios are the same bits as when every integral runs its own
 ladder.
+
+Only the ``L_s`` powers depend on ``s``.  The other ``(1 + n)`` integrals
+of each scale, the ``W^1_p(D,w)`` denominator, are kept for the most recent
+trial family (its kind, ``beta`` and scales, with ``p``, the weight, the
+domain and the norm schedule and tolerance), so a probe of the same family
+at another exponent integrates only its ``L_s`` powers and reads the rest
+from that one-entry memo, with the same bits as a probe that starts cold.
 """
 
 from __future__ import annotations
@@ -135,12 +142,18 @@ _NORM_SCHEDULE = RefinementSchedule(
 _NORM_TOL = 1e-4
 
 
+#: the outcomes of the most recent keyed family, ``(key, outcomes)``; its
+#: ``L_s`` slots are None, the rest its ``W^1_p`` denominator integrals
+_denominators: tuple[tuple, list[IntegralVerdict | EvaluationError | None]] | None = None
+
+
 def _ratios(
     members: Sequence[TrialFunction],
     p: float,
     s: float,
     weight: Weight,
     domain: CuspDomain,
+    family: tuple | None = None,
 ) -> Iterator[float]:
     """The embedding ratio of each trial function in turn, from one
     refinement ladder shared by all ``len(members) * (2 + n)`` norm integrals.
@@ -153,12 +166,26 @@ def _ratios(
     member's.  A norm that fails to stabilize raises ArithmeticError, and one
     that cannot be evaluated its EvaluationError, when its member's turn
     comes, so the ratios of earlier members are yielded first.
+
+    ``family`` is a key that names the members (``run_probe`` passes the
+    trial family and its scales); with it, the outcomes of the ``j >= 1``
+    integrals, which do not depend on ``s``, are kept together with ``p``,
+    the weight, the domain and the norm schedule and tolerance.  The next
+    call with that same key integrates only the ``L_s`` powers on the
+    ladder.  Each integrand's outcome is the one it gets on a ladder of its
+    own, whatever else shares the ladder (:func:`integrate_all`), so the
+    ratios are the same bits either way.  Without a key nothing is kept.
     """
+    global _denominators
     per = 2 + domain.dim
+    key = None if family is None else (family, p, weight, domain, _NORM_SCHEDULE, _NORM_TOL)
+    hit = key is not None and _denominators is not None and _denominators[0] == key
+    # the integrands on this ladder, by their index k * (2 + n) + j
+    todo = range(0, len(members) * per, per if hit else 1)
 
     def evaluate(points: np.ndarray, active: list[int]) -> Iterator[np.ndarray]:
         w, r = weight(points), radius(points)
-        for k, norms in itertools.groupby(active, key=lambda i: i // per):
+        for k, norms in itertools.groupby((todo[i] for i in active), key=lambda i: i // per):
             u, v, g = members[k], None, None
             for i in norms:
                 j = i % per
@@ -171,13 +198,25 @@ def _ratios(
                         v, g = None, u.grad(points, r)  # no value power follows
                     yield np.abs(g[:, j - 2]) ** p * w
 
-    count = len(members) * per
     with np.errstate(over="ignore"):  # fixed_grid_sum judges an infinite power
-        verdicts = integrate_all(evaluate, count, domain, _NORM_SCHEDULE, _NORM_TOL)
+        outcomes = integrate_all(evaluate, len(todo), domain, _NORM_SCHEDULE, _NORM_TOL)
+    if hit:
+        verdicts = list(_denominators[1])
+        verdicts[::per] = outcomes
+    else:
+        verdicts = outcomes
+        if key is not None:
+            # a kept error holds no traceback, and with it no level's grid
+            kept = [
+                v.with_traceback(None) if isinstance(v, EvaluationError) else v for v in verdicts
+            ]
+            kept[::per] = [None] * len(members)
+            _denominators = (key, kept)
 
     def decided(i: int) -> IntegralVerdict:
         if isinstance(verdicts[i], EvaluationError):
-            raise verdicts[i]
+            # raised afresh, so a kept error's traceback does not grow per probe
+            raise verdicts[i].with_traceback(None)
         return verdicts[i]
 
     for k in range(len(members)):
@@ -271,10 +310,11 @@ def run_probe(
     family = TrialFamily(family_kind, beta=beta)
 
     members = [family.member(eps) for eps in epsilons]
+    scale_ratios = _ratios(members, float(query.p), s, weight, domain, (family, tuple(epsilons)))
 
     ratios = []
     try:
-        for eps, ratio in zip(epsilons, _ratios(members, float(query.p), s, weight, domain)):
+        for eps, ratio in zip(epsilons, scale_ratios):
             ratios.append((eps, ratio))
     except (ArithmeticError, EvaluationError):
         return ProbeReport(s, tuple(ratios), Verdict.INCONCLUSIVE, math.nan)

@@ -68,6 +68,18 @@ class TestTriangulate:
         assert np.all(m.areas > 0)
         assert np.sum(m.areas) == pytest.approx(1.0 / 3.0, rel=2e-2)
 
+    @pytest.mark.parametrize(
+        "region, grade",
+        [(SQUARE, None), (SQUARE, 3.0), (CUSP3, None)],
+        ids=["square", "graded-square", "cusp3"],
+    )
+    def test_cell_areas_interleaved_are_the_mesh_areas(self, region, grade):
+        # triangulate counts zero-area triangles from the cell areas
+        m = triangulate(region, 1 / 256, grade_exponent=grade)
+        area1, area2 = pde._cell_areas(m.vertices.reshape(*m.grid_shape, 2))
+        interleaved = np.stack([area1, area2], axis=-1).ravel()
+        assert np.array_equal(interleaved.view(np.uint64), m.areas.view(np.uint64))
+
     def test_zero_area_triangles_rejected(self):
         # grading exponent 40 merges the t-nodes next to the truncation face
         section = CuspSection(CuspDomain.isotropic(2, 3.0), eps=1e-3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cusplab.probe as probe
 from cusplab.exponents import EmbeddingQuery
 from cusplab.geometry import Box, CuspDomain
 from cusplab.probe import (
@@ -16,6 +17,12 @@ from cusplab.weights import Weight
 Q230 = EmbeddingQuery(2, 2, 0, 3)
 HG = CuspDomain(dim=2, exponents=(2.0,))
 W0 = Weight.polynomial(0.0, 2)
+
+
+@pytest.fixture(autouse=True)
+def cold_probe(monkeypatch):
+    """Every test starts with no family's denominators kept."""
+    monkeypatch.setattr(probe, "_denominators", None)
 
 
 class TestEmbeddingRatio:

@@ -1,12 +1,14 @@
 """Probe outputs pinned bit for bit, so that a change in how the probe's
 norm integrals are organised cannot move a single ratio."""
 
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cusplab.probe as probe
 from cusplab.cli import main
 from cusplab.exponents import EmbeddingQuery
 from cusplab.geometry import CuspDomain, EvaluationError, Verdict, grid, integrate
@@ -41,6 +43,13 @@ Q3_RATIOS = (
     "0x1.48736c8ffa00ep+1", "0x1.d3c315135f779p+1", "0x1.4b7f9861fc231p+2",
     "0x1.d4ecb58471a6dp+2", "0x1.4b62a623d67a8p+3", "0x1.d4363c52c5597p+3",
 )
+
+
+@pytest.fixture(autouse=True)
+def cold_probe(monkeypatch):
+    """Every test starts with no family's denominators kept, so what it
+    counts does not depend on the tests run before it."""
+    monkeypatch.setattr(probe, "_denominators", None)
 
 
 def _long_dot_bits() -> str:
@@ -237,3 +246,99 @@ def test_errors_surface_scale_by_scale(second, third, error):
         for r in _ratios(members, 2.0, 5.0, weight, domain):
             ratios.append(r)
     assert ratios == [embedding_ratio(members[0], 2.0, 5.0, weight, domain)]
+
+
+def _bits(rep):
+    return (
+        rep.s,
+        tuple((e.hex(), r.hex()) for e, r in rep.ratios),
+        rep.verdict,
+        rep.kappa_fit.hex(),
+    )
+
+
+@pytest.mark.parametrize(
+    "query, family, first, second, verdict",
+    [
+        (Q230, {}, 3.0, 5.0, Verdict.BOUNDED),
+        (Q3, {}, 2.5, Q3_S, Verdict.BLOW_UP),
+        # the spike's L_s power overflows at the sixth scale
+        (Q230, {"family_kind": "power_spike", "beta": 20.0}, 3.0, 5.0, Verdict.INCONCLUSIVE),
+    ],
+    ids=["q230", "n3", "spike"],
+)
+def test_a_probe_reading_kept_denominators_has_the_bits_of_a_cold_one(
+    query, family, first, second, verdict
+):
+    run_probe(query, first, **family)
+    kept = probe._denominators
+    hit = run_probe(query, second, **family)
+    assert probe._denominators is kept  # the second probe read the first one's
+    probe._denominators = None
+    cold = run_probe(query, second, **family)
+    assert probe._denominators is not kept
+    assert _bits(hit) == _bits(cold)
+    assert hit.verdict is verdict and 3 <= len(hit.ratios)
+
+
+def test_a_probe_reading_kept_denominators_integrates_only_the_ls_powers(monkeypatch):
+    grads, counts = [], []
+    real_bump, real_all = probe._tip_bump, probe.integrate_all
+
+    def counted_bump(eps):
+        u = real_bump(eps)
+
+        def grad(pts, r):
+            grads.append(eps)
+            return u.grad(pts, r)
+
+        return TrialFunction(u.value, grad)
+
+    def counted_all(evaluate, count, *args):
+        counts.append(count)
+        return real_all(evaluate, count, *args)
+
+    monkeypatch.setattr(probe, "_tip_bump", counted_bump)
+    monkeypatch.setattr(probe, "integrate_all", counted_all)
+    five = {"epsilons": np.geomspace(1e-1, 1e-5, 5)}
+    # (query, s, keywords, integrands on the ladder); 9 is a hit, which
+    # evaluates no gradient
+    probes = [
+        (Q230, 3.0, {}, 9 * 4),
+        (Q230, 5.0, {}, 9),
+        (Q230, 7.0, {}, 9),
+        (Q230, 5.0, five, 5 * 4),  # other scales
+        (Q230, 5.0, {}, 9 * 4),  # only the most recent family is kept
+        (EmbeddingQuery(2, Fraction(3, 2), 0, 3), 5.0, {}, 9 * 4),  # another p
+        (EmbeddingQuery(2, 2, Fraction(1, 2), 3), 5.0, {}, 9 * 4),  # another weight
+        (EmbeddingQuery(2, 2, 0, 4), 5.0, {}, 9 * 4),  # another domain
+        (Q3, 5.0, {}, 9 * 5),
+        (Q3, 3.0, {}, 9),
+    ]
+    for query, s, keywords, count in probes:
+        grads.clear()
+        counts.clear()
+        run_probe(query, s, **keywords)
+        assert counts == [count] and bool(grads) == (count != 9), (query, s, keywords)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_kept_error_holds_no_traceback_and_grows_none():
+    # the value norms are finite and the gradient norm overflows, so the
+    # error sits in a denominator slot and every call with the key raises it
+    tip = TrialFamily("tip_bump").member(1e-2)
+    u = TrialFunction(tip.value, lambda pts, r: np.full_like(pts, np.inf))
+    domain, weight = CuspDomain.isotropic(2, 3), Weight.polynomial(0.0, 2)
+    depths = []
+    for s in (3.0, 5.0, 5.0, 7.0):
+        with pytest.raises(EvaluationError) as info:
+            list(_ratios([u], 2.0, s, weight, domain, ("inf-grad",)))
+        depths.append(len(list(traceback.walk_tb(info.value.__traceback__))))
+    assert probe._denominators[0][0] == ("inf-grad",)
+    assert len(set(depths)) == 1
+    # a diverging norm of the scale before it ends the probe first, so the
+    # error is kept unraised, and with no traceback holds no level's grid
+    with pytest.raises(ArithmeticError):
+        list(_ratios([_power(2.0), u], 2.0, 5.0, weight, domain, ("unraised",)))
+    errors = [v for v in probe._denominators[1] if isinstance(v, EvaluationError)]
+    assert errors and all(e.__traceback__ is None for e in errors)
