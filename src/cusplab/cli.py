@@ -350,6 +350,17 @@ def _run_ap_check(config: RunConfig) -> dict:
     return {"ap": report.to_dict()}
 
 
+# a threshold can sit outside its exponent's valid range, 1 <= q < p and
+# s < r (at a = 1 it does), so every exponent chosen from one is clipped
+# into it; both sides of a threshold can then share one exponent
+def _q_in(q: float, p: float) -> float:
+    return min(max(1.0, q), p * (1 - 1e-9))
+
+
+def _s_in(s: float, r: float) -> float:
+    return min(s, r * (1 - 1e-9))
+
+
 def _run_distortion(config: RunConfig) -> dict:
     params = config.parameters
     n = _at_least(params, "n", 2)
@@ -369,7 +380,7 @@ def _run_distortion(config: RunConfig) -> dict:
         results["report"] = rep.to_dict()
     margin = float(params.get("margin", 0.05))
     if q_steps:
-        qs = np.linspace(max(1.0, q_star * (1 - 3 * margin)), min(p * (1 - 1e-9), q_star * (1 + 3 * margin)), q_steps)
+        qs = np.linspace(_q_in(q_star * (1 - 3 * margin), p), _q_in(q_star * (1 + 3 * margin), p), q_steps)
         rows = []
         for qv in qs:
             v = distortion_Ia(p, float(qv), a, alpha, domain)
@@ -377,7 +388,7 @@ def _run_distortion(config: RunConfig) -> dict:
         _write_csv(config.output_dir / "ia_sweep.csv", ["q", "verdict", "value"], rows)
         results["ia_sweep"] = {"rows": len(rows), "output": "ia_sweep.csv"}
     if s_steps:
-        ss = np.linspace(s_star * (1 - 3 * margin), min(r * (1 - 1e-9), s_star * (1 + 3 * margin)), s_steps)
+        ss = np.linspace(_s_in(s_star * (1 - 3 * margin), r), _s_in(s_star * (1 + 3 * margin), r), s_steps)
         rows = []
         for sv in ss:
             v = jacobian_Ja(r, float(sv), a, alpha, domain)
@@ -515,24 +526,13 @@ def _run_report(config: RunConfig) -> dict:
     q_star = ia_exponent_q_threshold(n, p, alpha, gamma, a)
     r_ref = 3.0
     s_star = ja_exponent_s_bound(n, r_ref, alpha, gamma, a)
-
-    # both sides of each threshold are clipped into the exponent's valid
-    # range, 1 <= q < p and s < r; at a = 1 a threshold can sit outside it
-    def q_in(q):
-        return min(max(1.0, q), p * (1 - 1e-9))
-
-    def s_in(s):
-        return min(s, r_ref * (1 - 1e-9))
-
-    results["distortion"] = {
-        "a": a,
-        "q_threshold": q_star,
-        "s_bound": s_star,
-        "Ia_below": distortion_Ia(p, q_in(q_star * (1 - margin)), a, alpha, domain).to_dict(),
-        "Ia_above": distortion_Ia(p, q_in(q_star * (1 + margin)), a, alpha, domain).to_dict(),
-        "Ja_below": jacobian_Ja(r_ref, s_in(s_star * (1 - margin)), a, alpha, domain).to_dict(),
-        "Ja_above": jacobian_Ja(r_ref, s_in(s_star * (1 + margin)), a, alpha, domain).to_dict(),
-    }
+    block: dict[str, Any] = {"a": a, "q_threshold": q_star, "s_bound": s_star}
+    for side, sign in (("below", -1.0), ("above", 1.0)):
+        q = _q_in(q_star * (1 + sign * margin), p)
+        s = _s_in(s_star * (1 + sign * margin), r_ref)
+        block[f"Ia_{side}"] = {"q": q, **distortion_Ia(p, q, a, alpha, domain).to_dict()}
+        block[f"Ja_{side}"] = {"s": s, **jacobian_Ja(r_ref, s, a, alpha, domain).to_dict()}
+    results["distortion"] = block
     return results
 
 

@@ -241,18 +241,6 @@ def _tensor_cells(per_axis: Sequence[tuple[np.ndarray, np.ndarray]]):
     return centers.reshape(-1, dim), volumes.reshape(-1)
 
 
-def _cusp_reference_grid(
-    domain: CuspDomain, decades: float, panels_per_decade: int, cells: int
-) -> QuadratureGrid:
-    n = domain.dim
-    t_cells = _graded_axis_cells(0.0, 1.0, decades, panels_per_decade)
-    per_axis = [_axis_cells(0.0, 1.0, cells) for _ in range(n - 1)] + [t_cells]
-    points, volumes = _tensor_cells(per_axis)
-    t = points[:, -1]
-    points[:, :-1] *= domain.profiles(t)  # reference centers to physical points
-    return QuadratureGrid(domain, points, volumes * domain.cross_section(t))
-
-
 def _box_grid(
     box: Box, decades: float, panels_per_decade: int, cells: int
 ) -> QuadratureGrid:
@@ -267,43 +255,48 @@ def _box_grid(
     return QuadratureGrid(box, *_tensor_cells(per_axis))
 
 
-def _ball_grid(
-    ball: Ball, decades: float, panels_per_decade: int, cells: int
-) -> QuadratureGrid:
-    """A disc as the polar box ``(rho, theta)``, graded toward its center."""
-    if ball.dim != 2:
-        raise NotImplementedError("grid-based ball quadrature is 2-D only")
-    r_cells = _graded_axis_cells(0.0, ball.radius, decades, panels_per_decade)
-    th_cells = _axis_cells(0.0, 2.0 * math.pi, cells)
-    polar, volumes = _tensor_cells([r_cells, th_cells])
-    rho, theta = polar[:, 0], polar[:, 1]
-    points = np.stack(
-        [
-            ball.center[0] + rho * np.cos(theta),
-            ball.center[1] + rho * np.sin(theta),
-        ],
-        axis=-1,
-    )
-    return QuadratureGrid(ball, points, volumes * rho)
+def _reference_box(domain: Domain) -> Box:
+    """The box whose grid :func:`grid` maps onto ``domain``: a box itself,
+    a cusp's unit box in ``(u, t)`` graded toward ``t = 0``, a disc's polar
+    box ``(rho, theta)`` graded toward its center."""
+    if isinstance(domain, Box):
+        return domain
+    if isinstance(domain, CuspDomain):
+        n = domain.dim
+        return Box((0.0,) * n, (1.0,) * n, singular_axis=n - 1)
+    if isinstance(domain, Ball):
+        if domain.dim != 2:
+            raise NotImplementedError("grid-based ball quadrature is 2-D only")
+        return Box((0.0, 0.0), (domain.radius, 2.0 * math.pi), singular_axis=0)
+    raise TypeError(f"unsupported domain type {type(domain)!r}")
 
 
 def grid(
     domain: Domain, decades: float, panels_per_decade: int, cells: int
 ) -> QuadratureGrid:
-    """Quadrature grid over ``domain``.
+    """Quadrature grid over ``domain``, built on its reference box.
 
     A graded axis (the cusp's ``t``, a box's singular axis, a disc's polar
     radius) resolves ``decades`` decades next to its singular end with
     ``panels_per_decade`` geometric panels per decade.  Every other axis,
-    the disc's angle included, has ``cells`` uniform cells.
+    the disc's angle included, has ``cells`` uniform cells.  A cusp's
+    reference centers are scaled by its profiles and weighted by its
+    cross-section; a disc's are turned into points with the Jacobian ``rho``.
     """
+    ref = _box_grid(_reference_box(domain), decades, panels_per_decade, cells)
+    points, weights = ref.points, ref.weights
     if isinstance(domain, CuspDomain):
-        return _cusp_reference_grid(domain, decades, panels_per_decade, cells)
-    if isinstance(domain, Ball):
-        return _ball_grid(domain, decades, panels_per_decade, cells)
-    if isinstance(domain, Box):
-        return _box_grid(domain, decades, panels_per_decade, cells)
-    raise TypeError(f"unsupported domain type {type(domain)!r}")
+        t = points[:, -1]
+        points[:, :-1] *= domain.profiles(t)
+        weights = weights * domain.cross_section(t)
+    elif isinstance(domain, Ball):
+        rho, theta = points[:, 0], points[:, 1]
+        points = np.stack(
+            [domain.center[0] + rho * np.cos(theta), domain.center[1] + rho * np.sin(theta)],
+            axis=-1,
+        )
+        weights = weights * rho
+    return QuadratureGrid(domain, points, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,9 @@ def ap_ratio(w: Weight, p: float, ball: Ball) -> float:
 
     A divergent average is reported as ``inf``; otherwise the two averages
     are evaluated on a shared node set, which makes the returned ratio >= 1
-    exactly (discrete Hölder).
+    exactly (discrete Hölder).  A product that floats cannot form, from an
+    average that under- or overflowed or a power past the float range, is
+    ``inf`` too.
     """
     if p <= 1:
         raise ValueError("A_p needs p > 1")
@@ -214,9 +216,12 @@ def ap_ratio(w: Weight, p: float, ball: Ball) -> float:
     if any(_diverges_at_origin(w, power, ball) for power in (1.0, dual)):
         return math.inf
     avg_w, avg_dual = _same_grid_ball_averages(w, (1.0, dual), ball)
-    if not (math.isfinite(avg_w) and math.isfinite(avg_dual)):
+    try:
+        ratio = avg_w * avg_dual ** (p - 1.0)
+    except OverflowError:
         return math.inf
-    return avg_w * avg_dual ** (p - 1.0)
+    # a true ratio is >= 1: 0, inf or nan means an average left the float range
+    return ratio if 0.0 < ratio < math.inf else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,16 @@ class TestNearCriticalExponents:
         assert ap["verdict"] == "satisfied"
         assert math.isfinite(ap["sup_estimate"])
 
+    def test_ap_check_past_the_float_range_exits_0(self, tmp_path, capsys):
+        # inside the A_p window; on 29 balls the ratio has no float value
+        cfg = write_config(tmp_path, "[ap-check]\nn = 2\np = 400\nalpha = 300\n")
+        out = tmp_path / "out"
+        assert main(["ap-check", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        ap = read_report(out)["results"]["ap"]
+        assert ap["verdict"] == "satisfied"
+        assert ap["sup_estimate"] == "inf"
+
     def test_solve_with_near_critical_solvability_integral(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -187,21 +197,25 @@ class TestNearCriticalExponents:
         assert above["value"] == "inf"
 
     @pytest.mark.parametrize(
-        "section",
+        "section,clipped",
         [
-            "[report]\nn = 2\np = 2\nalpha = 0\ngamma = 3\na = 1\n",
-            "[report]\nn = 2\np = 2\nalpha = -0.5\ngamma = 2\na = 1\n",
+            ("[report]\nn = 2\np = 2\nalpha = 0\ngamma = 3\na = 1\n", ("Ja", "s", 3.0)),
+            ("[report]\nn = 2\np = 2\nalpha = -0.5\ngamma = 2\na = 1\n", ("Ia", "q", 2.0)),
         ],
         ids=["s-bound-above-r", "q-threshold-below-1"],
     )
-    def test_report_at_a_equal_1_runs(self, tmp_path, section):
-        # at a = 1 either q* >= p or s* >= r: both sides are clipped into range
+    def test_report_at_a_equal_1_runs(self, tmp_path, section, clipped):
+        # at a = 1 either q* >= p or s* >= r: both sides are clipped into
+        # range, and each entry records the one exponent they share
         cfg = write_config(tmp_path, section)
         out = tmp_path / "out"
         assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
         block = read_report(out)["results"]["distortion"]
         assert block["a"] == 1.0
         assert all(block[side]["verdict"] in ("finite", "divergent") for side in ("Ia_below", "Ja_below"))
+        assert all("q" in block[f"Ia_{side}"] and "s" in block[f"Ja_{side}"] for side in ("below", "above"))
+        integral, key, bound = clipped
+        assert block[f"{integral}_below"][key] == block[f"{integral}_above"][key] == bound * (1 - 1e-9)
 
     def test_report_inside_both_ranges_keeps_its_bytes(self, tmp_path):
         # at a = 0.5 no clip is active: the block is the one the unclipped
@@ -212,15 +226,14 @@ class TestNearCriticalExponents:
         domain = CuspDomain.isotropic(2, 3.0)
         q, s = ia_exponent_q_threshold(2, 2.0, 0.0, 3.0, 0.5), ja_exponent_s_bound(2, 3.0, 0.0, 3.0, 0.5)
         assert 1.0 < q * 0.95 and q * 1.05 < 2.0 and s * 1.05 < 3.0
-        expected = {
-            "a": 0.5,
-            "q_threshold": q,
-            "s_bound": s,
-            "Ia_below": distortion_Ia(2.0, q * (1 - 0.05), 0.5, 0.0, domain).to_dict(),
-            "Ia_above": distortion_Ia(2.0, q * (1 + 0.05), 0.5, 0.0, domain).to_dict(),
-            "Ja_below": jacobian_Ja(3.0, s * (1 - 0.05), 0.5, 0.0, domain).to_dict(),
-            "Ja_above": jacobian_Ja(3.0, s * (1 + 0.05), 0.5, 0.0, domain).to_dict(),
-        }
+        expected = {"a": 0.5, "q_threshold": q, "s_bound": s}
+        for side, factor in (("below", 1 - 0.05), ("above", 1 + 0.05)):
+            expected[f"Ia_{side}"] = {
+                "q": q * factor, **distortion_Ia(2.0, q * factor, 0.5, 0.0, domain).to_dict()
+            }
+            expected[f"Ja_{side}"] = {
+                "s": s * factor, **jacobian_Ja(3.0, s * factor, 0.5, 0.0, domain).to_dict()
+            }
         got = read_report(out)["results"]["distortion"]
         assert json.dumps(got, sort_keys=True) == json.dumps(_jsonable(expected), sort_keys=True)
 
@@ -254,16 +267,20 @@ def _verdicts(obj):
 
 
 def test_every_reported_verdict_is_a_verdict_value(tmp_path):
-    # the acceptance configs, plus Ia at beta = -0.99875, too close to -1
-    # for the refinement trace to decide
+    # the acceptance configs, plus a power_spike probe at beta = 20 whose
+    # L_s norm overflows (inconclusive), and Ia at beta = -0.99875, which the
+    # closed form reads finite
     configs = dict(ACCEPTANCE_CONFIGS)
-    configs["distortion-inconclusive"] = (
+    configs["probe-inconclusive"] = (
+        "[probe]\nn = 2\np = 2\nalpha = 0\ngamma = 3\ns = 5\nfamily = power_spike\nbeta = 20\n"
+    )
+    configs["distortion-near-minus-1"] = (
         "[distortion]\nn = 2\np = 2\nalpha = 0\ngamma = 3\na = 0.5\nr = 3\nq = 1.5998\n"
     )
     values = {v.value for v in Verdict}
     seen = set()
     for name, text in configs.items():
-        command = name.split("-inconclusive")[0]
+        command = name.split("-inconclusive")[0].split("-near")[0]
         cfg = tmp_path / f"{name}.ini"
         cfg.write_text(text)
         out = tmp_path / name
@@ -273,6 +290,9 @@ def test_every_reported_verdict_is_a_verdict_value(tmp_path):
         assert (rc == 4) == ("inconclusive" in verdicts), name
         seen.update(verdicts)
     assert {"finite", "satisfied", "blow_up", "inconclusive"} <= seen
+    ia = read_report(tmp_path / "distortion-near-minus-1")["results"]["Ia"]
+    assert ia["verdict"] == "finite"
+    assert ia["value"] == pytest.approx(800.4, rel=1e-9)
 
 
 class TestNumericalCommands:

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -244,39 +247,90 @@ class TestDistortionIntegrals:
         assert d["Ja"]["verdict"] == "finite"
 
 
-# the drawn queries: n in {2, 3}, p, alpha, gamma >= n and a.  The 5% margin
-# puts Ja's reduced tail t**(c-1) at c >= n m / 20 / (1 - 0.95 m),
-# m = a (alpha + gamma) / n, on its finite side; a >= 1/2 keeps that c at
-# 0.049 or more, well above the 0.025 that the finite rule resolves.
+# the drawn queries: n in {2, 3}, p, alpha, gamma >= n and a, with the
+# exponent a factor of its threshold that is at least 0.1% away from 1
 QUERIES = dict(
     n=st.sampled_from([2, 3]),
     p=st.floats(1.5, 3.0),
     alpha=st.floats(-0.5, 1.5),
     extra=st.floats(0.0, 2.0),
     a=st.floats(0.5, 1.0),
-    factor=st.floats(0.5, 0.95) | st.floats(1.05, 1.5),
+    factor=st.floats(0.5, 0.999) | st.floats(1.001, 1.5),
 )
 
 
-class TestThresholdProperties:
-    """Outside a 5% margin, the distortion verdicts are the sign the closed
-    forms give: Ia is finite iff q < q*, Ja iff s < s*."""
+def ia_beta(n, p, q, a, alpha, gamma):
+    """Ia's reduced exponent, in exact rationals of the float arguments."""
+    p, q, a, alpha, gamma = map(Fraction, (p, q, a, alpha, gamma))
+    k = q / (p - q)
+    return (p * (a - 1) - a * (alpha + 1) + n) * k + n - 1 - a * k * (gamma - 1)
 
-    @settings(max_examples=40, deadline=None)
+
+def ja_beta(n, r, s, a, alpha, gamma):
+    """Ja's reduced exponent, in exact rationals of the float arguments."""
+    r, s, a, alpha, gamma = map(Fraction, (r, s, a, alpha, gamma))
+    k = r / (r - s)
+    return (a * (alpha + 1) - n) * k + n - 1 + a * k * (gamma - 1)
+
+
+def assert_closed_form(v, beta):
+    """``∫_0^1 t**beta dt``: ``1/(beta+1)`` to 1e-12 relative when beta > -1,
+    divergent otherwise, with an empty trace either way."""
+    assert v.trace == ()
+    if beta > -1:
+        assert v.verdict is Verdict.FINITE
+        assert abs(Fraction(v.value) * (beta + 1) - 1) <= Fraction(1, 10**12)
+    else:
+        assert v.verdict is Verdict.DIVERGENT
+        assert v.value == math.inf
+
+
+class TestThresholdProperties:
+    """Outside a 0.1% margin, the distortion verdicts are the sign the closed
+    forms give: Ia is finite iff q < q*, Ja iff s < s*.  Each is the closed
+    form of ``∫_0^1 t**beta dt`` for the exact reduced exponent."""
+
+    @settings(max_examples=60, deadline=None)
     @given(**QUERIES)
     def test_ia_verdict_is_threshold_sign(self, n, p, alpha, extra, a, factor):
         gamma = n + extra
         q = factor * ia_exponent_q_threshold(n, p, alpha, gamma, a)
         assume(1.0 <= q < p)
-        v = distortion_Ia(p, q, a, alpha, CuspDomain.isotropic(n, gamma))
+        domain = CuspDomain.isotropic(n, gamma)
+        v = distortion_Ia(p, q, a, alpha, domain)
         assert v.verdict is (Verdict.FINITE if factor < 1.0 else Verdict.DIVERGENT)
+        assert_closed_form(v, ia_beta(n, p, q, a, alpha, domain.gamma))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(r=st.floats(2.0, 4.0), **QUERIES)
     def test_ja_verdict_is_threshold_sign(self, n, p, alpha, extra, a, factor, r):
         gamma = n + extra
         s = factor * ja_exponent_s_bound(n, r, alpha, gamma, a)
         assume(s < r)
-        v = jacobian_Ja(r, s, a, alpha, CuspDomain.isotropic(n, gamma))
+        domain = CuspDomain.isotropic(n, gamma)
+        v = jacobian_Ja(r, s, a, alpha, domain)
         assert v.verdict is (Verdict.FINITE if factor < 1.0 else Verdict.DIVERGENT)
+        assert_closed_form(v, ja_beta(n, r, s, a, alpha, domain.gamma))
 
+
+class TestClosedForm:
+    """Exponents where the refinement ladder the closed form replaced was
+    wrong."""
+
+    @pytest.mark.parametrize(
+        "n,p,alpha,gamma,a,q,value",
+        [
+            # beta = 71.225: the refinement ladder read 0.003262, 76% off
+            (3, 2.0, 0.25, 4.0, 0.3, 1.990654, 0.013846),
+            # beta = -0.99875: the ladder ended inconclusive
+            (2, 2.0, 0.0, 3.0, 0.5, 1.5998, 800.4),
+            # q clipped to p(1 - 1e-9), beta about 5e8: the ladder read 0.0
+            (2, 2.0, -0.5, 2.0, 1.0, 2.0 * (1 - 1e-9), 2e-9),
+        ],
+        ids=["beta-71", "beta-near-minus-1", "q-clipped"],
+    )
+    def test_ia_where_the_ladder_was_wrong(self, n, p, alpha, gamma, a, q, value):
+        domain = CuspDomain.isotropic(n, gamma)
+        v = distortion_Ia(p, q, a, alpha, domain)
+        assert_closed_form(v, ia_beta(n, p, q, a, alpha, domain.gamma))
+        assert v.value == pytest.approx(value, rel=1e-4)

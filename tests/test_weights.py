@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -64,6 +65,19 @@ class TestApRatio:
     def test_divergent_dual_average_is_inf(self):
         w = Weight.polynomial(3.0, 2)  # dual power -3 <= -n
         assert ap_ratio(w, 2.0, Ball((0.0, 0.0), 1.0)) == math.inf
+
+    @pytest.mark.parametrize(
+        "ball",
+        [Ball((0.0, 0.0), 0.001), Ball((0.0, 0.0), 0.1)],
+        ids=["weight-average-underflows", "dual-power-overflows"],
+    )
+    def test_product_past_the_float_range_is_inf(self, ball):
+        # p = 400, alpha = 300 is inside the A_p window, but avg |x|**300
+        # underflows to 0 on the small ball, and avg_dual**399 passes the
+        # float range on both
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ap_ratio(Weight.polynomial(300.0, 2), 400.0, ball) == math.inf
 
     def test_ratio_at_least_one_everywhere(self):
         rng = np.random.default_rng(7)
@@ -179,6 +193,17 @@ class TestApCheck:
         rep = ap_check(w, 2.0, BallFamily(dim=2, n_radii=2, n_random=2, lattice_decades=1))
         assert rep.verdict in ("inconclusive", "violated")
         assert rep.verdict != "satisfied"
+
+    def test_steep_weight_keeps_its_analytic_verdict(self):
+        # 29 of the 147 default balls have no float ratio; every other ratio
+        # is a finite one >= 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = ap_check(Weight.polynomial(300.0, 2), 400.0)
+        assert rep.verdict == "satisfied"
+        assert rep.sup_estimate == math.inf
+        assert sum(map(math.isinf, rep.ratios)) == 29
+        assert all(r >= 1.0 - 1e-12 for r in rep.ratios)
 
     def test_report_serializable(self):
         rep = ap_check(Weight.polynomial(0.0, 2), 1.5, BallFamily(dim=2, n_radii=2, n_random=0, lattice_decades=1))
