@@ -1,15 +1,17 @@
 """Domains, graded quadrature grids, and refinement-based integral verdicts.
 
-The integration engine never asks for a value at the singular face ``x_n = 0``
-(or at the center of a ball): every node is a cell centroid strictly inside
-the domain.  Finiteness and divergence are decided from a refinement trace in
-which each level doubles the resolved decades next to the singular face: a
-tail ``t**(c-1)`` there adds at least as much per decade from one level to
-the next exactly when ``c <= 0``, and that is how divergence is read, over
+The integration engine never asks for a value at the singular face
+``x_n = 0``: every node is a cell centroid strictly inside the domain.
+Finiteness and divergence are decided from a refinement trace in which each
+level doubles the resolved decades next to the singular face: a tail
+``t**(c-1)`` there adds at least as much per decade from one level to the
+next exactly when ``c <= 0``, and that is how divergence is read, over
 levels that share their cross grid so that only the window changed.
 
-Cusp domains are never meshed directly.  Integrals over ``H_g`` are computed
-in reference coordinates ``(u, t)`` on the unit box, ``x_i = u_i * g_i(t)``,
+Grids cover boxes and cusps.  A ball has no grid: it is a region for the
+exact radial reduction in :mod:`cusplab.weights`.  Cusp domains are never
+meshed directly.  Integrals over ``H_g`` are computed in reference
+coordinates ``(u, t)`` on the unit box, ``x_i = u_i * g_i(t)``,
 ``x_n = t``, with the profiles pure powers ``g_i(t) = t**gamma_i`` and the
 cross-section volume ``G(t) = prod g_i(t) = t**(gamma - 1)`` folded in as an
 analytic weight.
@@ -198,7 +200,7 @@ class QuadratureGrid:
     """Centroid-rule cells over a reference box, mapped to physical points.
 
     ``weights`` carry each cell's reference volume times any analytic factor
-    (cusp cross-section, polar radius), so ``sum(weights * f(points))``
+    (the cusp cross-section), so ``sum(weights * f(points))``
     approximates the physical integral.
     """
 
@@ -257,31 +259,26 @@ def _box_grid(
 
 def _reference_box(domain: Domain) -> Box:
     """The box whose grid :func:`grid` maps onto ``domain``: a box itself,
-    a cusp's unit box in ``(u, t)`` graded toward ``t = 0``, a disc's polar
-    box ``(rho, theta)`` graded toward its center."""
+    or a cusp's unit box in ``(u, t)`` graded toward ``t = 0``."""
     if isinstance(domain, Box):
         return domain
     if isinstance(domain, CuspDomain):
         n = domain.dim
         return Box((0.0,) * n, (1.0,) * n, singular_axis=n - 1)
-    if isinstance(domain, Ball):
-        if domain.dim != 2:
-            raise NotImplementedError("grid-based ball quadrature is 2-D only")
-        return Box((0.0, 0.0), (domain.radius, 2.0 * math.pi), singular_axis=0)
     raise TypeError(f"unsupported domain type {type(domain)!r}")
 
 
 def grid(
     domain: Domain, decades: float, panels_per_decade: int, cells: int
 ) -> QuadratureGrid:
-    """Quadrature grid over ``domain``, built on its reference box.
+    """Quadrature grid over a box or a cusp, built on its reference box.
 
-    A graded axis (the cusp's ``t``, a box's singular axis, a disc's polar
-    radius) resolves ``decades`` decades next to its singular end with
-    ``panels_per_decade`` geometric panels per decade.  Every other axis,
-    the disc's angle included, has ``cells`` uniform cells.  A cusp's
-    reference centers are scaled by its profiles and weighted by its
-    cross-section; a disc's are turned into points with the Jacobian ``rho``.
+    A graded axis (the cusp's ``t``, a box's singular axis) resolves
+    ``decades`` decades next to its singular end with ``panels_per_decade``
+    geometric panels per decade.  Every other axis has ``cells`` uniform
+    cells.  A cusp's reference centers are scaled by its profiles and
+    weighted by its cross-section.  Any other domain, a ball included,
+    raises ``TypeError``.
     """
     ref = _box_grid(_reference_box(domain), decades, panels_per_decade, cells)
     points, weights = ref.points, ref.weights
@@ -289,13 +286,6 @@ def grid(
         t = points[:, -1]
         points[:, :-1] *= domain.profiles(t)
         weights = weights * domain.cross_section(t)
-    elif isinstance(domain, Ball):
-        rho, theta = points[:, 0], points[:, 1]
-        points = np.stack(
-            [domain.center[0] + rho * np.cos(theta), domain.center[1] + rho * np.sin(theta)],
-            axis=-1,
-        )
-        weights = weights * rho
     return QuadratureGrid(domain, points, weights)
 
 
@@ -369,7 +359,7 @@ CROSS_CELLS = 12
 class RefinementSchedule:
     """Refinement plan for :func:`integrate`.
 
-    The resolved window next to the singular face (a disc's center) starts
+    The resolved window next to the singular face starts
     at ``start_decades`` decades and multiplies by :data:`DEEPEN` each level
     (capped at ``max_decades``), while panel density per decade stays fixed,
     so :func:`_verdict` can compare what each refinement adds per decade
@@ -551,7 +541,7 @@ def integrate(
     schedule: RefinementSchedule | None = None,
     tol: float = 1e-3,
 ) -> IntegralVerdict:
-    """Integrate ``f`` over ``domain`` and decide finiteness.
+    """Integrate ``f`` over ``domain``, a box or a cusp, and decide finiteness.
 
     ``f`` must accept an ``(N, n)`` array of interior points and return
     ``(N,)`` values; singular behavior is allowed only at the boundary or the

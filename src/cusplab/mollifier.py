@@ -306,7 +306,7 @@ def convergence_test(
         raise ValueError("need at least one radius")
     if any(r >= delta for r in radii):
         raise ValueError("all radii must be below delta")
-    if weight is not None and weight.is_polynomial:
+    if weight is not None:
         lo, hi = polynomial_ap_range(weight.dim, p)
         if not (lo < weight.alpha < hi):
             raise ValueError(

@@ -1,7 +1,7 @@
-"""Weight functions, Muckenhoupt A_p verification, and power integrals.
+"""Power weights, Muckenhoupt A_p verification, and power integrals.
 
-Polynomial weights ``|x|**alpha`` are handled through an exact radial
-reduction: the integral of a radial power over a ball is a 1-D integral of
+A weight is ``|x|**alpha``, handled through an exact radial reduction: the
+integral of a radial power over a ball is a 1-D integral of
 ``rho**(beta+n-1)`` times the fraction of the sphere ``|x| = rho`` inside the
 ball, available in closed form through the regularized incomplete beta
 function.  One function, :func:`_ball_power_integrals`, evaluates it for
@@ -17,8 +17,8 @@ as a floating overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 from scipy.special import betainc, gamma as _gamma
@@ -61,48 +61,24 @@ def sphere_surface(n: int) -> float:
 
 @dataclass(frozen=True)
 class Weight:
-    """A nonnegative weight, either ``|x|**alpha`` or a tabulated function.
-
-    The tabulated kind wraps a vectorized callable sampled on quadrature
-    nodes; a finite sample can refute but never certify an A_p supremum, so
-    tabulated verdicts are at best Inconclusive.
-    """
+    """The power weight ``|x|**alpha`` on ``R**dim``."""
 
     dim: int
-    alpha: float | None = None
-    table: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if (self.alpha is None) == (self.table is None):
-            raise ValueError("specify exactly one of alpha (polynomial) or table")
+    alpha: float
 
     @classmethod
     def polynomial(cls, alpha: float, dim: int) -> "Weight":
         return cls(dim=dim, alpha=float(alpha))
 
-    @classmethod
-    def tabulated(cls, fn: Callable[[np.ndarray], np.ndarray], dim: int) -> "Weight":
-        return cls(dim=dim, table=fn)
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.alpha is not None
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[-1] != self.dim:
             raise ValueError(f"points have dimension {x.shape[-1]}, expected {self.dim}")
-        if self.is_polynomial:
-            r = radius(x)
-            if self.alpha < 0 and np.any(r == 0.0):
-                raise ZeroDivisionError("polynomial weight with alpha < 0 at the origin")
-            with np.errstate(divide="ignore"):
-                vals = r**self.alpha
-        else:
-            vals = np.asarray(self.table(x), dtype=float)
-            if np.any(vals < 0.0):
-                raise ValueError("tabulated weight produced a negative value")
-        return vals
+        r = radius(x)
+        if self.alpha < 0 and np.any(r == 0.0):
+            raise ZeroDivisionError("polynomial weight with alpha < 0 at the origin")
+        with np.errstate(divide="ignore"):
+            return r**self.alpha
 
 
 def polynomial_ap_range(n: int, p: float) -> tuple[float, float]:
@@ -155,43 +131,11 @@ def _ball_power_integrals(n: int, betas: Sequence[float], ball: Ball) -> list[fl
     return out
 
 
-def _same_grid_ball_averages(
-    w: Weight, powers: Sequence[float], ball: Ball
-) -> list[float]:
-    """Averages of ``w**power`` over a ball, all on one node set.
-
-    Sharing nodes keeps the discrete Hölder inequality exact, so the A_p
-    product of the returned averages is >= 1 by construction.
-    """
-    if w.is_polynomial:
-        betas = [0.0] + [w.alpha * power for power in powers]
-        vol, *integrals = _ball_power_integrals(w.dim, betas, ball)
-        return [integral / vol for integral in integrals]
-    # the disc's polar grid, graded toward its centre: on the default 2-D
-    # ball family, a tabulated |x|**alpha gives ratios within 1.2% of the
-    # radial rule above at alpha = 1, p = 2 (median 2e-6)
-    nodes = grid(ball, 2.0, 48, 96)
-    wv = w(nodes.points)
-    vol = float(np.sum(nodes.weights))
-    out = []
-    with np.errstate(divide="ignore"):
-        for power in powers:
-            vals = wv**power
-            if not np.all(np.isfinite(vals)):
-                out.append(math.inf)
-            else:
-                out.append(float(np.dot(vals, nodes.weights)) / vol)
-    return out
-
-
 def _diverges_at_origin(w: Weight, power: float, region: Domain) -> bool:
-    """The exact rule for polynomial weights: ``|x|**beta``, ``beta = alpha *
-    power``, is not integrable over ``region`` iff the origin is in the
-    closed region and ``beta + dim <= 0``, with ``dim`` the region's
-    dimension there: ``n`` for a ball or a box, the aggregate ``gamma`` at a
-    cusp's tip.  Always False for a tabulated weight."""
-    if not w.is_polynomial:
-        return False
+    """The exact rule: ``|x|**beta``, ``beta = alpha * power``, is not
+    integrable over ``region`` iff the origin is in the closed region and
+    ``beta + dim <= 0``, with ``dim`` the region's dimension there: ``n``
+    for a ball or a box, the aggregate ``gamma`` at a cusp's tip."""
     if isinstance(region, CuspDomain):
         return w.alpha * power + region.gamma <= 0.0
     if isinstance(region, Ball):
@@ -204,8 +148,9 @@ def _diverges_at_origin(w: Weight, power: float, region: Domain) -> bool:
 def ap_ratio(w: Weight, p: float, ball: Ball) -> float:
     """A_p product ``(avg_B w) * (avg_B w**(1/(1-p)))**(p-1)`` on one ball.
 
-    A divergent average is reported as ``inf``; otherwise the two averages
-    are evaluated on a shared node set, which makes the returned ratio >= 1
+    A divergent average is reported as ``inf``; otherwise both averages are
+    ball power integrals over the ball's volume, all three on the node set
+    of :func:`_ball_power_integrals`, which makes the returned ratio >= 1
     exactly (discrete Hölder).  A product that floats cannot form, from an
     average that under- or overflowed or a power past the float range, is
     ``inf`` too.
@@ -215,7 +160,8 @@ def ap_ratio(w: Weight, p: float, ball: Ball) -> float:
     dual = 1.0 / (1.0 - p)
     if any(_diverges_at_origin(w, power, ball) for power in (1.0, dual)):
         return math.inf
-    avg_w, avg_dual = _same_grid_ball_averages(w, (1.0, dual), ball)
+    vol, int_w, int_dual = _ball_power_integrals(w.dim, (0.0, w.alpha, w.alpha * dual), ball)
+    avg_w, avg_dual = int_w / vol, int_dual / vol
     try:
         ratio = avg_w * avg_dual ** (p - 1.0)
     except OverflowError:
@@ -260,18 +206,16 @@ class BallFamily:
 
 @dataclass(frozen=True)
 class ApReport:
-    """Sampled A_p verdict.
-
-    ``sup_estimate`` is the largest sampled ratio (>= 1 always); for
-    polynomial weights the verdict is pinned to the analytic alpha range and
-    the numeric sample serves as a cross-check only.
+    """A_p verdict for ``|x|**alpha``, pinned to the analytic window
+    ``analytic_range``; the ratios sampled over a ball family, the largest
+    of them ``sup_estimate`` (>= 1 always), serve as a cross-check only.
     """
 
     p: float
     sup_estimate: float
     ball_count: int
     verdict: Verdict
-    analytic_range: tuple[float, float] | None = None
+    analytic_range: tuple[float, float]
     ratios: tuple[float, ...] = ()
 
     def to_dict(self) -> dict:
@@ -280,27 +224,20 @@ class ApReport:
             "sup_estimate": self.sup_estimate,
             "ball_count": self.ball_count,
             "verdict": self.verdict.value,
-            "analytic_range": list(self.analytic_range) if self.analytic_range else None,
+            "analytic_range": list(self.analytic_range),
         }
 
 
 def ap_check(w: Weight, p: float, family: BallFamily | None = None) -> ApReport:
-    """Estimate the A_p supremum over a ball family and deliver a verdict.
-
-    Polynomial weights get the analytic verdict ``-n < alpha < n(p-1)``;
-    tabulated weights are Violated only when a sampled average diverges,
-    otherwise Inconclusive (a finite sample cannot certify a supremum).
-    """
+    """Sample the A_p ratio over a ball family and deliver the analytic
+    verdict ``-n < alpha < n(p-1)``."""
     family = family or BallFamily(dim=w.dim)
     balls = family.balls()
     ratios = tuple(ap_ratio(w, p, b) for b in balls)
     sup = max(ratios) if ratios else 1.0
-    if w.is_polynomial:
-        lo, hi = polynomial_ap_range(w.dim, p)
-        verdict = Verdict.SATISFIED if lo < w.alpha < hi else Verdict.VIOLATED
-        return ApReport(p, sup, len(balls), verdict, (lo, hi), ratios)
-    verdict = Verdict.VIOLATED if not math.isfinite(sup) else Verdict.INCONCLUSIVE
-    return ApReport(p, sup, len(balls), verdict, None, ratios)
+    lo, hi = polynomial_ap_range(w.dim, p)
+    verdict = Verdict.SATISFIED if lo < w.alpha < hi else Verdict.VIOLATED
+    return ApReport(p, sup, len(balls), verdict, (lo, hi), ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -311,28 +248,31 @@ def ap_check(w: Weight, p: float, family: BallFamily | None = None) -> ApReport:
 def power_integral(w: Weight, power: float, region: Domain) -> IntegralVerdict:
     """Verdict and value for ``∫_region w(x)**power dx``.
 
-    A polynomial weight follows the exact rule first
-    (:func:`_diverges_at_origin`); otherwise it is reduced as follows.
+    The exact rule (:func:`_diverges_at_origin`) decides divergence, with
+    value ``inf`` and an empty trace; otherwise the integral is reduced as
+    follows.
 
     On a ball, to :func:`_ball_power_integrals`: a finite verdict with an
-    empty trace, as the exact rule's verdicts have, or
-    :class:`EvaluationError` when the value is too large for a float.
+    empty trace, or :class:`EvaluationError` when the value is too large for
+    a float.
 
     On a cusp, to reference coordinates, where ``|x|**beta * G(t) =
     t**(beta+gamma-1) * (|x|/t)**beta`` and ``|x|/t`` stays between 1 and
-    ``sqrt(n)``: the singularity is the one power of ``t``.
+    ``sqrt(n)``: the singularity is the one power of ``t``.  A box is
+    integrated as it stands.  Both take :func:`integrate`'s ladder, and a
+    ladder that reads divergent where the exact rule has ruled that out
+    returns inconclusive, with its value and trace.
     """
     if _diverges_at_origin(w, power, region):
         return IntegralVerdict(math.inf, Verdict.DIVERGENT, ())
-    if w.is_polynomial and isinstance(region, Ball):
-        beta = w.alpha * power
+    beta = w.alpha * power
+    if isinstance(region, Ball):
         (value,) = _ball_power_integrals(w.dim, (beta,), region)
         if not math.isfinite(value):
             raise EvaluationError(f"the ball integral of |x|**{beta:g} is not a finite float")
         return IntegralVerdict(value, Verdict.FINITE, ())
-    if w.is_polynomial and isinstance(region, CuspDomain):
+    if isinstance(region, CuspDomain):
         n = region.dim
-        beta = w.alpha * power
         expo = beta + region.gamma - 1.0
         slopes = np.asarray(region.exponents) - 1.0
 
@@ -342,13 +282,17 @@ def power_integral(w: Weight, power: float, region: Domain) -> IntegralVerdict:
             ratio = np.sqrt(1.0 + np.sum(across**2, axis=1))  # |x| / t
             return t**expo * ratio**beta
 
-        return integrate(h, Box((0.0,) * n, (1.0,) * n, singular_axis=n - 1))
+        outcome = integrate(h, Box((0.0,) * n, (1.0,) * n, singular_axis=n - 1))
+    else:
 
-    def f(pts: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return w(pts) ** power
+        def f(pts: np.ndarray) -> np.ndarray:
+            with np.errstate(divide="ignore"):
+                return w(pts) ** power
 
-    return integrate(f, region)
+        outcome = integrate(f, region)
+    if outcome.divergent:
+        return replace(outcome, verdict=Verdict.INCONCLUSIVE)
+    return outcome
 
 
 def theorem10_condition(w: Weight, domain: Domain) -> IntegralVerdict:

@@ -202,7 +202,7 @@ class TestNearCriticalExponents:
             ("[report]\nn = 2\np = 2\nalpha = 0\ngamma = 3\na = 1\n", ("Ja", "s", 3.0)),
             ("[report]\nn = 2\np = 2\nalpha = -0.5\ngamma = 2\na = 1\n", ("Ia", "q", 2.0)),
         ],
-        ids=["s-bound-above-r", "q-threshold-below-1"],
+        ids=["s-bound-above-r", "q-threshold-above-p"],
     )
     def test_report_at_a_equal_1_runs(self, tmp_path, section, clipped):
         # at a = 1 either q* >= p or s* >= r: both sides are clipped into
