@@ -323,10 +323,9 @@ def thm3_Kw(
     r: float,
     s: float,
 ) -> tuple[IntegralVerdict, IntegralVerdict]:
-    """Finiteness of the two weighted norms gating the quasiisometric route:
-    ``||w**(-1/p)||_{L_{pq/(p-q)}}`` and ``||w**(1/s)||_{L_{rs/(r-s)}}``.
-
-    Returns the two verdicts with values holding the norms themselves when
+    """Finiteness over ``domain``, a ball or a cusp, of the two weighted norms
+    gating the quasiisometric route: ``||w**(-1/p)||_{L_{pq/(p-q)}}`` and
+    ``||w**(1/s)||_{L_{rs/(r-s)}}``; the verdicts' values are the norms when
     finite (the second norm alone gates the unweighted-source variant).
     """
     if not q < p:

@@ -1,12 +1,14 @@
-"""Domains, graded quadrature grids, and refinement-based integral verdicts.
+"""Domains, graded quadrature grids and rules, refinement-based verdicts.
 
-The integration engine never asks for a value at the singular face
-``x_n = 0``: every node is a cell centroid strictly inside the domain.
-Finiteness and divergence are decided from a refinement trace in which each
-level doubles the resolved decades next to the singular face: a tail
-``t**(c-1)`` there adds at least as much per decade from one level to the
-next exactly when ``c <= 0``, and that is how divergence is read, over
-levels that share their cross grid so that only the window changed.
+Every power integral of :mod:`cusplab.weights` takes :func:`graded_gauss`,
+one fixed Gauss rule graded toward a singular end.  The refinement ladder
+never asks for a value at the singular face ``x_n = 0``: every node is a
+cell centroid strictly inside the domain.  Finiteness and divergence are
+decided from a refinement trace in which each level doubles the resolved
+decades next to the singular face: a tail ``t**(c-1)`` there adds at least
+as much per decade from one level to the next exactly when ``c <= 0``, and
+that is how divergence is read, over levels that share their cross grid so
+that only the window changed.
 
 Grids cover boxes and cusps.  A ball has no grid: it is a region for the
 exact radial reduction in :mod:`cusplab.weights`.  Cusp domains are never
@@ -26,6 +28,7 @@ from enum import Enum
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
+from scipy.special import roots_legendre
 
 __all__ = [
     "Box",
@@ -39,6 +42,7 @@ __all__ = [
     "SLOPE_BAND",
     "Verdict",
     "fixed_grid_sum",
+    "graded_gauss",
     "grid",
     "h1_domain",
     "integrate",
@@ -289,6 +293,34 @@ def grid(
     return QuadratureGrid(domain, points, weights)
 
 
+def graded_gauss(
+    span: float, decades: int, points: int, jacobi: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The log-nodes, which can lie below the float range, and the weights of
+    a rule for ``∫_0^span x**jacobi f(x) dx``, ``jacobi > -1``, graded toward
+    0 (Schwab, *Computing* 53, 1994).
+
+    Each decade above ``a = span * 10**-decades`` is one Gauss–Legendre
+    panel, the power in its weights; so is ``(0, a)`` when ``jacobi`` is 0.
+    Otherwise ``w = (x/a)**(jacobi + 1)`` maps ``(0, a)`` and its power onto
+    ``(0, 1)`` with no power, which takes this rule: an ``f`` varying like a
+    small power of ``x`` becomes a larger one of ``w``.  No weight is
+    negative, so sums keep the discrete Hölder inequality.
+    """
+    edges = span * 10.0 ** -np.arange(decades, -1.0, -1.0)
+    gx, gw = roots_legendre(points)
+    start, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    nodes = (start + half * (gx + 1.0)).ravel()
+    weights = (half * gw).ravel() * nodes**jacobi
+    first, e = edges[0], jacobi + 1.0
+    if jacobi:
+        log_w, w_weights = graded_gauss(1.0, decades, points)
+        log_head, head_weights = math.log(first) + log_w / e, first**e / e * w_weights
+    else:
+        log_head, head_weights = np.log(0.5 * first * (gx + 1.0)), 0.5 * first * gw
+    return np.concatenate([log_head, np.log(nodes)]), np.concatenate([head_weights, weights])
+
+
 # ---------------------------------------------------------------------------
 # integral verdicts
 # ---------------------------------------------------------------------------
@@ -363,17 +395,14 @@ class RefinementSchedule:
     at ``start_decades`` decades and multiplies by :data:`DEEPEN` each level
     (capped at ``max_decades``), while panel density per decade stays fixed,
     so :func:`_verdict` can compare what each refinement adds per decade
-    once the cross grid stays fixed.  Cross axes start at
+    once the cross grid stays fixed.  A cusp's cross axes start at
     :data:`CROSS_CELLS` cells and double for three levels (in three or more
-    dimensions, once, up to 24); a box without a singular axis starts at
-    ``uniform_start`` cells per axis and doubles for six, and has no window
-    to deepen.
+    dimensions, once, up to 24).
     """
 
     start_decades: float = 1.0
     max_decades: float = 256.0
     panels_per_decade: int = 24
-    uniform_start: int = 8
 
     def __post_init__(self):
         if not math.isfinite(self.max_decades):
@@ -390,9 +419,7 @@ def _level_args(
     ``level``, with every argument the domain's grid does not read set to 0,
     so that equal arguments mean an equal grid."""
     decades = min(schedule.start_decades * DEEPEN**level, schedule.max_decades)
-    if isinstance(domain, Box) and domain.singular_axis is None:
-        decades, cells = 0.0, schedule.uniform_start * 2 ** min(level, 6)
-    elif domain.dim == 1:
+    if domain.dim == 1:
         cells = 0  # a 1-D singular box is its graded axis alone
     else:
         cells = CROSS_CELLS * 2 ** min(level, 3)
@@ -444,7 +471,7 @@ def _verdict(trace: Sequence[float], depths: Sequence[float], tol: float) -> Ver
 def integrate_all(
     evaluate: Callable[[np.ndarray, list[int]], Iterable[np.ndarray]],
     count: int,
-    domain: Domain,
+    domain: CuspDomain | Box,
     schedule: RefinementSchedule | None = None,
     tol: float = 1e-3,
 ) -> list[IntegralVerdict | EvaluationError]:
@@ -458,23 +485,22 @@ def integrate_all(
     trace and leaves the ladder once :func:`_verdict` decides it, so
     integrand ``i``'s outcome is the verdict ``integrate(f_i, domain,
     schedule, tol)`` returns, or the :class:`EvaluationError` it raises, bit
-    for bit.  On a box graded along one face, a Finite read where only the
-    window was refined turns Divergent if :func:`_verdict` reads the cross
-    axes, one octave per step, so.  A non-finite value ends an integrand
+    for bit.  ``domain`` is a cusp or a 1-D box graded at its lower end; any
+    other raises ``TypeError``.  A non-finite value ends an integrand
     Inconclusive once :func:`_verdict` has compared increments on one cross
     grid; before that it is Divergent if the last level raised
     ``|estimate|``, and otherwise its slot holds the error while every other
     integrand goes on.
     """
+    graded_interval = isinstance(domain, Box) and domain.dim == 1 and domain.singular_axis == 0
+    if not (isinstance(domain, CuspDomain) or graded_interval):
+        raise TypeError(f"the ladder integrates a cusp or a graded interval, not {domain!r}")
     schedule = schedule or DEFAULT_SCHEDULE
     traces: list[list[float]] = [[] for _ in range(count)]
     results: list[IntegralVerdict | EvaluationError | None] = [None] * count
     active = list(range(count))
     prev_args = None
     depths: list[float] = []  # windows of the levels on this level's cross grid
-    # a box's singular face may hold its singularity at one point, which only
-    # the cross axes resolve
-    face_box = isinstance(domain, Box) and domain.singular_axis is not None and domain.dim > 1
     for level in itertools.count():
         args = _level_args(domain, schedule, level)
         if not active or args == prev_args:
@@ -483,9 +509,8 @@ def integrate_all(
             depths = []
         prev_args = args
         depths.append(args[0])
-        cross_fixed = face_box and len(depths) > 1
         level_grid = grid(domain, *args)
-        undecided, settled = [], []
+        undecided = []
         for i, vals in zip(active, evaluate(level_grid.points, active), strict=True):
             trace = traces[i]
             try:
@@ -506,25 +531,9 @@ def integrate_all(
             verdict = _verdict(trace, depths, tol)
             if verdict is None:
                 undecided.append(i)
-            elif verdict is Verdict.FINITE and cross_fixed:
-                settled.append(i)
             else:
                 results[i] = IntegralVerdict(trace[-1], verdict, tuple(trace))
         del level_grid
-        # only the window was refined, so the cross axes may yet diverge: the
-        # estimates on a quarter, a half and all of this level's cross cells
-        # are a ladder of their own, one octave per step
-        octaves: dict[int, list[float]] = {i: [] for i in settled}
-        for cells in (args[2] // 4, args[2] // 2) if settled else ():
-            coarse = grid(domain, args[0], args[1], cells)
-            for i, vals in zip(settled, evaluate(coarse.points, settled), strict=True):
-                total = float(np.dot(vals, coarse.weights))
-                octaves[i].append(total if math.isfinite(total) else math.nan)
-                del vals
-        for i in settled:
-            across = _verdict(octaves[i] + traces[i][-1:], (0.0, 1.0, 2.0), tol)
-            verdict = Verdict.DIVERGENT if across is Verdict.DIVERGENT else Verdict.FINITE
-            results[i] = IntegralVerdict(traces[i][-1], verdict, tuple(traces[i]))
         active = undecided
     for i in active:
         trace = traces[i]
@@ -537,20 +546,18 @@ def integrate_all(
 
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
-    domain: Domain,
+    domain: CuspDomain | Box,
     schedule: RefinementSchedule | None = None,
     tol: float = 1e-3,
 ) -> IntegralVerdict:
-    """Integrate ``f`` over ``domain``, a box or a cusp, and decide finiteness.
+    """Integrate ``f`` over a cusp or a graded interval and decide finiteness.
 
     ``f`` must accept an ``(N, n)`` array of interior points and return
     ``(N,)`` values; singular behavior is allowed only at the boundary or the
     origin.  This is the one-integrand case of :func:`integrate_all`: the
     verdict is Finite or Divergent as :func:`_verdict` decides, Inconclusive
     if the schedule runs out first: at the first level whose grid equals the
-    previous level's, so no verdict ever compares a grid with itself.  A box
-    without a singular axis has no window to compare per decade, so there
-    only an overflow after a rise in ``|estimate|`` reads Divergent.  The
+    previous level's, so no verdict ever compares a grid with itself.  The
     :class:`EvaluationError` that :func:`integrate_all` holds in its slot is
     raised.
     """

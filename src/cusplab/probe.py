@@ -137,7 +137,6 @@ _NORM_SCHEDULE = RefinementSchedule(
     start_decades=2.0,
     max_decades=40.0,
     panels_per_decade=32,
-    uniform_start=16,
 )
 _NORM_TOL = 1e-4
 

@@ -6,9 +6,11 @@ integral of a radial power over a ball is a 1-D integral of
 ball, available in closed form through the regularized incomplete beta
 function.  One function, :func:`_ball_power_integrals`, evaluates it for
 both the A_p averages and ball power integrals: a closed form on the inner
-ball and fixed nodes on the cap, with no refinement ladder.  Both read the
-exact rule first: ``|x|**beta`` is integrable near the origin iff
-``beta + n > 0`` (``beta + gamma > 0`` at a cusp's tip).
+ball and fixed nodes on the cap.  A cusp power integral is one power of
+``t`` times a bounded factor; the cap and ``t`` take the one graded Gauss
+rule, :func:`cusplab.geometry.graded_gauss`.  All read the exact rule first:
+``|x|**beta`` is integrable near the origin iff ``beta + n > 0``
+(``beta + gamma > 0`` at a cusp's tip).
 
 Infinite averages are reported as ``math.inf`` (a distinguished value), never
 as a floating overflow.
@@ -17,7 +19,7 @@ as a floating overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,14 +27,12 @@ from scipy.special import betainc, gamma as _gamma
 
 from .geometry import (
     Ball,
-    Box,
     CuspDomain,
-    Domain,
     EvaluationError,
     IntegralVerdict,
     Verdict,
-    grid,
-    integrate,
+    _tensor_cells,
+    graded_gauss,
     radius,
 )
 
@@ -93,13 +93,16 @@ def polynomial_ap_range(n: int, p: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+#: the graded rule of every power integral: 40 decades, 16 points a panel
+_DECADES, _POINTS = 40, 16
+
 # the cap rule: theta on (0, pi], graded toward 0, where the cap starts at the
 # origin when the sphere passes through it; rho = lo + (hi - lo) * s with
 # s = sin(theta/2)**2 has no square root at either end of the cap, and
 # (1 - cos(theta))/2 in its place would round to 0 for small theta
-_THETA = grid(Box((0.0,), (math.pi,), singular_axis=0), 20.0, 48, 1)
-_CAP_S = np.sin(0.5 * _THETA.points[:, 0]) ** 2
-_CAP_DS = 0.5 * np.sin(_THETA.points[:, 0]) * _THETA.weights
+_LOG_THETA, _THETA_W = graded_gauss(math.pi, _DECADES, _POINTS)
+_CAP_S = np.sin(0.5 * np.exp(_LOG_THETA)) ** 2
+_CAP_DS = 0.5 * np.sin(np.exp(_LOG_THETA)) * _THETA_W
 
 
 def _ball_power_integrals(n: int, betas: Sequence[float], ball: Ball) -> list[float]:
@@ -131,17 +134,14 @@ def _ball_power_integrals(n: int, betas: Sequence[float], ball: Ball) -> list[fl
     return out
 
 
-def _diverges_at_origin(w: Weight, power: float, region: Domain) -> bool:
+def _diverges_at_origin(w: Weight, power: float, region: Ball | CuspDomain) -> bool:
     """The exact rule: ``|x|**beta``, ``beta = alpha * power``, is not
     integrable over ``region`` iff the origin is in the closed region and
     ``beta + dim <= 0``, with ``dim`` the region's dimension there: ``n``
-    for a ball or a box, the aggregate ``gamma`` at a cusp's tip."""
+    for a ball, the aggregate ``gamma`` at a cusp's tip."""
     if isinstance(region, CuspDomain):
         return w.alpha * power + region.gamma <= 0.0
-    if isinstance(region, Ball):
-        at_origin = float(np.linalg.norm(region.center)) <= region.radius
-    else:
-        at_origin = all(lo <= 0.0 <= hi for lo, hi in zip(region.lo, region.hi))
+    at_origin = float(np.linalg.norm(region.center)) <= region.radius
     return at_origin and w.alpha * power + region.dim <= 0.0
 
 
@@ -245,57 +245,50 @@ def ap_check(w: Weight, p: float, family: BallFamily | None = None) -> ApReport:
 # ---------------------------------------------------------------------------
 
 
-def power_integral(w: Weight, power: float, region: Domain) -> IntegralVerdict:
-    """Verdict and value for ``∫_region w(x)**power dx``.
+def _cusp_power_integral(beta: float, cusp: CuspDomain) -> float:
+    """``∫_cusp |x|**beta dx`` with ``c = beta + gamma > 0``: in reference
+    coordinates ``x_i = u_i * t**gamma_i``, ``x_n = t``, it is
+    ``∫_0^1 t**(c-1) R(t) dt`` with the bounded cross average ``R(t) =
+    ∫ (1 + sum u_i**2 t**(2 (gamma_i - 1)))**(beta/2) du`` over the unit box.
+    ``t`` takes the graded rule with power ``c - 1``, one panel at a time,
+    and each ``u_i`` one Gauss–Legendre panel."""
+    log_u, u_w = graded_gauss(1.0, 0, _POINTS)
+    cross, cross_w = _tensor_cells([(np.exp(2.0 * log_u), u_w)] * (cusp.dim - 1))  # u_i**2
+    log_t, t_w = graded_gauss(1.0, _DECADES, _POINTS, beta + cusp.gamma - 1.0)
+    # t**(2 (gamma_i - 1)) from log t: t itself can lie below the float range
+    stretch = np.exp(np.multiply.outer(log_t, 2.0 * (np.asarray(cusp.exponents) - 1.0)))
+    averages = np.empty_like(log_t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, len(log_t), _POINTS):
+            ratio_sq = 1.0 + stretch[k : k + _POINTS] @ cross.T  # (|x|/t)**2
+            averages[k : k + _POINTS] = ratio_sq ** (0.5 * beta) @ cross_w
+        return float(t_w @ averages)
+
+
+def power_integral(w: Weight, power: float, region: Ball | CuspDomain) -> IntegralVerdict:
+    """Verdict and value for ``∫_region w(x)**power dx`` over a ball or a cusp.
 
     The exact rule (:func:`_diverges_at_origin`) decides divergence, with
-    value ``inf`` and an empty trace; otherwise the integral is reduced as
-    follows.
-
-    On a ball, to :func:`_ball_power_integrals`: a finite verdict with an
-    empty trace, or :class:`EvaluationError` when the value is too large for
-    a float.
-
-    On a cusp, to reference coordinates, where ``|x|**beta * G(t) =
-    t**(beta+gamma-1) * (|x|/t)**beta`` and ``|x|/t`` stays between 1 and
-    ``sqrt(n)``: the singularity is the one power of ``t``.  A box is
-    integrated as it stands.  Both take :func:`integrate`'s ladder, and a
-    ladder that reads divergent where the exact rule has ruled that out
-    returns inconclusive, with its value and trace.
+    value ``inf`` and an empty trace.  Otherwise it is finite with an empty
+    trace, the value :func:`_ball_power_integrals` or
+    :func:`_cusp_power_integral`, or raises :class:`EvaluationError` if that
+    is not a finite float.  A box, or any other region, raises ``TypeError``.
     """
+    if not isinstance(region, (Ball, CuspDomain)):
+        raise TypeError(f"power_integral takes a ball or a cusp, not {type(region).__name__}")
     if _diverges_at_origin(w, power, region):
         return IntegralVerdict(math.inf, Verdict.DIVERGENT, ())
     beta = w.alpha * power
     if isinstance(region, Ball):
         (value,) = _ball_power_integrals(w.dim, (beta,), region)
-        if not math.isfinite(value):
-            raise EvaluationError(f"the ball integral of |x|**{beta:g} is not a finite float")
-        return IntegralVerdict(value, Verdict.FINITE, ())
-    if isinstance(region, CuspDomain):
-        n = region.dim
-        expo = beta + region.gamma - 1.0
-        slopes = np.asarray(region.exponents) - 1.0
-
-        def h(ref: np.ndarray) -> np.ndarray:
-            t = ref[:, -1]
-            across = ref[:, :-1] * t[:, None] ** slopes  # x_i / t
-            ratio = np.sqrt(1.0 + np.sum(across**2, axis=1))  # |x| / t
-            return t**expo * ratio**beta
-
-        outcome = integrate(h, Box((0.0,) * n, (1.0,) * n, singular_axis=n - 1))
     else:
-
-        def f(pts: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore"):
-                return w(pts) ** power
-
-        outcome = integrate(f, region)
-    if outcome.divergent:
-        return replace(outcome, verdict=Verdict.INCONCLUSIVE)
-    return outcome
+        value = _cusp_power_integral(beta, region)
+    if not math.isfinite(value):
+        raise EvaluationError(f"the integral of |x|**{beta:g} is not a finite float")
+    return IntegralVerdict(value, Verdict.FINITE, ())
 
 
-def theorem10_condition(w: Weight, domain: Domain) -> IntegralVerdict:
+def theorem10_condition(w: Weight, domain: Ball | CuspDomain) -> IntegralVerdict:
     """Finiteness verdict for ``∫ w**(-n/2)``, the solvability hypothesis of
     the weighted Dirichlet problem."""
     return power_integral(w, -w.dim / 2.0, domain)
