@@ -1,9 +1,12 @@
 """Domains, graded quadrature grids and rules, refinement-based verdicts.
 
 Every power integral of :mod:`cusplab.weights` takes :func:`graded_gauss`,
-one fixed Gauss rule graded toward a singular end.  The refinement ladder
-never asks for a value at the singular face ``x_n = 0``: every node is a
-cell centroid strictly inside the domain.  Finiteness and divergence are
+one fixed Gauss rule graded toward a singular end, and the probe's norms
+take fixed Gauss–Jacobi rules of their own (:mod:`cusplab.probe`), summed
+by :func:`fixed_grid_sum` pairwise in a fixed order.  No command calls the
+refinement ladder, :func:`integrate`, any more.  It never asks for a value
+at the singular face ``x_n = 0``: every node is a cell centroid strictly
+inside the domain.  Finiteness and divergence are
 decided from a refinement trace in which each level doubles the resolved
 decades next to the singular face: a tail ``t**(c-1)`` there adds at least
 as much per decade from one level to the next exactly when ``c <= 0``, and
@@ -25,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -46,7 +49,6 @@ __all__ = [
     "grid",
     "h1_domain",
     "integrate",
-    "integrate_all",
     "radius",
     "scaling_exponent",
     "unit_interval",
@@ -304,10 +306,16 @@ def graded_gauss(
     panel, the power in its weights; so is ``(0, a)`` when ``jacobi`` is 0.
     Otherwise ``w = (x/a)**(jacobi + 1)`` maps ``(0, a)`` and its power onto
     ``(0, 1)`` with no power, which takes this rule: an ``f`` varying like a
-    small power of ``x`` becomes a larger one of ``w``.  No weight is
-    negative, so sums keep the discrete Hölder inequality.
+    small power of ``x`` becomes a larger one of ``w``.  A ``jacobi`` above
+    8 puts ``x**jacobi``'s mass within about ``8 span / jacobi`` of the top,
+    so the top decade is halved toward ``span`` until its last panel is no
+    wider.  No weight is negative, so sums keep the discrete Hölder
+    inequality.
     """
     edges = span * 10.0 ** -np.arange(decades, -1.0, -1.0)
+    if decades and jacobi > 8.0:
+        halvings = np.arange(1.0, math.ceil(math.log2(jacobi / 8.0)) + 1.0)
+        edges = np.concatenate([edges[:-1], span - 0.9 * span * 0.5**halvings, edges[-1:]])
     gx, gw = roots_legendre(points)
     start, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
     nodes = (start + half * (gx + 1.0)).ravel()
@@ -437,7 +445,8 @@ def fixed_grid_sum(f: Callable[[np.ndarray], np.ndarray], grid: QuadratureGrid) 
         )
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("integrand returned a non-finite value at an interior node")
-    return float(np.dot(vals, grid.weights))
+    # a pairwise sum in a fixed order, whatever the BLAS thread count
+    return float(np.add.reduce(vals * grid.weights))
 
 
 def _agrees(a: float, b: float, tol: float) -> bool:
@@ -468,82 +477,6 @@ def _verdict(trace: Sequence[float], depths: Sequence[float], tol: float) -> Ver
     return None
 
 
-def integrate_all(
-    evaluate: Callable[[np.ndarray, list[int]], Iterable[np.ndarray]],
-    count: int,
-    domain: CuspDomain | Box,
-    schedule: RefinementSchedule | None = None,
-    tol: float = 1e-3,
-) -> list[IntegralVerdict | EvaluationError]:
-    """Integrate ``count`` integrands over ``domain`` on one refinement ladder.
-
-    Each level's grid is built once, after the previous level's grid is
-    dropped, and ``evaluate(points, active)`` yields the ``(N,)`` values of
-    the still-active integrands, in the order of the ascending indices in
-    ``active``; a generator that computes each array only when asked keeps
-    one integrand's values alive at a time.  Every integrand keeps its own
-    trace and leaves the ladder once :func:`_verdict` decides it, so
-    integrand ``i``'s outcome is the verdict ``integrate(f_i, domain,
-    schedule, tol)`` returns, or the :class:`EvaluationError` it raises, bit
-    for bit.  ``domain`` is a cusp or a 1-D box graded at its lower end; any
-    other raises ``TypeError``.  A non-finite value ends an integrand
-    Inconclusive once :func:`_verdict` has compared increments on one cross
-    grid; before that it is Divergent if the last level raised
-    ``|estimate|``, and otherwise its slot holds the error while every other
-    integrand goes on.
-    """
-    graded_interval = isinstance(domain, Box) and domain.dim == 1 and domain.singular_axis == 0
-    if not (isinstance(domain, CuspDomain) or graded_interval):
-        raise TypeError(f"the ladder integrates a cusp or a graded interval, not {domain!r}")
-    schedule = schedule or DEFAULT_SCHEDULE
-    traces: list[list[float]] = [[] for _ in range(count)]
-    results: list[IntegralVerdict | EvaluationError | None] = [None] * count
-    active = list(range(count))
-    prev_args = None
-    depths: list[float] = []  # windows of the levels on this level's cross grid
-    for level in itertools.count():
-        args = _level_args(domain, schedule, level)
-        if not active or args == prev_args:
-            break
-        if prev_args is None or args[2] != prev_args[2]:
-            depths = []
-        prev_args = args
-        depths.append(args[0])
-        level_grid = grid(domain, *args)
-        undecided = []
-        for i, vals in zip(active, evaluate(level_grid.points, active), strict=True):
-            trace = traces[i]
-            try:
-                trace.append(fixed_grid_sum(lambda _pts, v=vals: v, level_grid))
-            except EvaluationError as exc:
-                # after increments that did not grow per decade, overflow
-                # ends the ladder undecided; before the rule could compare
-                # them, overflow after |estimate| grew is divergence manifesting
-                if len(depths) > 3:
-                    results[i] = IntegralVerdict(trace[-1], Verdict.INCONCLUSIVE, tuple(trace))
-                elif len(trace) >= 2 and abs(trace[-1]) > abs(trace[-2]):
-                    results[i] = IntegralVerdict(trace[-1], Verdict.DIVERGENT, tuple(trace))
-                else:
-                    results[i] = exc
-                continue
-            finally:
-                del vals  # free these values before the next are computed
-            verdict = _verdict(trace, depths, tol)
-            if verdict is None:
-                undecided.append(i)
-            else:
-                results[i] = IntegralVerdict(trace[-1], verdict, tuple(trace))
-        del level_grid
-        active = undecided
-    for i in active:
-        trace = traces[i]
-        if all(v == 0.0 for v in trace):
-            results[i] = IntegralVerdict(0.0, Verdict.FINITE, tuple(trace))
-        else:
-            results[i] = IntegralVerdict(trace[-1], Verdict.INCONCLUSIVE, tuple(trace))
-    return results
-
-
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     domain: CuspDomain | Box,
@@ -554,14 +487,44 @@ def integrate(
 
     ``f`` must accept an ``(N, n)`` array of interior points and return
     ``(N,)`` values; singular behavior is allowed only at the boundary or the
-    origin.  This is the one-integrand case of :func:`integrate_all`: the
-    verdict is Finite or Divergent as :func:`_verdict` decides, Inconclusive
-    if the schedule runs out first: at the first level whose grid equals the
-    previous level's, so no verdict ever compares a grid with itself.  The
-    :class:`EvaluationError` that :func:`integrate_all` holds in its slot is
-    raised.
+    origin.  The verdict is Finite or Divergent as :func:`_verdict` decides,
+    Inconclusive if the schedule runs out first: at the first level whose
+    grid equals the previous level's, so no verdict ever compares a grid
+    with itself.  ``domain`` is a cusp or a 1-D box graded at its lower end;
+    any other raises ``TypeError``.  A non-finite value ends the ladder
+    Inconclusive once :func:`_verdict` has compared increments on one cross
+    grid; before that it is Divergent if the last level raised
+    ``|estimate|``, and otherwise its :class:`EvaluationError` is raised.
     """
-    (outcome,) = integrate_all(lambda pts, _: [f(pts)], 1, domain, schedule, tol)
-    if isinstance(outcome, EvaluationError):
-        raise outcome
-    return outcome
+    graded_interval = isinstance(domain, Box) and domain.dim == 1 and domain.singular_axis == 0
+    if not (isinstance(domain, CuspDomain) or graded_interval):
+        raise TypeError(f"the ladder integrates a cusp or a graded interval, not {domain!r}")
+    schedule = schedule or DEFAULT_SCHEDULE
+    trace: list[float] = []
+    prev_args = None
+    depths: list[float] = []  # windows of the levels on this level's cross grid
+    for level in itertools.count():
+        args = _level_args(domain, schedule, level)
+        if args == prev_args:
+            break
+        if prev_args is None or args[2] != prev_args[2]:
+            depths = []
+        prev_args = args
+        depths.append(args[0])
+        try:
+            trace.append(fixed_grid_sum(f, grid(domain, *args)))
+        except EvaluationError:
+            # after increments that did not grow per decade, overflow ends
+            # the ladder undecided; before the rule could compare them,
+            # overflow after |estimate| grew is divergence manifesting
+            if len(depths) > 3:
+                return IntegralVerdict(trace[-1], Verdict.INCONCLUSIVE, tuple(trace))
+            if len(trace) >= 2 and abs(trace[-1]) > abs(trace[-2]):
+                return IntegralVerdict(trace[-1], Verdict.DIVERGENT, tuple(trace))
+            raise
+        verdict = _verdict(trace, depths, tol)
+        if verdict is not None:
+            return IntegralVerdict(trace[-1], verdict, tuple(trace))
+    if all(v == 0.0 for v in trace):
+        return IntegralVerdict(0.0, Verdict.FINITE, tuple(trace))
+    return IntegralVerdict(trace[-1], Verdict.INCONCLUSIVE, tuple(trace))

@@ -7,42 +7,48 @@ behaves like ``eps**kappa``, ``kappa = (alpha+gamma)/s - (alpha+gamma)/p + 1``,
 which is zero exactly at the Thm 6 ceiling, so the verdict is the sign of the
 exponent fitted over the last two decades of scales (:class:`ProbeReport`).
 
-Every norm integral of a probe, ``(2 + n)`` per scale (the ``L_s`` and
-``L_p`` powers of the value and the ``L_p`` power of each gradient
-component), is decided on one refinement ladder
-(:func:`cusplab.geometry.integrate_all`): each level's grid is built once,
-the weight and the radii ``|x|`` of its points are computed once per level,
-the radii shared by every scale's radial trial function, each scale's value
-and gradient once per level, and each integral still stops by its own
-trace, so the ratios are the same bits as when every integral runs its own
-ladder.
+Every norm integral of a scale, ``(2 + n)`` of them (the ``L_s`` and ``L_p``
+powers of the value and the ``L_p`` power of each gradient component), is
+finite by exponent arithmetic, so each is one sum over one fixed Gauss rule
+fitted to the trial function's support (Golub–Welsch, *Math. Comp.* 23,
+1969), with no refinement and no verdict of its own.  In reference
+coordinates ``x_n = t``, ``x_i = u_i * t**gamma_i`` and with ``rho = |x|/t``:
 
-Only the ``L_s`` powers depend on ``s``.  The other ``(1 + n)`` integrals
-of each scale, the ``W^1_p(D,w)`` denominator, are kept for the most recent
-trial family (its kind, ``beta`` and scales, with ``p``, the weight, the
-domain and the norm schedule and tolerance), so a probe of the same family
-at another exponent integrates only its ``L_s`` powers and reads the rest
-from that one-entry memo, with the same bits as a probe that starts cold.
+- each transverse axis takes 16 Gauss–Legendre nodes ``u``, but the one
+  whose gradient component is integrated takes the Jacobi weight ``u**p``;
+- the support edge ``t*(u)``, where ``t * rho(t, u)`` reaches a break
+  radius of the trial function, is solved at each cross node;
+- ``t = t* * tau`` takes 16 Gauss–Jacobi nodes for the weight
+  ``tau**(alpha+gamma-1) * (1-tau)**k``, with ``k = s`` for ``L_s``,
+  ``k = p`` for the ``L_p`` value and ``k = 0`` for gradients (the value
+  vanishes like ``(1-tau)`` at the edge);
+- a piece between two break radii (the power spike's cap ``eps`` and its
+  outer radius ``1/2``) is mapped by ``log t`` and takes ``(1-x)**k`` at its
+  top.
+
+So what is left in each integrand is smooth, and the ratios are those of
+the exact integrals to about 1e-13.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from .exponents import EmbeddingQuery
 from .geometry import (
     SLOPE_BAND,
     CuspDomain,
     EvaluationError,
-    IntegralVerdict,
-    RefinementSchedule,
+    QuadratureGrid,
     Verdict,
-    integrate_all,
+    _tensor_cells,
+    fixed_grid_sum,
     radius,
     scaling_exponent,
 )
@@ -60,17 +66,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrialFunction:
-    """Radial Lipschitz trial function vanishing outside the domain, with
-    explicit gradient components.
+    """Radial Lipschitz trial function, with explicit gradient components.
 
     Both families depend on ``|x|`` alone, so ``value`` takes the radii
-    ``r`` (N,) of the points and ``grad`` the points (N, n) and their radii;
-    the probe computes ``r`` once per quadrature level and shares it across
-    every scale.
+    ``r`` (N,) of the points and ``grad`` the points (N, n) and their radii.
+    ``breaks`` are the increasing radii where the function is not smooth,
+    the last the outer radius of its support, where its value vanishes.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (N, n) components
+    breaks: tuple[float, ...]
 
 
 def _tip_bump(eps: float) -> TrialFunction:
@@ -84,7 +90,7 @@ def _tip_bump(eps: float) -> TrialFunction:
         den[(r >= eps) | (r == 0.0)] = np.inf
         return pts / -den[:, None]  # -pts / den, without negating an (N, n) array
 
-    return TrialFunction(value, grad)
+    return TrialFunction(value, grad, (eps,))
 
 
 #: radius outside which a power spike vanishes
@@ -106,7 +112,7 @@ def _power_spike(beta: float, eps: float) -> TrialFunction:
         g[live] = -beta * r[live, None] ** (-beta - 2.0) * pts[live]
         return g
 
-    return TrialFunction(value, grad)
+    return TrialFunction(value, grad, (min(eps, _SPIKE_OUTER), _SPIKE_OUTER))
 
 
 @dataclass(frozen=True)
@@ -133,17 +139,30 @@ class TrialFamily:
         return _power_spike(self.beta, eps)
 
 
-_NORM_SCHEDULE = RefinementSchedule(
-    start_decades=2.0,
-    max_decades=40.0,
-    panels_per_decade=32,
-)
-_NORM_TOL = 1e-4
+#: Gauss nodes per axis, and per piece of ``t``, of every norm integral
+_NODES = 16
 
 
-#: the outcomes of the most recent keyed family, ``(key, outcomes)``; its
-#: ``L_s`` slots are None, the rest its ``W^1_p`` denominator integrals
-_denominators: tuple[tuple, list[IntegralVerdict | EvaluationError | None]] | None = None
+def _support_edge(b: float, cross: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """The ``t`` at which ``|x(t, u)| = t * rho(t, u)`` reaches ``b`` at each
+    cross node ``u`` (rows of ``cross``), or 1 where it passes the cusp's top.
+
+    ``|x(t, u)|**2 = t**2 + sum u_i**2 t**(2 gamma_i)`` is convex and
+    increasing in ``t`` and at least ``b**2`` at ``t = b``, so Newton's
+    method on it from ``t = b`` falls to the edge without overshooting it,
+    on any cusp and at any scale.
+    """
+    t = np.full(len(cross), float(b))
+    squares = cross * cross
+    for _ in range(64):
+        widths = squares * t[:, None] ** (2.0 * exponents)  # x_i**2
+        slope = 2.0 * t + 2.0 * (exponents * widths).sum(axis=1) / t  # d|x|**2/dt
+        step = (t * t + widths.sum(axis=1) - b * b) / slope
+        nxt = np.minimum(t, t - step)
+        if np.array_equal(nxt, t):
+            break
+        t = nxt
+    return np.minimum(t, 1.0)
 
 
 def _ratios(
@@ -152,86 +171,88 @@ def _ratios(
     s: float,
     weight: Weight,
     domain: CuspDomain,
-    family: tuple | None = None,
 ) -> Iterator[float]:
-    """The embedding ratio of each trial function in turn, from one
-    refinement ladder shared by all ``len(members) * (2 + n)`` norm integrals.
+    """The embedding ratio of each trial function in turn, its ``2 + n``
+    norm integrals each one sum on a fixed rule fitted to its support.
 
-    Integrand ``k * (2 + n) + j`` belongs to ``members[k]``: ``j = 0`` is the
-    ``L_s`` power, ``j = 1`` the ``L_p`` power and ``j = 2 + a`` the ``L_p``
-    power of gradient component ``a``.  At each level the weight and the
-    radii ``|x|`` of the points are computed once, the radii shared by every
-    member, and each member's value and gradient once, freed before the next
-    member's.  A norm that fails to stabilize raises ArithmeticError, and one
-    that cannot be evaluated its EvaluationError, when its member's turn
-    comes, so the ratios of earlier members are yielded first.
-
-    ``family`` is a key that names the members (``run_probe`` passes the
-    trial family and its scales); with it, the outcomes of the ``j >= 1``
-    integrals, which do not depend on ``s``, are kept together with ``p``,
-    the weight, the domain and the norm schedule and tolerance.  The next
-    call with that same key integrates only the ``L_s`` powers on the
-    ladder.  Each integrand's outcome is the one it gets on a ladder of its
-    own, whatever else shares the ladder (:func:`integrate_all`), so the
-    ratios are the same bits either way.  Without a key nothing is kept.
+    Integral ``j = 0`` is the ``L_s`` power, ``j = 1`` the ``L_p`` power and
+    ``j = 2 + a`` the ``L_p`` power of gradient component ``a``.  Near the
+    tip each integrand, with the cross-section, is ``t**(alpha+gamma-1+e)``
+    times a smooth factor, ``e = 0`` but ``p (gamma_a - 1)`` for a
+    transverse component ``a``, whose ``|x_a|**p`` also holds ``u_a**p``;
+    both powers go into the Gauss weights, built once for all members.  A
+    norm that cannot be evaluated raises its EvaluationError when its
+    member's turn comes, after the ratios of earlier members.
     """
-    global _denominators
-    per = 2 + domain.dim
-    key = None if family is None else (family, p, weight, domain, _NORM_SCHEDULE, _NORM_TOL)
-    hit = key is not None and _denominators is not None and _denominators[0] == key
-    # the integrands on this ladder, by their index k * (2 + n) + j
-    todo = range(0, len(members) * per, per if hit else 1)
+    n, c = domain.dim, weight.alpha + domain.gamma
+    exponents = np.asarray(domain.exponents)
 
-    def evaluate(points: np.ndarray, active: list[int]) -> Iterator[np.ndarray]:
-        w, r = weight(points), radius(points)
-        for k, norms in itertools.groupby((todo[i] for i in active), key=lambda i: i // per):
-            u, v, g = members[k], None, None
-            for i in norms:
-                j = i % per
-                if j < 2:
-                    if v is None:
-                        v = u.value(r)
-                    yield np.abs(v) ** (s if j == 0 else p) * w
-                else:
-                    if g is None:
-                        v, g = None, u.grad(points, r)  # no value power follows
-                    yield np.abs(g[:, j - 2]) ** p * w
+    @functools.cache
+    def rule(k: float, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss–Jacobi nodes and weights on (0, 1) for ``x**(c-1) (1-x)**k``."""
+        x, w = roots_jacobi(_NODES, k, c - 1.0)
+        return 0.5 * (x + 1.0), w / 2.0 ** (k + c)
 
-    with np.errstate(over="ignore"):  # fixed_grid_sum judges an infinite power
-        outcomes = integrate_all(evaluate, len(todo), domain, _NORM_SCHEDULE, _NORM_TOL)
-    if hit:
-        verdicts = list(_denominators[1])
-        verdicts[::per] = outcomes
-    else:
-        verdicts = outcomes
-        if key is not None:
-            # a kept error holds no traceback, and with it no level's grid
-            kept = [
-                v.with_traceback(None) if isinstance(v, EvaluationError) else v for v in verdicts
+    def cross_rule(axis: int | None) -> tuple[np.ndarray, np.ndarray]:
+        # the weight u**p on ``axis`` comes out of the weights again, so the
+        # sum takes the integrand as it is
+        u, w = rule(0.0, p + 1.0)
+        return _tensor_cells([(u, w / u**p) if a == axis else rule(0.0) for a in range(n - 1)])
+
+    # the cross rules: Gauss–Legendre, then u**p on each transverse axis in turn
+    crosses = [cross_rule(None)] + [cross_rule(a) for a in range(n - 1)]
+    # (cross rule, k, e) of each integral j
+    specs = [(0, s, 0.0), (0, p, 0.0)]
+    specs += [(a + 1, 0.0, p * (exponents[a] - 1.0)) for a in range(n - 1)]
+    specs.append((0, 0.0, 0.0))
+
+    def norm_grid(
+        cross: np.ndarray, cross_w: np.ndarray, tops: list[np.ndarray], k: float, e: float
+    ) -> QuadratureGrid:
+        ts, ws, low = [], [], None
+        for i, top in enumerate(tops):
+            k_top = k if i == len(tops) - 1 else 0.0
+            if low is None:
+                tau, w = rule(k_top, c + e)
+                t = top * tau
+                w = w * top**domain.gamma * tau ** (domain.gamma - c - e) / (1.0 - tau) ** k_top
+            else:
+                y, w = rule(k_top)
+                span = np.log(top / low)
+                t = low * np.exp(span * y)
+                w = w * t**domain.gamma * span / (1.0 - y) ** k_top
+            ts.append(t)
+            ws.append(w * cross_w[:, None])
+            low = top
+        t = np.concatenate(ts, axis=1)
+        points = np.empty(t.shape + (n,))
+        points[..., :-1] = cross[:, None, :] * t[..., None] ** exponents
+        points[..., -1] = t
+        return QuadratureGrid(domain, points.reshape(-1, n), np.concatenate(ws, axis=1).ravel())
+
+    def integrand(u: TrialFunction, j: int) -> Callable[[np.ndarray], np.ndarray]:
+        def f(points: np.ndarray) -> np.ndarray:
+            r = radius(points)
+            if j < 2:
+                return np.abs(u.value(r)) ** (s if j == 0 else p) * weight(points)
+            return np.abs(u.grad(points, r)[:, j - 2]) ** p * weight(points)
+
+        return f
+
+    for u in members:
+        # the edge of each break radius at each cross rule's nodes
+        tops = [
+            [_support_edge(b, cross, exponents)[:, None] for b in u.breaks] for cross, _ in crosses
+        ]
+        with np.errstate(over="ignore"):  # fixed_grid_sum judges an infinite power
+            norms = [
+                fixed_grid_sum(integrand(u, j), norm_grid(*crosses[v], tops[v], k, e))
+                for j, (v, k, e) in enumerate(specs)
             ]
-            kept[::per] = [None] * len(members)
-            _denominators = (key, kept)
-
-    def decided(i: int) -> IntegralVerdict:
-        if isinstance(verdicts[i], EvaluationError):
-            # raised afresh, so a kept error's traceback does not grow per probe
-            raise verdicts[i].with_traceback(None)
-        return verdicts[i]
-
-    for k in range(len(members)):
-        num, val = decided(k * per), decided(k * per + 1)
-        if num.verdict is not Verdict.FINITE or val.verdict is not Verdict.FINITE:
-            raise ArithmeticError("trial-function norm did not stabilize")
-        grad_norms = []
-        for axis in range(domain.dim):
-            gv = decided(k * per + 2 + axis)
-            if gv.verdict is not Verdict.FINITE:
-                raise ArithmeticError("trial-function gradient norm did not stabilize")
-            grad_norms.append(gv.value ** (1.0 / p))
-        denom = val.value ** (1.0 / p) + sum(grad_norms)
+        denom = norms[1] ** (1.0 / p) + sum(g ** (1.0 / p) for g in norms[2:])
         if denom <= 0.0:
             raise ValueError("trial function is identically zero on the domain")
-        yield num.value ** (1.0 / s) / denom
+        yield norms[0] ** (1.0 / s) / denom
 
 
 def embedding_ratio(
@@ -241,12 +262,11 @@ def embedding_ratio(
     weight: Weight,
     domain: CuspDomain,
 ) -> float:
-    """``||u||_{L_s(D,w)} / ||u||_{W^1_p(D,w)}`` by graded quadrature.
+    """``||u||_{L_s(D,w)} / ||u||_{W^1_p(D,w)}`` on the probe's fixed rule.
 
     The Sobolev norm is the value norm plus the sum of the first-derivative
     component norms; both norms are 1-homogeneous, so the ratio is invariant
     under scaling of ``u``.  Identically-zero trial functions are rejected.
-    This is the one-scale case of the probe's shared refinement ladder.
     """
     return next(_ratios([u], p, s, weight, domain))
 
@@ -309,13 +329,13 @@ def run_probe(
     family = TrialFamily(family_kind, beta=beta)
 
     members = [family.member(eps) for eps in epsilons]
-    scale_ratios = _ratios(members, float(query.p), s, weight, domain, (family, tuple(epsilons)))
+    scale_ratios = _ratios(members, float(query.p), s, weight, domain)
 
     ratios = []
     try:
         for eps, ratio in zip(epsilons, scale_ratios):
             ratios.append((eps, ratio))
-    except (ArithmeticError, EvaluationError):
+    except EvaluationError:
         return ProbeReport(s, tuple(ratios), Verdict.INCONCLUSIVE, math.nan)
 
     eps, values = np.array(ratios).T

@@ -251,9 +251,18 @@ def _cusp_power_integral(beta: float, cusp: CuspDomain) -> float:
     ``∫_0^1 t**(c-1) R(t) dt`` with the bounded cross average ``R(t) =
     ∫ (1 + sum u_i**2 t**(2 (gamma_i - 1)))**(beta/2) du`` over the unit box.
     ``t`` takes the graded rule with power ``c - 1``, one panel at a time,
-    and each ``u_i`` one Gauss–Legendre panel."""
+    and each ``u_i`` one Gauss–Legendre panel; but for ``beta > 16``, where
+    the log-slope ``beta/2`` of ``(1 + u_i**2)**(beta/2)`` at ``u_i = 1``
+    would outrun one panel, the panels halve toward 1 until the last is at
+    most ``16 / beta`` wide."""
     log_u, u_w = graded_gauss(1.0, 0, _POINTS)
-    cross, cross_w = _tensor_cells([(np.exp(2.0 * log_u), u_w)] * (cusp.dim - 1))  # u_i**2
+    u_sq = np.exp(2.0 * log_u)
+    if beta > 16.0:
+        halvings = np.arange(1.0, math.ceil(math.log2(beta / 16.0)) + 1.0)
+        edges = np.concatenate([[0.0], 1.0 - 0.5**halvings, [1.0]])
+        u = (edges[:-1, None] + np.diff(edges)[:, None] * np.exp(log_u)).ravel()
+        u_sq, u_w = u * u, (np.diff(edges)[:, None] * u_w).ravel()
+    cross, cross_w = _tensor_cells([(u_sq, u_w)] * (cusp.dim - 1))  # u_i**2
     log_t, t_w = graded_gauss(1.0, _DECADES, _POINTS, beta + cusp.gamma - 1.0)
     # t**(2 (gamma_i - 1)) from log t: t itself can lie below the float range
     stretch = np.exp(np.multiply.outer(log_t, 2.0 * (np.asarray(cusp.exponents) - 1.0)))

@@ -18,11 +18,12 @@ from cusplab.geometry import (
     grid,
     h1_domain,
     integrate,
-    integrate_all,
     radius,
     unit_interval,
 )
-from cusplab.probe import _NORM_SCHEDULE
+import cusplab.probe as probe
+from cusplab.probe import TrialFamily
+from cusplab.weights import Weight
 
 
 def ones(p):
@@ -158,10 +159,19 @@ class TestRadius:
         assert _same_bits(radius(points), np.linalg.norm(points, axis=-1))
 
     @pytest.mark.parametrize("n, gamma", [(2, 3.0), (3, 4.5)])
-    def test_same_bits_on_probe_grids(self, n, gamma):
-        domain = CuspDomain.isotropic(n, gamma)
-        for level in (0, 3):
-            points = grid(domain, *_level_args(domain, _NORM_SCHEDULE, level)).points
+    def test_same_bits_on_probe_grids(self, n, gamma, monkeypatch):
+        seen, real = [], probe.fixed_grid_sum
+
+        def recording(f, g):
+            seen.append(g.points)
+            return real(f, g)
+
+        monkeypatch.setattr(probe, "fixed_grid_sum", recording)
+        members = [TrialFamily("tip_bump").member(eps) for eps in (1e-1, 1e-5)]
+        weight, domain = Weight.polynomial(0.5, n), CuspDomain.isotropic(n, gamma)
+        list(probe._ratios(members, 2.0, 5.0, weight, domain))
+        assert len(seen) == 2 * (2 + n)
+        for points in seen:
             assert _same_bits(radius(points), np.linalg.norm(points, axis=-1))
 
 
@@ -323,8 +333,6 @@ class TestDivergenceDiscrimination:
         for box in (Box((0.0,), (1.0,)), square, Box(square.lo, square.hi, singular_axis=1)):
             with pytest.raises(TypeError):
                 integrate(lambda p: np.linalg.norm(p, axis=-1) ** -3.0, box)
-            with pytest.raises(TypeError):
-                integrate_all(lambda pts, active: (ones(pts) for _ in active), 1, box)
 
     @pytest.mark.parametrize("c", [0.01, 0.02, 0.03])
     def test_cross_refinement_is_not_a_window_increment(self, c):
@@ -387,117 +395,6 @@ class TestStoppingRule:
         assert v.verdict is Verdict.INCONCLUSIVE
         assert len(seen) == len(expected)
         assert len(set(seen)) == len(seen)
-
-
-def _integrands():
-    """Fresh integrands: a constant, which converges early; one whose
-    estimates alternate, so that it ends inconclusive; a smooth one; one
-    singular at the lower face of the last axis; and one that overflows
-    everywhere, so that it fails at the first level."""
-    calls = []
-
-    def alternating(pts):
-        calls.append(None)
-        return np.full(len(pts), 1.0 + len(calls) % 2)
-
-    def smooth(pts):
-        return 1.0 + pts[:, 0] ** 2
-
-    def singular(pts):
-        with np.errstate(divide="ignore"):
-            return np.abs(pts[:, -1]) ** -0.5
-
-    def overflowing(pts):
-        with np.errstate(over="ignore"):
-            return np.exp(1e3 + pts[:, 0])
-
-    return [ones, alternating, smooth, singular, overflowing]
-
-
-def _bits(v):
-    if isinstance(v, EvaluationError):
-        return type(v), v.args
-    return v.verdict, v.value.hex(), tuple(t.hex() for t in v.trace)
-
-
-def _outcome(f, domain, schedule):
-    """What ``integrate`` returns, or the EvaluationError it raises."""
-    try:
-        return integrate(f, domain, schedule=schedule)
-    except EvaluationError as exc:
-        return exc
-
-
-class TestIntegrateAll:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        kind=st.sampled_from(sorted(DOMAINS)),
-        start=st.floats(0.25, 4.0),
-        deepest=st.floats(0.5, 8.0),
-        panels=st.integers(1, 6),
-        picks=st.lists(st.integers(0, 4), min_size=1, max_size=5),
-    )
-    @example(kind="interval", start=1.0, deepest=4.0, panels=2, picks=[0, 4, 1])
-    def test_equals_separate_calls(self, kind, start, deepest, panels, picks):
-        domain = DOMAINS[kind]
-        schedule = RefinementSchedule(
-            start_decades=start, max_decades=deepest, panels_per_decade=panels
-        )
-        # each integrand of the joint call gets its own state, as each
-        # separate call does
-        together = [_integrands()[k] for k in picks]
-        joint = integrate_all(
-            lambda pts, active: (together[i](pts) for i in active),
-            len(picks), domain, schedule,
-        )
-        separate = [_outcome(_integrands()[k], domain, schedule) for k in picks]
-        assert [_bits(v) for v in joint] == [_bits(v) for v in separate]
-
-    def test_early_and_inconclusive_integrands_together(self):
-        ones_, alternating, *_ = _integrands()
-        first, second = integrate_all(
-            lambda pts, active: [(ones_, alternating)[i](pts) for i in active],
-            2, unit_interval(),
-        )
-        assert first.verdict is Verdict.FINITE
-        assert second.verdict is Verdict.INCONCLUSIVE
-        assert len(first.trace) < len(second.trace)
-
-    def test_failed_integrands_hold_their_errors(self):
-        seen = []
-
-        def evaluate(pts, active):
-            seen.append(list(active))
-            for i in active:
-                out = np.ones(len(pts))
-                if i > 0:
-                    out[0] = np.nan
-                yield out
-
-        first, second, third = integrate_all(evaluate, 3, unit_interval())
-        assert first.verdict is Verdict.FINITE
-        assert first.value == pytest.approx(1.0)
-        assert isinstance(second, EvaluationError)
-        assert isinstance(third, EvaluationError)
-        # both failures leave at the first level; integrand 0 goes on alone
-        assert seen[0] == [0, 1, 2] and seen[1:] and all(a == [0] for a in seen[1:])
-
-    def test_each_level_grid_built_once(self, monkeypatch):
-        import cusplab.geometry as geometry
-
-        built = []
-        real = geometry.grid
-
-        def counting(domain, *args):
-            built.append(args)
-            return real(domain, *args)
-
-        monkeypatch.setattr(geometry, "grid", counting)
-        integrate_all(
-            lambda pts, active: (np.full(len(pts), float(i)) for i in active),
-            5, unit_interval(),
-        )
-        assert built and len(built) == len(set(built))
 
 
 class TestPurePowers:

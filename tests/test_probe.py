@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import cusplab.probe as probe
 from cusplab.exponents import EmbeddingQuery
 from cusplab.geometry import CuspDomain
 from cusplab.probe import (
@@ -19,12 +18,6 @@ HG = CuspDomain(dim=2, exponents=(2.0,))
 W0 = Weight.polynomial(0.0, 2)
 
 
-@pytest.fixture(autouse=True)
-def cold_probe(monkeypatch):
-    """Every test starts with no family's denominators kept."""
-    monkeypatch.setattr(probe, "_denominators", None)
-
-
 class TestEmbeddingRatio:
     def test_scale_invariance(self):
         fam = TrialFamily("tip_bump")
@@ -37,6 +30,7 @@ class TestEmbeddingRatio:
             scaled = TrialFunction(
                 value=lambda r, c=c: c * u.value(r),
                 grad=lambda p, r, c=c: c * u.grad(p, r),
+                breaks=u.breaks,
             )
             assert embedding_ratio(scaled, 2.0, 5.0, W0, HG) == pytest.approx(
                 base, rel=1e-9

@@ -314,6 +314,11 @@ class TestCuspPowerOracle:
     @example(c=0.002, exponent=1.0001)  # R(t) moves over thousands of decades
     @example(c=0.002, exponent=1.05)
     @example(c=4.0, exponent=3.0)
+    # large powers on gamma = 3: t**(c-1) and (1 + u**2 t**2)**(beta/2) both
+    # put their mass next to t = 1 and u = 1
+    @example(c=50.0, exponent=2.0)
+    @example(c=103.0, exponent=2.0)
+    @example(c=203.0, exponent=2.0)
     def test_matches_mpmath(self, c, exponent):
         dom = CuspDomain(dim=2, exponents=(exponent,))
         v = power_integral(Weight.polynomial(c - dom.gamma, 2), 1.0, dom)
