@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import sys
@@ -216,6 +217,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_solution(path: Path, vertices: np.ndarray, values: np.ndarray) -> None:
+    """``solution.csv`` as :func:`_write_csv` writes it (a float is its
+    ``repr``, a line ends in ``\\r\\n``), formatted from the arrays' Python
+    lists and written at once."""
+    x, y = vertices.T.tolist()
+    rows = map("{!r},{!r},{!r}\r\n".format, x, y, values.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(["x,y,u\r\n", *rows]))
 
 
 def _count_inconclusive(results: Any) -> int:
@@ -476,11 +487,7 @@ def _run_solve(config: RunConfig) -> dict:
         results["l2_error"] = l2_error(sol, exact)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     write_mesh(mesh, config.output_dir / "mesh.txt")
-    _write_csv(
-        config.output_dir / "solution.csv",
-        ["x", "y", "u"],
-        [[float(v[0]), float(v[1]), float(u)] for v, u in zip(mesh.vertices, sol.values)],
-    )
+    _write_solution(config.output_dir / "solution.csv", mesh.vertices, sol.values)
     return results
 
 
@@ -562,7 +569,10 @@ def run(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="cusplab",
         description="weighted Sobolev embedding laboratory for cusp domains",
@@ -573,7 +583,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="INI file with a [%s] section" % name)
         p.add_argument("--out", required=True, help="output directory for report.json and CSVs")
         p.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.command, args.config, args.out, args.seed)
         return run(config)

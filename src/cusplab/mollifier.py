@@ -109,8 +109,10 @@ def mollify_many(
     """Vectorized ``(A_r f)(x) = ∫ ω(z) f(x - r z) dz`` at many points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     z, wts = kernel.rule
-    shifted = points[:, None, :] - r * z[None, :, :]
-    flat = shifted.reshape(-1, points.shape[1])
+    # row i * len(z) + k is x_i - r z_k, laid out coordinate by coordinate so
+    # that each coordinate column an integrand reads is contiguous
+    shifted = points.T[:, :, None] - r * z.T[:, None, :]
+    flat = shifted.reshape(points.shape[1], -1).T
     vals = np.asarray(f(flat), dtype=float).reshape(points.shape[0], z.shape[0])
     return vals @ wts
 

@@ -661,10 +661,17 @@ def manufactured_rhs(u_text: str, w_text: str) -> tuple[Callable, Callable, Call
 
 
 def write_mesh(mesh: Mesh, path) -> None:
-    """Plain text: header, then ``v x y flag`` lines, then ``t i j k`` lines."""
+    """Plain text: header, then ``v x y flag`` lines, then ``t i j k`` lines,
+    each coordinate its float ``repr``; formatted from the arrays' Python
+    lists and written at once."""
+    x, y = mesh.vertices.T.tolist()
+    i, j, k = mesh.triangles.T.tolist()
+    text = "".join(
+        [
+            f"mesh {len(x)} {len(i)}\n",
+            *map("v {!r} {!r} {:d}\n".format, x, y, mesh.boundary.tolist()),
+            *map("t {} {} {}\n".format, i, j, k),
+        ]
+    )
     with open(path, "w") as fh:
-        fh.write(f"mesh {len(mesh.vertices)} {len(mesh.triangles)}\n")
-        for (x, y), b in zip(mesh.vertices, mesh.boundary):
-            fh.write(f"v {float(x)!r} {float(y)!r} {int(b)}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"t {i} {j} {k}\n")
+        fh.write(text)

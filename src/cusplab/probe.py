@@ -297,11 +297,12 @@ class ProbeReport:
 
 def probe_scales(epsilons: Sequence[float]) -> list[float]:
     """The scales of a probe, largest first; raises ValueError unless there
-    are at least three, all positive and finite, spanning at least four
-    decades."""
+    are at least three, all in ``(0, 1]``, spanning at least four decades.
+    A scale above 1 would have a support that passes the cusp's top
+    ``t = 1``, where the fitted rule converges only algebraically."""
     epsilons = sorted((float(e) for e in epsilons), reverse=True)
-    if not all(0.0 < e < math.inf for e in epsilons):
-        raise ValueError("scales must be positive and finite")
+    if not all(0.0 < e <= 1.0 for e in epsilons):
+        raise ValueError("scales must lie in (0, 1]")
     if len(epsilons) < 3:
         raise ValueError("need at least three scales")
     span = math.log10(epsilons[0] / epsilons[-1])

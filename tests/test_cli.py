@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cusplab.cli import _ALLOWED_KEYS, _INTEGER_KEYS, _TEXT_KEYS, _jsonable, main
+from cusplab.cli import _ALLOWED_KEYS, _INTEGER_KEYS, _TEXT_KEYS, _jsonable, _write_solution, main
 from cusplab.cuspmap import distortion_Ia, ia_exponent_q_threshold, ja_exponent_s_bound, jacobian_Ja
-from cusplab.geometry import CuspDomain, Verdict
+from cusplab.geometry import Box, CuspDomain, Verdict
+from cusplab.pde import CuspSection, solve_dirichlet, triangulate, write_mesh
+from cusplab.weights import Weight
 
 
 def write_config(tmp_path: Path, text: str) -> Path:
@@ -481,6 +484,45 @@ class TestSolveValidation:
         assert rep["results"]["solvability_condition"]["verdict"] == "finite"
 
 
+def _write_mesh_by_lines(mesh, path):
+    """``mesh.txt`` one formatted line at a time, the reference for write_mesh."""
+    with open(path, "w") as fh:
+        fh.write(f"mesh {len(mesh.vertices)} {len(mesh.triangles)}\n")
+        for (x, y), b in zip(mesh.vertices, mesh.boundary):
+            fh.write(f"v {float(x)!r} {float(y)!r} {int(b)}\n")
+        for i, j, k in mesh.triangles:
+            fh.write(f"t {i} {j} {k}\n")
+
+
+def _write_solution_by_rows(path, vertices, values):
+    """``solution.csv`` through csv.writer, the reference for _write_solution."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "u"])
+        writer.writerows([float(v[0]), float(v[1]), float(u)] for v, u in zip(vertices, values))
+
+
+@pytest.mark.parametrize(
+    "region, h, grade",
+    [
+        (Box((0.0, 0.0), (1.0, 1.0)), 1 / 16, None),
+        (CuspSection(CuspDomain.isotropic(2, 3.0), eps=1e-3), 1 / 64, 2.0),
+    ],
+    ids=["square", "graded-cusp"],
+)
+def test_solve_outputs_have_the_bytes_of_the_line_writers(tmp_path, region, h, grade):
+    mesh = triangulate(region, h, grade_exponent=grade)
+    f = lambda x: np.sin(7.0 * x[:, 0]) + 0.1
+    values = solve_dirichlet(mesh, Weight.polynomial(1.0, 2), f).values
+    write_mesh(mesh, tmp_path / "mesh.txt")
+    _write_mesh_by_lines(mesh, tmp_path / "mesh-ref.txt")
+    _write_solution(tmp_path / "solution.csv", mesh.vertices, values)
+    _write_solution_by_rows(tmp_path / "solution-ref.csv", mesh.vertices, values)
+    for name, ref in (("mesh.txt", "mesh-ref.txt"), ("solution.csv", "solution-ref.csv")):
+        assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes()
+    assert (tmp_path / "solution.csv").read_bytes().count(b"\r\n") == len(mesh.vertices) + 1
+
+
 class TestProbeConfig:
     """Probe settings that are config mistakes exit 2, print only their error
     line and write nothing."""
@@ -493,21 +535,21 @@ class TestProbeConfig:
             "family = nope\n",
             "family = power_spike\n",  # no beta
             "eps_min = -1e-5\n",
+            "eps_max = 2\n",  # a support past the cusp's top
             "growth = 1.3\n",  # removed: the verdict is the fitted slope
             "variation = 0.2\n",
         ],
         ids=[
             "short-span", "two-points", "unknown-family", "spike-without-beta",
-            "negative-scale", "removed-growth", "removed-variation",
+            "negative-scale", "scale-above-one", "removed-growth", "removed-variation",
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_config_mistake_exits_2(self, tmp_path, extra):
-        cfg = write_config(
-            tmp_path, "[probe]\nn = 2\np = 2\nalpha = 0\ngamma = 3\ns = 5\n" + extra
-        )
-        out = tmp_path / "out"
-        assert main(["probe", "--config", str(cfg), "--out", str(out)]) == 2
+    def test_config_mistake_exits_2(self, tmp_path, extra, capsys):
+        base = "n = 2\np = 2\nalpha = 0\ngamma = 3\ns = 5\n"
+        rc, err, out = _run_cli(tmp_path, "probe", base + extra, capsys)
+        assert rc == 2
+        assert err.startswith("config error") and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from cusplab.geometry import CuspDomain
 from cusplab.probe import (
     TrialFamily,
     embedding_ratio,
+    probe_scales,
     run_probe,
 )
 from cusplab.weights import Weight
@@ -110,6 +111,15 @@ class TestRunProbe:
             run_probe(Q230, 5.0, epsilons=[1e-1, 1e-2])
         with pytest.raises(ValueError):
             run_probe(Q230, 5.0, epsilons=np.geomspace(1e-1, 1e-3, 5))
+
+    def test_scales_above_one_are_rejected(self):
+        # such a support passes the cusp's top t = 1, where the fitted rule
+        # converges only algebraically
+        with pytest.raises(ValueError, match=r"in \(0, 1\]"):
+            run_probe(Q230, 5.0, epsilons=np.geomspace(2.0, 1e-4, 5))
+        with pytest.raises(ValueError, match=r"in \(0, 1\]"):
+            probe_scales([1e-5, 1.0 + 1e-12, 1e-2])
+        assert probe_scales(np.geomspace(1e-4, 1.0, 5))[0] == 1.0
 
     def test_report_serializable(self):
         rep = run_probe(Q230, 5.0)

@@ -1,7 +1,7 @@
 """The probe's fixed Gauss rule against exact answers: an mpmath oracle for
 single ratios, the closed-form asymptote of the tip bump's ratio, the same
-rule at twice the nodes, and bytes that do not depend on the BLAS thread
-count."""
+rule at twice the nodes, and output bytes, of probes and of A_p checks,
+that do not depend on the BLAS thread count."""
 
 import os
 import subprocess
@@ -168,19 +168,23 @@ def test_sixteen_nodes_agree_with_thirty_two(query, s, family, rel, monkeypatch)
     [
         "[probe]\nn = 2\np = 2\nalpha = 0\ngamma = 3\ns = 7\n",  # the README probe
         "[probe]\nn = 3\np = 2\nalpha = 0.5\ngamma = 4.5\ns = 4\n",
+        "[ap-check]\nn = 2\np = 2\nalpha = 1\n",
+        "[ap-check]\nn = 3\np = 2\nalpha = -2\n",
     ],
-    ids=["readme", "n3"],
+    ids=["readme", "n3", "ap-n2", "ap-n3"],
 )
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, section):
     cfg = tmp_path / "run.ini"
     cfg.write_text(section)
+    command = section[1 : section.index("]")]
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         code = "import sys; from cusplab.cli import main; sys.exit(main(sys.argv[1:]))"
-        args = ["probe", "--config", str(cfg), "--out", str(out)]
+        args = [command, "--config", str(cfg), "--out", str(out)]
         subprocess.run([sys.executable, "-c", code, *args], env=env, check=True)
-        outputs.append([(out / name).read_bytes() for name in ("report.json", "probe.csv")])
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert outputs[0] == outputs[1]
+    assert "report.json" in outputs[0]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -175,6 +176,47 @@ class TestApCheck:
         assert rep.sup_estimate == math.inf
         assert sum(map(math.isinf, rep.ratios)) == 29
         assert all(r >= 1.0 - 1e-12 for r in rep.ratios)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        alpha=st.floats(-4.0, 12.0),
+        p=st.floats(1.1, 4.0),
+        n_radii=st.integers(1, 3),
+        n_random=st.integers(0, 3),
+        lattice_decades=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=2, alpha=3.0, p=2.0, n_radii=2, n_random=2, lattice_decades=1, seed=0)  # dual -3
+    @example(n=3, alpha=-3.5, p=2.0, n_radii=2, n_random=2, lattice_decades=1, seed=0)
+    @example(n=2, alpha=300.0, p=400.0, n_radii=7, n_random=8, lattice_decades=3, seed=0)
+    def test_ratios_are_each_balls_own(self, n, alpha, p, n_radii, n_random, lattice_decades, seed):
+        # one array pass over the family's distinct balls gives every ball the
+        # bits of its own ap_ratio: divergent, overflowing and finite alike
+        family = BallFamily(dim=n, n_radii=n_radii, n_random=n_random,
+                            lattice_decades=lattice_decades, seed=seed)
+        w = Weight.polynomial(alpha, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = ap_check(w, p, family)
+            own = tuple(ap_ratio(w, p, b) for b in family.balls())
+        assert [r.hex() for r in rep.ratios] == [r.hex() for r in own]
+
+    @pytest.mark.parametrize(
+        "n, alpha, p, sup, digest",
+        [
+            (2, 1.0, 2.0, "0x1.94b4c31818cebp+0", "553802f3e07e92d8"),
+            (3, 1.0, 2.0, "0x1.3b8f0158804e8p+0", "80fa97d2e0d01dd4"),
+            (2, -1.5, 2.0, "0x1.c5ad3297bf1e1p+1", "e97e2d9d044f5e12"),
+        ],
+    )
+    def test_sup_estimate_bits(self, n, alpha, p, sup, digest):
+        # the default family's largest ratio and a digest of all its ratios:
+        # the bits that summing one ball at a time gives
+        rep = ap_check(Weight.polynomial(alpha, n), p)
+        assert rep.sup_estimate.hex() == sup
+        ratios = " ".join(r.hex() for r in rep.ratios)
+        assert hashlib.sha256(ratios.encode()).hexdigest()[:16] == digest
 
     def test_report_serializable(self):
         rep = ap_check(Weight.polynomial(0.0, 2), 1.5, BallFamily(dim=2, n_radii=2, n_random=0, lattice_decades=1))
