@@ -6,6 +6,11 @@ quadrature and cached.  Convolution values use a fixed tensor Gauss rule on
 the bounding box of the rescaled support, so results are reproducible and
 the commutation identity with derivatives can be checked by finite
 differences with the quadrature error cancelling between the two sides.
+
+Two imports wait for their first use, so that a process that neither reads
+a formula nor normalizes a kernel never loads them: ``sympy`` in
+:class:`SmoothField`'s constructor, parser and lambdifier, and
+``scipy.integrate`` in the cached kernel mass.
 """
 
 from __future__ import annotations
@@ -13,14 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import sympy as sp
-from scipy.integrate import quad
 
 from .geometry import Box, CuspDomain, Domain, _tensor_cells, grid, radius
 from .weights import Weight, polynomial_ap_range, sphere_surface
+
+if TYPE_CHECKING:
+    import sympy as sp
 
 __all__ = [
     "MollifierKernel",
@@ -46,6 +52,8 @@ def _bump_profile(rho: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _bump_mass(dim: int) -> float:
     """Integral of the raw bump over the unit ball (radial quadrature)."""
+    from scipy.integrate import quad
+
     val, _ = quad(lambda r: math.exp(-1.0 / (1.0 - r * r)) * r ** (dim - 1), 0.0, 1.0)
     return sphere_surface(dim) * val
 
@@ -188,6 +196,8 @@ class SmoothField:
     """
 
     def __init__(self, expr: sp.Expr, dim: int):
+        import sympy as sp
+
         self.expr = expr
         self.dim = dim
         self._vars = sp.symbols(f"x0:{dim}")
@@ -197,6 +207,8 @@ class SmoothField:
     def from_string(cls, text: str, dim: int) -> "SmoothField":
         """The one parser of formula text: variables ``x0 … x{dim-1}``, with
         ``x, y`` for ``x0, x1``; ValueError for anything else."""
+        import sympy as sp
+
         vars_ = sp.symbols(f"x0:{dim}")
         expr = sp.sympify(text, locals=dict(zip("xy", vars_)))
         if not isinstance(expr, sp.Expr) or expr.has(sp.Lambda, sp.I, sp.nan, sp.zoo, sp.oo, -sp.oo):
@@ -208,6 +220,8 @@ class SmoothField:
 
     def _lambdified(self, alpha: tuple[int, ...]) -> Callable:
         if alpha not in self._cache:
+            import sympy as sp
+
             expr = self.expr
             for var, order in zip(self._vars, alpha):
                 if order:

@@ -7,6 +7,9 @@ the assembled stiffness matrix is solved against the negated load vector.
 The weight is sampled at the three edge midpoints of each triangle; pinning
 the weight's singular point to a mesh vertex keeps every sample point away
 from it.
+
+``sympy`` is imported inside :func:`manufactured_rhs`, the one function here
+that differentiates a formula, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-import sympy as sp
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import LinearOperator, splu
 
@@ -643,6 +645,8 @@ def manufactured_rhs(u_text: str, w_text: str) -> tuple[Callable, Callable, Call
     Returns vectorized ``(u, grad_u, f)``; both texts are read by
     :meth:`SmoothField.from_string`.
     """
+    import sympy as sp
+
     x, y = sp.symbols("x0:2")  # the variables of SmoothField
     u = SmoothField.from_string(u_text, 2)
     w = SmoothField.from_string(w_text, 2).expr

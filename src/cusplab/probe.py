@@ -23,8 +23,10 @@ coordinates ``x_n = t``, ``x_i = u_i * t**gamma_i`` and with ``rho = |x|/t``:
   ``k = p`` for the ``L_p`` value and ``k = 0`` for gradients (the value
   vanishes like ``(1-tau)`` at the edge);
 - a piece between two break radii (the power spike's cap ``eps`` and its
-  outer radius ``1/2``) is mapped by ``log t`` and takes ``(1-x)**k`` at its
-  top.
+  outer radius ``1/2``) is mapped by ``log t`` and split into Gauss–Legendre
+  panels whose widths double from a first one at most ``_FIRST_PANEL``
+  wide, so that a steep ``r**(-beta*s)`` just above ``eps`` is resolved;
+  only the top panel takes ``(1-x)**k``.
 
 So what is left in each integrand is smooth, and the ratios are those of
 the exact integrals to about 1e-13.
@@ -139,8 +141,12 @@ class TrialFamily:
         return _power_spike(self.beta, eps)
 
 
-#: Gauss nodes per axis, and per piece of ``t``, of every norm integral
+#: Gauss nodes per axis, and per piece or panel of ``t``, of every norm integral
 _NODES = 16
+
+#: log-width, at most, of the first panel above an inner break: 16 nodes sum
+#: a power ``t**-q`` over it to 3e-14 for any ``q`` up to 2500
+_FIRST_PANEL = 0.01
 
 
 def _support_edge(b: float, cross: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -216,19 +222,28 @@ def _ratios(
                 tau, w = rule(k_top, c + e)
                 t = top * tau
                 w = w * top**domain.gamma * tau ** (domain.gamma - c - e) / (1.0 - tau) ** k_top
+                ts.append(t)
+                ws.append(w)
             else:
-                y, w = rule(k_top)
-                span = np.log(top / low)
-                t = low * np.exp(span * y)
-                w = w * t**domain.gamma * span / (1.0 - y) ** k_top
-            ts.append(t)
-            ws.append(w * cross_w[:, None])
+                # panels in log t whose widths double from the bottom one;
+                # only the top panel is weighted by (1-y)**k
+                spans = np.log(top / low)
+                panels = max(1, math.ceil(math.log2(spans.max() / _FIRST_PANEL + 1.0)))
+                edges = (2.0 ** np.arange(panels + 1) - 1.0) / (2.0**panels - 1.0)
+                for m in range(panels):
+                    k_m = k_top if m == panels - 1 else 0.0
+                    y, w = rule(k_m)
+                    width = spans * (edges[m + 1] - edges[m])
+                    t = low * np.exp(spans * edges[m] + width * y)
+                    ts.append(t)
+                    ws.append(w * t**domain.gamma * width / (1.0 - y) ** k_m)
             low = top
         t = np.concatenate(ts, axis=1)
         points = np.empty(t.shape + (n,))
         points[..., :-1] = cross[:, None, :] * t[..., None] ** exponents
         points[..., -1] = t
-        return QuadratureGrid(domain, points.reshape(-1, n), np.concatenate(ws, axis=1).ravel())
+        weights = np.concatenate(ws, axis=1) * cross_w[:, None]
+        return QuadratureGrid(domain, points.reshape(-1, n), weights.ravel())
 
     def integrand(u: TrialFunction, j: int) -> Callable[[np.ndarray], np.ndarray]:
         def f(points: np.ndarray) -> np.ndarray:

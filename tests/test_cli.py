@@ -3,7 +3,10 @@ import csv
 import io
 import json
 import math
+import os
 import string
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -365,6 +368,46 @@ class TestNumericalCommands:
         )
         assert rc == 4 and err == ""
         assert read_report(out)["results"]["probe"]["verdict"] == "inconclusive"
+
+
+#: runs each config in turn in one interpreter (the command is the file's
+#: stem) and prints which of the two lazily imported libraries are loaded
+#: after the import of the CLI and after each command
+_COLD_START = """
+import json, sys
+from pathlib import Path
+from cusplab.cli import main
+lazy = {"sympy", "scipy.integrate"}
+seen = [["import", 0, sorted(lazy & set(sys.modules))]]
+for cfg in map(Path, sys.argv[1:]):
+    rc = main([cfg.stem, "--config", str(cfg), "--out", str(cfg.with_suffix(""))])
+    seen.append([cfg.stem, rc, sorted(lazy & set(sys.modules))])
+print(json.dumps(seen))
+"""
+
+
+def test_only_mollify_and_solve_load_sympy_and_scipy_integrate(tmp_path):
+    # the commands that read no formula start without either library
+    sections = {
+        "exponents": "n = 2\np = 2\nalpha = 0\ngamma = 3\ns = 5\n",
+        "ap-check": "n = 2\np = 2\nalpha = 1\n",
+        "distortion": "n = 2\np = 2\nalpha = 0\ngamma = 3\na = 0.5\nr = 3\nq = 1.2\n",
+        "probe": "n = 2\np = 2\nalpha = 0\ngamma = 3\ns = 7\n",
+        "report": "n = 2\np = 2\nalpha = 1\ngamma = 3\n",
+        "mollify": "function = x0*(1-x0)*x1\np = 2\ndelta = 0.15\nn_radii = 3\ncells = 32\n",
+    }
+    configs = []
+    for command, body in sections.items():
+        configs.append(tmp_path / f"{command}.ini")
+        configs[-1].write_text(f"[{command}]\n{body}")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = [sys.executable, "-c", _COLD_START, *map(str, configs)]
+    run = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen[:-1] == [["import", 0, []]] + [[c, 0, []] for c in list(sections)[:-1]]
+    assert seen[-1] == ["mollify", 0, ["scipy.integrate", "sympy"]]
 
 
 class TestDeterminism:

@@ -112,6 +112,13 @@ def test_readme_query_at_the_largest_scale():
     )
 
 
+def test_steep_spike_matches_mpmath():
+    # beta = 20 at eps = 1e-3, by _oracle_2d (too slow to run here: its L_s
+    # integrand falls like t**-97 above eps)
+    ratios = run_probe(EmbeddingQuery(2, 2, 0, 3), 5.0, family_kind="power_spike", beta=20).ratios
+    assert ratios[4] == (pytest.approx(1e-3), pytest.approx(0.12629473083656662, rel=1e-12))
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     n=st.sampled_from([2, 3]),
@@ -142,25 +149,27 @@ def test_ratio_tends_to_the_closed_form_asymptote(n, p, alpha, exponent, s):
 
 
 @pytest.mark.parametrize(
-    "query, s, family, rel",
+    "query, s, family, count",
     [
-        (EmbeddingQuery(2, 2, 0, 3), 7.0, {}, 1e-12),
-        (EmbeddingQuery(2, Fraction(3, 2), 1, 4), 5.0, {}, 1e-12),
-        (EmbeddingQuery(3, 2, Fraction(1, 2), Fraction(9, 2)), 4.0, {}, 1e-12),
-        (EmbeddingQuery(3, Fraction(5, 2), 0, 4), 6.0, {}, 1e-12),
+        (EmbeddingQuery(2, 2, 0, 3), 7.0, {}, 9),
+        (EmbeddingQuery(2, Fraction(3, 2), 1, 4), 5.0, {}, 9),
+        (EmbeddingQuery(3, 2, Fraction(1, 2), Fraction(9, 2)), 4.0, {}, 9),
+        (EmbeddingQuery(3, Fraction(5, 2), 0, 4), 6.0, {}, 9),
         # the spike's log-mapped piece spans up to 4.7 decades at eps = 1e-5,
-        # where its integrands grow like t**2 across it: 16 nodes are within
-        # 3e-10 of 32 there, and within 1e-13 down to eps = 1e-3
-        (EmbeddingQuery(2, 2, 0, 3), 5.0, {"family_kind": "power_spike", "beta": 0.45}, 1e-9),
+        # where its integrands grow like t**2 across it
+        (EmbeddingQuery(2, 2, 0, 3), 5.0, {"family_kind": "power_spike", "beta": 0.45}, 9),
+        # at beta = 20 its L_s integrand falls like t**-97 above eps, 223
+        # e-folds per decade; the L_s power overflows from eps = 10**-3.5 on
+        (EmbeddingQuery(2, 2, 0, 3), 5.0, {"family_kind": "power_spike", "beta": 20}, 5),
     ],
-    ids=["readme", "p1.5", "n3", "n3-p2.5", "spike"],
+    ids=["readme", "p1.5", "n3", "n3-p2.5", "spike", "spike-beta20"],
 )
-def test_sixteen_nodes_agree_with_thirty_two(query, s, family, rel, monkeypatch):
+def test_sixteen_nodes_agree_with_thirty_two(query, s, family, count, monkeypatch):
     ratios = [r for _, r in run_probe(query, s, **family).ratios]
     monkeypatch.setattr(probe, "_NODES", 32)
     doubled = [r for _, r in run_probe(query, s, **family).ratios]
-    assert len(ratios) == len(doubled) == 9
-    assert ratios == pytest.approx(doubled, rel=rel)
+    assert len(ratios) == len(doubled) == count
+    assert ratios == pytest.approx(doubled, rel=1e-12)
 
 
 @pytest.mark.parametrize(
