@@ -1,17 +1,18 @@
 """Domains, graded quadrature grids and rules, refinement-based verdicts.
 
-Every power integral of :mod:`cusplab.weights` takes :func:`graded_gauss`,
-one fixed Gauss rule graded toward a singular end, and the probe's norms
-take fixed Gauss–Jacobi rules of their own (:mod:`cusplab.probe`), summed
-by :func:`fixed_grid_sum` pairwise in a fixed order.  No command calls the
-refinement ladder, :func:`integrate`, any more.  It never asks for a value
-at the singular face ``x_n = 0``: every node is a cell centroid strictly
-inside the domain.  Finiteness and divergence are
-decided from a refinement trace in which each level doubles the resolved
-decades next to the singular face: a tail ``t**(c-1)`` there adds at least
-as much per decade from one level to the next exactly when ``c <= 0``, and
-that is how divergence is read, over levels that share their cross grid so
-that only the window changed.
+Every fixed Gauss rule, :data:`NODES` nodes a panel, comes from one cached
+source, :func:`gauss_jacobi`: :func:`graded_gauss`, graded toward a singular
+end, and :func:`gauss_panels` on edges :func:`halved_toward` a steep end,
+for the power integrals of :mod:`cusplab.weights` and the mollifier, and the
+probe's Gauss–Jacobi rules, summed by :func:`fixed_grid_sum` pairwise in a
+fixed order.  No command calls the refinement ladder, :func:`integrate`, any
+more.  It never asks for a value at the singular face ``x_n = 0``: every
+node is a cell centroid strictly inside the domain.  Finiteness and
+divergence are decided from a refinement trace in which each level doubles
+the resolved decades next to the singular face: a tail ``t**(c-1)`` there
+adds at least as much per decade from one level to the next exactly when
+``c <= 0``, and that is how divergence is read, over levels that share
+their cross grid so that only the window changed.
 
 Grids cover boxes and cusps.  A ball has no grid: it is a region for the
 exact radial reduction in :mod:`cusplab.weights`.  Cusp domains are never
@@ -24,6 +25,7 @@ analytic weight.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ from enum import Enum
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy import special
 
 __all__ = [
     "Box",
@@ -40,14 +42,18 @@ __all__ = [
     "Domain",
     "EvaluationError",
     "IntegralVerdict",
+    "NODES",
     "QuadratureGrid",
     "RefinementSchedule",
     "SLOPE_BAND",
     "Verdict",
     "fixed_grid_sum",
+    "gauss_jacobi",
+    "gauss_panels",
     "graded_gauss",
     "grid",
     "h1_domain",
+    "halved_toward",
     "integrate",
     "radius",
     "scaling_exponent",
@@ -295,9 +301,38 @@ def grid(
     return QuadratureGrid(domain, points, weights)
 
 
-def graded_gauss(
-    span: float, decades: int, points: int, jacobi: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
+#: Gauss nodes per panel of every fixed rule
+NODES = 16
+
+
+@functools.lru_cache(maxsize=256)
+def gauss_jacobi(k: float = 0.0, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The :data:`NODES` Gauss nodes and weights on ``(0, 1)`` for ``x**(c-1)
+    (1-x)**k`` (Golub–Welsch, *Math. Comp.* 23, 1969), built once per
+    process and shared by every caller, so the arrays are read-only."""
+    x, w = special.roots_jacobi(NODES, k, c - 1.0)
+    nodes, weights = 0.5 * (x + 1.0), w / 2.0 ** (k + c)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def gauss_panels(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss–Legendre nodes and weights on each panel between consecutive ``edges``."""
+    y, w = gauss_jacobi()
+    edges = np.asarray(edges, dtype=float)
+    start, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (start + width * y).ravel(), (width * w).ravel()
+
+
+def halved_toward(lo: float, hi: float, slope: float) -> np.ndarray:
+    """Edges of ``(lo, hi)`` halved toward ``hi`` until the last panel is at
+    most ``8 (hi - lo) / slope`` wide: an integrand of log-slope ``slope``
+    across the interval has its mass within about that of ``hi``."""
+    count = math.ceil(math.log2(slope / 8.0)) if slope > 8.0 else 0
+    return np.concatenate([[lo], hi - (hi - lo) * 0.5 ** np.arange(1.0, count + 1.0), [hi]])
+
+
+def graded_gauss(span: float, decades: int, jacobi: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """The log-nodes, which can lie below the float range, and the weights of
     a rule for ``∫_0^span x**jacobi f(x) dx``, ``jacobi > -1``, graded toward
     0 (Schwab, *Computing* 53, 1994).
@@ -306,27 +341,21 @@ def graded_gauss(
     panel, the power in its weights; so is ``(0, a)`` when ``jacobi`` is 0.
     Otherwise ``w = (x/a)**(jacobi + 1)`` maps ``(0, a)`` and its power onto
     ``(0, 1)`` with no power, which takes this rule: an ``f`` varying like a
-    small power of ``x`` becomes a larger one of ``w``.  A ``jacobi`` above
-    8 puts ``x**jacobi``'s mass within about ``8 span / jacobi`` of the top,
-    so the top decade is halved toward ``span`` until its last panel is no
-    wider.  No weight is negative, so sums keep the discrete Hölder
-    inequality.
+    small power of ``x`` becomes a larger one of ``w``.  The top decade is
+    :func:`halved_toward` ``span`` with slope ``jacobi``.  No weight is
+    negative, so sums keep the discrete Hölder inequality.
     """
     edges = span * 10.0 ** -np.arange(decades, -1.0, -1.0)
-    if decades and jacobi > 8.0:
-        halvings = np.arange(1.0, math.ceil(math.log2(jacobi / 8.0)) + 1.0)
-        edges = np.concatenate([edges[:-1], span - 0.9 * span * 0.5**halvings, edges[-1:]])
-    gx, gw = roots_legendre(points)
-    start, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
-    nodes = (start + half * (gx + 1.0)).ravel()
-    weights = (half * gw).ravel() * nodes**jacobi
+    if decades:
+        edges = np.concatenate([edges[:-2], halved_toward(edges[-2], span, jacobi)])
+    if not jacobi:
+        nodes, weights = gauss_panels(np.concatenate([[0.0], edges]))
+        return np.log(nodes), weights
+    nodes, weights = gauss_panels(edges)
     first, e = edges[0], jacobi + 1.0
-    if jacobi:
-        log_w, w_weights = graded_gauss(1.0, decades, points)
-        log_head, head_weights = math.log(first) + log_w / e, first**e / e * w_weights
-    else:
-        log_head, head_weights = np.log(0.5 * first * (gx + 1.0)), 0.5 * first * gw
-    return np.concatenate([log_head, np.log(nodes)]), np.concatenate([head_weights, weights])
+    log_w, w_weights = graded_gauss(1.0, decades)
+    log_nodes = np.concatenate([math.log(first) + log_w / e, np.log(nodes)])
+    return log_nodes, np.concatenate([first**e / e * w_weights, weights * nodes**jacobi])
 
 
 # ---------------------------------------------------------------------------

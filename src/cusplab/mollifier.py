@@ -1,16 +1,15 @@
 """Smooth approximation by convolution with a normalized bump kernel.
 
 The kernel is the standard ``exp(-1/(1-|x|^2))`` bump supported in the
-closed unit ball, normalized once per dimension by a high-accuracy radial
-quadrature and cached.  Convolution values use a fixed tensor Gauss rule on
-the bounding box of the rescaled support, so results are reproducible and
-the commutation identity with derivatives can be checked by finite
-differences with the quadrature error cancelling between the two sides.
+closed unit ball, normalized once per dimension by radial Gauss panels
+halved toward the sphere and cached.  Convolution values use a fixed tensor
+Gauss rule on the bounding box of the rescaled support, so results are
+reproducible and the commutation identity with derivatives can be checked
+by finite differences with the quadrature error cancelling between the two
+sides.  Both rules are :func:`cusplab.geometry.gauss_panels`.
 
-Two imports wait for their first use, so that a process that neither reads
-a formula nor normalizes a kernel never loads them: ``sympy`` in
-:class:`SmoothField`'s constructor, parser and lambdifier, and
-``scipy.integrate`` in the cached kernel mass.
+``sympy`` waits for its first use, in :class:`SmoothField`'s constructor,
+parser and lambdifier, so that a process that reads no formula never loads it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .geometry import Box, CuspDomain, Domain, _tensor_cells, grid, radius
+from .geometry import (
+    Box, CuspDomain, Domain, _axis_cells, _tensor_cells, gauss_panels, halved_toward, radius
+)
 from .weights import Weight, polynomial_ap_range, sphere_surface
 
 if TYPE_CHECKING:
@@ -51,24 +52,20 @@ def _bump_profile(rho: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _bump_mass(dim: int) -> float:
-    """Integral of the raw bump over the unit ball (radial quadrature)."""
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda r: math.exp(-1.0 / (1.0 - r * r)) * r ** (dim - 1), 0.0, 1.0)
-    return sphere_surface(dim) * val
-
-
-#: Gauss-Legendre points per axis of the convolution rule
-KERNEL_NODES = 16
+    """Integral of the raw bump over the unit ball: Gauss panels in the
+    radius halved toward 1, where the bump flattens, to a last panel 1/16
+    wide (a log-slope of 128)."""
+    r, w = gauss_panels(halved_toward(0.0, 1.0, 128.0))
+    return sphere_surface(dim) * float(np.add.reduce(w * _bump_profile(r) * r ** (dim - 1)))
 
 
 @dataclass(frozen=True)
 class MollifierKernel:
     """Normalized radial bump with its cached convolution rule.
 
-    :data:`KERNEL_NODES` Gauss points per axis on the box ``[-1, 1]^dim``;
-    the kernel vanishes to all orders at the sphere, so the tensor rule sees
-    a smooth integrand.
+    :data:`cusplab.geometry.NODES` Gauss–Legendre points per axis on the box
+    ``[-1, 1]^dim``; the kernel vanishes to all orders at the sphere, so the
+    tensor rule sees a smooth integrand.
     """
 
     dim: int
@@ -90,7 +87,7 @@ class MollifierKernel:
 
 @lru_cache(maxsize=8)
 def _kernel_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    pts, wts = _tensor_cells([np.polynomial.legendre.leggauss(KERNEL_NODES)] * dim)
+    pts, wts = _tensor_cells([gauss_panels([-1.0, 1.0])] * dim)
     kernel_vals = _bump_profile(radius(pts)) / _bump_mass(dim)
     keep = kernel_vals > 0.0
     return pts[keep], (wts * kernel_vals)[keep]
@@ -177,8 +174,7 @@ def _inset_grid(region: Domain, delta: float, cells: int) -> tuple[np.ndarray, f
         lo, hi = region.lo, region.hi
     else:
         raise NotImplementedError(f"norm grid for {type(region)!r}")
-    # a box without a singular axis gets ``cells`` uniform cells per axis
-    pts = grid(Box(lo, hi), 0.0, 1, cells).points
+    pts, _ = _tensor_cells([_axis_cells(a, b, cells) for a, b in zip(lo, hi)])
     vol = float(np.prod((np.asarray(hi) - np.asarray(lo)) / cells))
     return pts[_inset_mask(region, pts, delta)], vol
 

@@ -11,14 +11,16 @@ Every norm integral of a scale, ``(2 + n)`` of them (the ``L_s`` and ``L_p``
 powers of the value and the ``L_p`` power of each gradient component), is
 finite by exponent arithmetic, so each is one sum over one fixed Gauss rule
 fitted to the trial function's support (Golub–Welsch, *Math. Comp.* 23,
-1969), with no refinement and no verdict of its own.  In reference
+1969), with no refinement and no verdict of its own.  Every rule comes
+from :func:`cusplab.geometry.gauss_jacobi`, which builds each once per
+process, with :data:`cusplab.geometry.NODES` nodes.  In reference
 coordinates ``x_n = t``, ``x_i = u_i * t**gamma_i`` and with ``rho = |x|/t``:
 
-- each transverse axis takes 16 Gauss–Legendre nodes ``u``, but the one
+- each transverse axis takes Gauss–Legendre nodes ``u``, but the one
   whose gradient component is integrated takes the Jacobi weight ``u**p``;
 - the support edge ``t*(u)``, where ``t * rho(t, u)`` reaches a break
   radius of the trial function, is solved at each cross node;
-- ``t = t* * tau`` takes 16 Gauss–Jacobi nodes for the weight
+- ``t = t* * tau`` takes Gauss–Jacobi nodes for the weight
   ``tau**(alpha+gamma-1) * (1-tau)**k``, with ``k = s`` for ``L_s``,
   ``k = p`` for the ``L_p`` value and ``k = 0`` for gradients (the value
   vanishes like ``(1-tau)`` at the edge);
@@ -34,13 +36,11 @@ the exact integrals to about 1e-13.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .exponents import EmbeddingQuery
 from .geometry import (
@@ -51,6 +51,7 @@ from .geometry import (
     Verdict,
     _tensor_cells,
     fixed_grid_sum,
+    gauss_jacobi,
     radius,
     scaling_exponent,
 )
@@ -141,9 +142,6 @@ class TrialFamily:
         return _power_spike(self.beta, eps)
 
 
-#: Gauss nodes per axis, and per piece or panel of ``t``, of every norm integral
-_NODES = 16
-
 #: log-width, at most, of the first panel above an inner break: 16 nodes sum
 #: a power ``t**-q`` over it to 3e-14 for any ``q`` up to 2500
 _FIRST_PANEL = 0.01
@@ -193,17 +191,11 @@ def _ratios(
     n, c = domain.dim, weight.alpha + domain.gamma
     exponents = np.asarray(domain.exponents)
 
-    @functools.cache
-    def rule(k: float, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss–Jacobi nodes and weights on (0, 1) for ``x**(c-1) (1-x)**k``."""
-        x, w = roots_jacobi(_NODES, k, c - 1.0)
-        return 0.5 * (x + 1.0), w / 2.0 ** (k + c)
-
     def cross_rule(axis: int | None) -> tuple[np.ndarray, np.ndarray]:
         # the weight u**p on ``axis`` comes out of the weights again, so the
         # sum takes the integrand as it is
-        u, w = rule(0.0, p + 1.0)
-        return _tensor_cells([(u, w / u**p) if a == axis else rule(0.0) for a in range(n - 1)])
+        u, w = gauss_jacobi(0.0, p + 1.0)
+        return _tensor_cells([(u, w / u**p) if a == axis else gauss_jacobi() for a in range(n - 1)])
 
     # the cross rules: Gauss–Legendre, then u**p on each transverse axis in turn
     crosses = [cross_rule(None)] + [cross_rule(a) for a in range(n - 1)]
@@ -219,7 +211,7 @@ def _ratios(
         for i, top in enumerate(tops):
             k_top = k if i == len(tops) - 1 else 0.0
             if low is None:
-                tau, w = rule(k_top, c + e)
+                tau, w = gauss_jacobi(k_top, c + e)
                 t = top * tau
                 w = w * top**domain.gamma * tau ** (domain.gamma - c - e) / (1.0 - tau) ** k_top
                 ts.append(t)
@@ -232,7 +224,7 @@ def _ratios(
                 edges = (2.0 ** np.arange(panels + 1) - 1.0) / (2.0**panels - 1.0)
                 for m in range(panels):
                     k_m = k_top if m == panels - 1 else 0.0
-                    y, w = rule(k_m)
+                    y, w = gauss_jacobi(k_m)
                     width = spans * (edges[m + 1] - edges[m])
                     t = low * np.exp(spans * edges[m] + width * y)
                     ts.append(t)

@@ -14,7 +14,8 @@ and the default family's 147 balls in 2-D (189 in 3-D) are 84 distinct
 ones.  A single ball (:func:`ap_ratio`, :func:`power_integral`) is a pass of
 one row.  A cusp power integral is one power of
 ``t`` times a bounded factor; the cap and ``t`` take the one graded Gauss
-rule, :func:`cusplab.geometry.graded_gauss`.  All read the exact rule first:
+rule, :func:`cusplab.geometry.graded_gauss`, and the cross axes Gauss panels
+halved toward 1 for a large power.  All read the exact rule first:
 ``|x|**beta`` is integrable near the origin iff ``beta + n > 0``
 (``beta + gamma > 0`` at a cusp's tip).
 
@@ -36,9 +37,12 @@ from .geometry import (
     CuspDomain,
     EvaluationError,
     IntegralVerdict,
+    NODES,
     Verdict,
     _tensor_cells,
+    gauss_panels,
     graded_gauss,
+    halved_toward,
     radius,
 )
 
@@ -99,14 +103,14 @@ def polynomial_ap_range(n: int, p: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-#: the graded rule of every power integral: 40 decades, 16 points a panel
-_DECADES, _POINTS = 40, 16
+#: decades of the graded rule of every power integral
+_DECADES = 40
 
 # the cap rule: theta on (0, pi], graded toward 0, where the cap starts at the
 # origin when the sphere passes through it; rho = lo + (hi - lo) * s with
 # s = sin(theta/2)**2 has no square root at either end of the cap, and
 # (1 - cos(theta))/2 in its place would round to 0 for small theta
-_LOG_THETA, _THETA_W = graded_gauss(math.pi, _DECADES, _POINTS)
+_LOG_THETA, _THETA_W = graded_gauss(math.pi, _DECADES)
 _CAP_S = np.sin(0.5 * np.exp(_LOG_THETA)) ** 2
 _CAP_DS = 0.5 * np.sin(np.exp(_LOG_THETA)) * _THETA_W
 
@@ -287,26 +291,19 @@ def _cusp_power_integral(beta: float, cusp: CuspDomain) -> float:
     ``∫_0^1 t**(c-1) R(t) dt`` with the bounded cross average ``R(t) =
     ∫ (1 + sum u_i**2 t**(2 (gamma_i - 1)))**(beta/2) du`` over the unit box.
     ``t`` takes the graded rule with power ``c - 1``, one panel at a time,
-    and each ``u_i`` one Gauss–Legendre panel; but for ``beta > 16``, where
-    the log-slope ``beta/2`` of ``(1 + u_i**2)**(beta/2)`` at ``u_i = 1``
-    would outrun one panel, the panels halve toward 1 until the last is at
-    most ``16 / beta`` wide."""
-    log_u, u_w = graded_gauss(1.0, 0, _POINTS)
-    u_sq = np.exp(2.0 * log_u)
-    if beta > 16.0:
-        halvings = np.arange(1.0, math.ceil(math.log2(beta / 16.0)) + 1.0)
-        edges = np.concatenate([[0.0], 1.0 - 0.5**halvings, [1.0]])
-        u = (edges[:-1, None] + np.diff(edges)[:, None] * np.exp(log_u)).ravel()
-        u_sq, u_w = u * u, (np.diff(edges)[:, None] * u_w).ravel()
-    cross, cross_w = _tensor_cells([(u_sq, u_w)] * (cusp.dim - 1))  # u_i**2
-    log_t, t_w = graded_gauss(1.0, _DECADES, _POINTS, beta + cusp.gamma - 1.0)
+    and each ``u_i`` Gauss–Legendre panels :func:`halved_toward` 1 with
+    slope ``beta/2``, the log-slope of ``(1 + u_i**2)**(beta/2)`` at
+    ``u_i = 1``."""
+    u, u_w = gauss_panels(halved_toward(0.0, 1.0, 0.5 * beta))
+    cross, cross_w = _tensor_cells([(u * u, u_w)] * (cusp.dim - 1))  # u_i**2
+    log_t, t_w = graded_gauss(1.0, _DECADES, beta + cusp.gamma - 1.0)
     # t**(2 (gamma_i - 1)) from log t: t itself can lie below the float range
     stretch = np.exp(np.multiply.outer(log_t, 2.0 * (np.asarray(cusp.exponents) - 1.0)))
     averages = np.empty_like(log_t)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(0, len(log_t), _POINTS):
-            ratio_sq = 1.0 + stretch[k : k + _POINTS] @ cross.T  # (|x|/t)**2
-            averages[k : k + _POINTS] = ratio_sq ** (0.5 * beta) @ cross_w
+        for k in range(0, len(log_t), NODES):
+            ratio_sq = 1.0 + stretch[k : k + NODES] @ cross.T  # (|x|/t)**2
+            averages[k : k + NODES] = ratio_sq ** (0.5 * beta) @ cross_w
         return float(t_w @ averages)
 
 

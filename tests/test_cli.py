@@ -371,8 +371,9 @@ class TestNumericalCommands:
 
 
 #: runs each config in turn in one interpreter (the command is the file's
-#: stem) and prints which of the two lazily imported libraries are loaded
-#: after the import of the CLI and after each command
+#: stem) and prints which of sympy, imported on first use, and
+#: scipy.integrate, never imported, are loaded after the import of the CLI
+#: and after each command
 _COLD_START = """
 import json, sys
 from pathlib import Path
@@ -386,8 +387,9 @@ print(json.dumps(seen))
 """
 
 
-def test_only_mollify_and_solve_load_sympy_and_scipy_integrate(tmp_path):
-    # the commands that read no formula start without either library
+def test_no_command_loads_scipy_integrate_and_only_mollify_and_solve_load_sympy(tmp_path):
+    # the commands that read no formula start without either library, and
+    # the two that do load sympy alone
     sections = {
         "exponents": "n = 2\np = 2\nalpha = 0\ngamma = 3\ns = 5\n",
         "ap-check": "n = 2\np = 2\nalpha = 1\n",
@@ -395,6 +397,7 @@ def test_only_mollify_and_solve_load_sympy_and_scipy_integrate(tmp_path):
         "probe": "n = 2\np = 2\nalpha = 0\ngamma = 3\ns = 7\n",
         "report": "n = 2\np = 2\nalpha = 1\ngamma = 3\n",
         "mollify": "function = x0*(1-x0)*x1\np = 2\ndelta = 0.15\nn_radii = 3\ncells = 32\n",
+        "solve": "domain = square\nh = 0.25\nf = x*y\n",
     }
     configs = []
     for command, body in sections.items():
@@ -406,8 +409,8 @@ def test_only_mollify_and_solve_load_sympy_and_scipy_integrate(tmp_path):
     args = [sys.executable, "-c", _COLD_START, *map(str, configs)]
     run = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
     seen = json.loads(run.stdout.splitlines()[-1])
-    assert seen[:-1] == [["import", 0, []]] + [[c, 0, []] for c in list(sections)[:-1]]
-    assert seen[-1] == ["mollify", 0, ["scipy.integrate", "sympy"]]
+    assert seen[:-2] == [["import", 0, []]] + [[c, 0, []] for c in list(sections)[:-2]]
+    assert seen[-2:] == [["mollify", 0, ["sympy"]], ["solve", 0, ["sympy"]]]
 
 
 class TestDeterminism:

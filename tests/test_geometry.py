@@ -14,9 +14,12 @@ from cusplab.geometry import (
     Verdict,
     _level_args,
     fixed_grid_sum,
+    gauss_jacobi,
+    gauss_panels,
     graded_gauss,
     grid,
     h1_domain,
+    halved_toward,
     integrate,
     radius,
     unit_interval,
@@ -102,7 +105,7 @@ class TestGrids:
 
 
 class TestGradedGauss:
-    """``graded_gauss(1, 40, 16, c - 1)`` against ``∫_0^1 t**(c-1+k) dt =
+    """``graded_gauss(1, 40, c - 1)`` against ``∫_0^1 t**(c-1+k) dt =
     1/(c+k)``, from a weight that is nearly non-integrable to a smooth one."""
 
     @settings(max_examples=80, deadline=None)
@@ -110,15 +113,37 @@ class TestGradedGauss:
     @example(c=0.002, k=0)
     @example(c=4.0, k=3)
     def test_powers_exact_and_weights_positive(self, c, k):
-        log_t, weights = graded_gauss(1.0, 40, 16, c - 1.0)
+        log_t, weights = graded_gauss(1.0, 40, c - 1.0)
         assert np.all(weights > 0.0)
         assert float(weights @ np.exp(k * log_t)) == pytest.approx(1.0 / (c + k), rel=1e-8)
 
     def test_one_panel_is_gauss_legendre(self):
         # decades = 0 and no power: one Gauss–Legendre panel on (0, span)
-        log_x, weights = graded_gauss(2.0, 0, 4)
+        log_x, weights = graded_gauss(2.0, 0)
         assert np.sum(weights) == pytest.approx(2.0)
         assert float(weights @ np.exp(7 * log_x)) == pytest.approx(2.0**8 / 8, rel=1e-13)
+
+
+class TestRuleSource:
+    def test_cached_rule_is_read_only(self):
+        nodes, weights = gauss_jacobi(2.0, 0.5)
+        assert gauss_jacobi(2.0, 0.5)[0] is nodes
+        for a in (nodes, weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("slope, count", [(0.0, 0), (8.0, 0), (8.5, 1), (64.0, 3), (65.0, 4)])
+    def test_halved_toward_keeps_the_last_panel_within_8_over_slope(self, slope, count):
+        edges = halved_toward(0.0, 2.0, slope)
+        assert len(edges) == count + 2 and edges[0] == 0.0 and edges[-1] == 2.0
+        assert np.all(np.diff(edges) > 0.0)
+        last = (edges[-1] - edges[-2]) / 2.0  # a share of hi - lo
+        if slope > 8.0:
+            assert 4.0 / slope < last <= 8.0 / slope
+
+    def test_panels_integrate_polynomials_exactly(self):
+        nodes, weights = gauss_panels(halved_toward(-1.0, 1.0, 40.0))
+        assert float(weights @ nodes**30) == pytest.approx(2.0 / 31.0, rel=1e-13, abs=0.0)
 
 
 def _same_bits(a, b):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -9,6 +10,7 @@ from cusplab.mollifier import (
     MollifierKernel,
     MollifySpec,
     SmoothField,
+    _bump_mass,
     commutation_check,
     convergence_test,
     inset_contains,
@@ -32,6 +34,15 @@ class TestKernel:
             lambda y, x: k.profile(np.array([[x, y]]))[0], -1, 1, -1, 1, epsabs=1e-12
         )
         assert abs(mass - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_mass_matches_mpmath(self, dim):
+        # the radial integral of exp(-1/(1-r**2)) r**(dim-1) times the sphere
+        with mp.workdps(30):
+            d = mp.mpf(dim)
+            radial = mp.quad(lambda r: mp.exp(-1 / (1 - r * r)) * r ** (d - 1), [0, 1])
+            exact = float(radial * 2 * mp.pi ** (d / 2) / mp.gamma(d / 2))
+        assert _bump_mass(dim) == pytest.approx(exact, rel=4e-15, abs=0.0)
 
     def test_kernel_nonnegative_and_supported_in_ball(self):
         k = MollifierKernel(dim=2)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import beta as beta_fn
 
-import cusplab.probe as probe
+import cusplab.geometry as geometry
 from cusplab.exponents import EmbeddingQuery
 from cusplab.geometry import CuspDomain
 from cusplab.probe import TrialFamily, embedding_ratio, run_probe
@@ -166,8 +166,14 @@ def test_ratio_tends_to_the_closed_form_asymptote(n, p, alpha, exponent, s):
 )
 def test_sixteen_nodes_agree_with_thirty_two(query, s, family, count, monkeypatch):
     ratios = [r for _, r in run_probe(query, s, **family).ratios]
-    monkeypatch.setattr(probe, "_NODES", 32)
-    doubled = [r for _, r in run_probe(query, s, **family).ratios]
+    # the rules are cached per process: drop the 16-node ones before and the
+    # 32-node ones after
+    monkeypatch.setattr(geometry, "NODES", 32)
+    geometry.gauss_jacobi.cache_clear()
+    try:
+        doubled = [r for _, r in run_probe(query, s, **family).ratios]
+    finally:
+        geometry.gauss_jacobi.cache_clear()
     assert len(ratios) == len(doubled) == count
     assert ratios == pytest.approx(doubled, rel=1e-12)
 

@@ -368,6 +368,30 @@ class TestCuspPowerOracle:
         assert v.value == pytest.approx(_cusp_power_oracle(c, exponent), rel=1e-8)
 
 
+class TestCuspPowerBits:
+    """The bits of cusp power integrals on the graded rule."""
+
+    def test_near_critical_digest(self):
+        # theorem10_condition on the 2-D gamma = 3 cusp at c = 3 - alpha, and
+        # power_integral on the 3-D cusp (1.25, 1.25) at c = 0.002 and 0.005
+        cusp2, cusp3 = CuspDomain.isotropic(2, 3.0), CuspDomain(3, (1.25, 1.25))
+        values = [
+            theorem10_condition(Weight.polynomial(alpha, 2), cusp2).value
+            for alpha in (0.5, 1.0, 2.95)
+        ]
+        values += [
+            power_integral(Weight.polynomial(c - cusp3.gamma, 3), 1.0, cusp3).value
+            for c in (0.002, 0.005)
+        ]
+        hexes = " ".join(v.hex() for v in values)
+        assert hashlib.sha256(hexes.encode()).hexdigest()[:16] == "236c54963d1a7cf2"
+
+    def test_large_power(self):
+        # beta = 100 > 16: each cross axis takes panels halved toward u = 1
+        v = power_integral(Weight.polynomial(100.0, 3), 1.0, CuspDomain(3, (1.5, 2.0)))
+        assert v.value.hex() == "0x1.d51b877938f10p+61"
+
+
 class TestTheorem10Condition:
     def test_constant_weight_gives_volume(self):
         # a disc off the origin, so its cap takes the graded rule
