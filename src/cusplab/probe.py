@@ -32,17 +32,27 @@ coordinates ``x_n = t``, ``x_i = u_i * t**gamma_i`` and with ``rho = |x|/t``:
 
 So what is left in each integrand is smooth, and the ratios are those of
 the exact integrals to about 1e-13.
+
+The scales of a family are probed in passes of at most ``NODES**3`` nodes
+an integral, the grid of one ``n = 3`` scale: all nine scales of an
+``n = 2`` tip bump in one.  A pass solves every support edge in one Newton
+iteration, and builds each integral's nodes, weights, radii and weight
+values once for all its scales, each scale's rows one contiguous slice.
+Each scale's values are taken, and its slices summed, in its turn, so its
+ratio has the bits it has when probed alone, and a norm that cannot be
+evaluated stops the probe before any later scale's trial function runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .exponents import EmbeddingQuery
+from .exponents import EmbeddingQuery, ValidityError
 from .geometry import (
     SLOPE_BAND,
     CuspDomain,
@@ -147,26 +157,52 @@ class TrialFamily:
 _FIRST_PANEL = 0.01
 
 
-def _support_edge(b: float, cross: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """The ``t`` at which ``|x(t, u)| = t * rho(t, u)`` reaches ``b`` at each
-    cross node ``u`` (rows of ``cross``), or 1 where it passes the cusp's top.
+def _support_edges(breaks: np.ndarray, cross: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """The ``t`` at which ``|x(t, u)| = t * rho(t, u)`` reaches each radius
+    of ``breaks`` at each cross node ``u`` (the last axis of ``cross``
+    holds its coordinates), or 1 where it passes the cusp's top; the shape
+    is ``breaks.shape + cross.shape[:-1]``.
 
     ``|x(t, u)|**2 = t**2 + sum u_i**2 t**(2 gamma_i)`` is convex and
     increasing in ``t`` and at least ``b**2`` at ``t = b``, so Newton's
     method on it from ``t = b`` falls to the edge without overshooting it,
-    on any cusp and at any scale.
+    on any cusp and at any scale.  An edge that has stopped moving stays
+    where it is, so every (radius, node) pair takes the steps it would take
+    alone, and one pass solves them all.
     """
-    t = np.full(len(cross), float(b))
+    b = breaks.reshape(breaks.shape + (1,) * (cross.ndim - 1))
+    t = np.broadcast_to(b, breaks.shape + cross.shape[:-1]).copy()
     squares = cross * cross
     for _ in range(64):
-        widths = squares * t[:, None] ** (2.0 * exponents)  # x_i**2
-        slope = 2.0 * t + 2.0 * (exponents * widths).sum(axis=1) / t  # d|x|**2/dt
-        step = (t * t + widths.sum(axis=1) - b * b) / slope
+        # keep this form of the power: numpy takes a power 2 as a square only
+        # when its exponent is one value broadcast along the loop (n = 2),
+        # so a loop along t instead would move the last bits at n = 3
+        widths = squares * t[..., None] ** (2.0 * exponents)  # x_i**2
+        slope = 2.0 * t + 2.0 * (exponents * widths).sum(axis=-1) / t  # d|x|**2/dt
+        step = (t * t + widths.sum(axis=-1) - b * b) / slope
         nxt = np.minimum(t, t - step)
         if np.array_equal(nxt, t):
             break
         t = nxt
     return np.minimum(t, 1.0)
+
+
+def _panel_count(span: float) -> int:
+    """Log panels, widths doubling from the first, over a piece ``span`` wide
+    in ``log t``, so that the first is at most ``_FIRST_PANEL`` wide."""
+    return max(1, math.ceil(math.log2(span / _FIRST_PANEL + 1.0)))
+
+
+def _passes(sizes: Sequence[int], cap: int) -> Iterator[slice]:
+    """Consecutive runs of members whose grids hold at most ``cap`` nodes
+    together, or one member whose grid alone holds more."""
+    start, total = 0, 0
+    for i, size in enumerate(sizes):
+        if total + size > cap and i > start:
+            yield slice(start, i)
+            start, total = i, 0
+        total += size
+    yield slice(start, len(sizes))
 
 
 def _ratios(
@@ -184,9 +220,14 @@ def _ratios(
     tip each integrand, with the cross-section, is ``t**(alpha+gamma-1+e)``
     times a smooth factor, ``e = 0`` but ``p (gamma_a - 1)`` for a
     transverse component ``a``, whose ``|x_a|**p`` also holds ``u_a**p``;
-    both powers go into the Gauss weights, built once for all members.  A
-    norm that cannot be evaluated raises its EvaluationError when its
-    member's turn comes, after the ratios of earlier members.
+    both powers go into the Gauss weights, built once for all members.
+
+    Consecutive members with as many break radii share one Newton pass for
+    their support edges and are taken in passes of at most ``NODES**3``
+    nodes an integral (module docstring).  A member's values and sums wait
+    for its turn, so a norm that cannot be evaluated raises its
+    EvaluationError after the ratios of earlier members, and no later
+    member is evaluated.
     """
     n, c = domain.dim, weight.alpha + domain.gamma
     exponents = np.asarray(domain.exponents)
@@ -199,67 +240,93 @@ def _ratios(
 
     # the cross rules: Gauss–Legendre, then u**p on each transverse axis in turn
     crosses = [cross_rule(None)] + [cross_rule(a) for a in range(n - 1)]
+    cross_nodes = np.stack([u for u, _ in crosses])  # (rules, C, n - 1)
     # (cross rule, k, e) of each integral j
     specs = [(0, s, 0.0), (0, p, 0.0)]
     specs += [(a + 1, 0.0, p * (exponents[a] - 1.0)) for a in range(n - 1)]
     specs.append((0, 0.0, 0.0))
+    nodes = len(gauss_jacobi()[0])  # NODES, as the rules have it
 
-    def norm_grid(
-        cross: np.ndarray, cross_w: np.ndarray, tops: list[np.ndarray], k: float, e: float
-    ) -> QuadratureGrid:
-        ts, ws, low = [], [], None
-        for i, top in enumerate(tops):
+    def log_pieces(t, w, tops, spans, panels, k):
+        """A member's first-piece nodes and weights (C, NODES), with the
+        pieces between its later break radii appended along the t axis."""
+        ts, ws = [t], [w]
+        for i in range(1, len(tops)):
+            # panels in log t whose widths double from the bottom one; only
+            # the top panel of the top piece is weighted by (1-y)**k
+            low, span, count = tops[i - 1][:, None], spans[i - 1][:, None], panels[i - 1]
             k_top = k if i == len(tops) - 1 else 0.0
-            if low is None:
-                tau, w = gauss_jacobi(k_top, c + e)
-                t = top * tau
-                w = w * top**domain.gamma * tau ** (domain.gamma - c - e) / (1.0 - tau) ** k_top
+            edges = (2.0 ** np.arange(count + 1) - 1.0) / (2.0**count - 1.0)
+            for m in range(count):
+                k_m = k_top if m == count - 1 else 0.0
+                y, w = gauss_jacobi(k_m)
+                width = span * (edges[m + 1] - edges[m])
+                t = low * np.exp(span * edges[m] + width * y)
                 ts.append(t)
-                ws.append(w)
-            else:
-                # panels in log t whose widths double from the bottom one;
-                # only the top panel is weighted by (1-y)**k
-                spans = np.log(top / low)
-                panels = max(1, math.ceil(math.log2(spans.max() / _FIRST_PANEL + 1.0)))
-                edges = (2.0 ** np.arange(panels + 1) - 1.0) / (2.0**panels - 1.0)
-                for m in range(panels):
-                    k_m = k_top if m == panels - 1 else 0.0
-                    y, w = gauss_jacobi(k_m)
-                    width = spans * (edges[m + 1] - edges[m])
-                    t = low * np.exp(spans * edges[m] + width * y)
-                    ts.append(t)
-                    ws.append(w * t**domain.gamma * width / (1.0 - y) ** k_m)
-            low = top
-        t = np.concatenate(ts, axis=1)
-        points = np.empty(t.shape + (n,))
-        points[..., :-1] = cross[:, None, :] * t[..., None] ** exponents
-        points[..., -1] = t
-        weights = np.concatenate(ws, axis=1) * cross_w[:, None]
-        return QuadratureGrid(domain, points.reshape(-1, n), weights.ravel())
+                ws.append(w * t**domain.gamma * width / (1.0 - y) ** k_m)
+        return np.concatenate(ts, axis=1)[None], np.concatenate(ws, axis=1)[None]
 
-    def integrand(u: TrialFunction, j: int) -> Callable[[np.ndarray], np.ndarray]:
+    def pass_grid(tops, spans, panels, v, k, e):
+        """The nodes (M, n) and weights (M,) of integral (v, k, e) over the
+        members of a pass, whose edges at cross rule v are ``tops`` (S, B, C),
+        and the bounds of each member's rows."""
+        cross, cross_w = crosses[v]
+        k_top = k if tops.shape[1] == 1 else 0.0
+        tau, w = gauss_jacobi(k_top, c + e)
+        top = tops[:, 0, :, None]
+        t = top * tau
+        w = w * top**domain.gamma * tau ** (domain.gamma - c - e) / (1.0 - tau) ** k_top
+        # blocks (members, C, T) of members with as many t nodes
+        if tops.shape[1] == 1:
+            blocks = [(t, w)]
+        else:
+            blocks = [log_pieces(*member, k) for member in zip(t, w, tops, spans, panels)]
+        points, weights, sizes = [], [], [0]
+        for t, w in blocks:
+            x = np.empty(t.shape + (n,))
+            x[..., :-1] = cross[:, None, :] * t[..., None] ** exponents  # as in _support_edges
+            x[..., -1] = t
+            points.append(x.reshape(-1, n))
+            weights.append((w * cross_w[:, None]).ravel())
+            sizes += [t[0].size] * len(t)
+        return np.concatenate(points), np.concatenate(weights), np.cumsum(sizes)
+
+    def integrand(u: TrialFunction, j: int, r: np.ndarray, w: np.ndarray) -> Callable:
         def f(points: np.ndarray) -> np.ndarray:
-            r = radius(points)
             if j < 2:
-                return np.abs(u.value(r)) ** (s if j == 0 else p) * weight(points)
-            return np.abs(u.grad(points, r)[:, j - 2]) ** p * weight(points)
+                return np.abs(u.value(r)) ** (s if j == 0 else p) * w
+            return np.abs(u.grad(points, r)[:, j - 2]) ** p * w
 
         return f
 
-    for u in members:
-        # the edge of each break radius at each cross rule's nodes
-        tops = [
-            [_support_edge(b, cross, exponents)[:, None] for b in u.breaks] for cross, _ in crosses
-        ]
-        with np.errstate(over="ignore"):  # fixed_grid_sum judges an infinite power
-            norms = [
-                fixed_grid_sum(integrand(u, j), norm_grid(*crosses[v], tops[v], k, e))
-                for j, (v, k, e) in enumerate(specs)
-            ]
-        denom = norms[1] ** (1.0 / p) + sum(g ** (1.0 / p) for g in norms[2:])
-        if denom <= 0.0:
-            raise ValueError("trial function is identically zero on the domain")
-        yield norms[0] ** (1.0 / s) / denom
+    for _, run in itertools.groupby(members, key=lambda u: len(u.breaks)):
+        run = list(run)
+        # the edge of each break radius at each cross rule's nodes, (S, B, rules, C),
+        # and the log panels of each piece above the first, (S, B - 1, rules)
+        edges = _support_edges(np.array([u.breaks for u in run], dtype=float), cross_nodes, exponents)
+        spans = np.log(edges[:, 1:] / edges[:, :-1])
+        panels = np.vectorize(_panel_count, otypes=[int])(spans.max(axis=-1))
+        # the nodes of each member's largest grid
+        grid_nodes = (1 + panels.sum(axis=1)).max(axis=1) * nodes * cross_nodes.shape[1]
+        for chunk in _passes(grid_nodes.tolist(), nodes**3):
+            grids = []
+            with np.errstate(over="ignore"):
+                for v, k, e in specs:
+                    points, weights, bounds = pass_grid(
+                        edges[chunk, :, v], spans[chunk, :, v], panels[chunk, :, v], v, k, e
+                    )
+                    grids.append((points, weights, radius(points), weight(points), bounds))
+            for i, u in enumerate(run[chunk]):
+                norms = []
+                with np.errstate(over="ignore"):  # fixed_grid_sum judges an infinite power
+                    for j, (points, weights, r, w, bounds) in enumerate(grids):
+                        rows = slice(bounds[i], bounds[i + 1])
+                        grid = QuadratureGrid(domain, points[rows], weights[rows])
+                        norms.append(fixed_grid_sum(integrand(u, j, r[rows], w[rows]), grid))
+                denom = norms[1] ** (1.0 / p) + sum(g ** (1.0 / p) for g in norms[2:])
+                if denom <= 0.0:
+                    raise ValueError("trial function is identically zero on the domain")
+                yield norms[0] ** (1.0 / s) / denom
 
 
 def embedding_ratio(
@@ -329,7 +396,10 @@ def run_probe(
 
     The default schedule spans four decades (1e-1 down to 1e-5, two points
     per decade).  Any norm that fails yields an inconclusive verdict.
+    Raises ValidityError unless ``s > 0``.
     """
+    if not s > 0:
+        raise ValidityError(f"s must be > 0, got {float(s):g}")
     epsilons = probe_scales(np.geomspace(1e-1, 1e-5, 9) if epsilons is None else epsilons)
     n = query.n
     domain = CuspDomain.isotropic(n, query.gamma)

@@ -188,7 +188,7 @@ class TestNearCriticalExponents:
         assert cond["verdict"] == "finite"
         # ∫ |x|**-1.97 over the disc of radius sqrt(2) = 2 pi sqrt(2)**0.03 / 0.03
         exact = 2.0 * math.pi * math.sqrt(2.0) ** 0.03 / 0.03
-        assert cond["value"] == pytest.approx(exact, rel=1e-3)
+        assert cond["value"] == pytest.approx(exact, rel=1e-3, abs=0)
 
     def test_report_with_clipped_q_reads_divergent(self, tmp_path):
         # q above the threshold is clipped to p(1 - 1e-9): the reduced
@@ -298,7 +298,7 @@ def test_every_reported_verdict_is_a_verdict_value(tmp_path):
     assert {"finite", "satisfied", "blow_up", "inconclusive"} <= seen
     ia = read_report(tmp_path / "distortion-near-minus-1")["results"]["Ia"]
     assert ia["verdict"] == "finite"
-    assert ia["value"] == pytest.approx(800.4, rel=1e-9)
+    assert ia["value"] == pytest.approx(800.4, rel=1e-9, abs=0)
 
 
 class TestNumericalCommands:
@@ -682,6 +682,16 @@ class TestRangeRules:
 
     DISTORTION = "n = 2\np = 2\nalpha = 0\ngamma = 3\nr = 3\n"
     REPORT = "n = 2\np = 2\nalpha = 0\ngamma = 3\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", ["-1", "0"])
+    def test_s_not_positive_exits_3_before_any_rule(self, tmp_path, capsys, s):
+        # read by run_probe's range rule, not by a Gauss rule's parameters
+        # (s = -1) or a division by s (s = 0)
+        rc, err, out = _run_cli(tmp_path, "probe", f"n = 2\np = 2\nalpha = 0\ngamma = 3\ns = {s}\n", capsys)
+        assert rc == 3
+        assert err == f"validity error: s must be > 0, got {s}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command,text,code",

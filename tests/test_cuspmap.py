@@ -55,8 +55,8 @@ class TestApply:
     def test_top_face_fixed(self):
         m = CuspMap(HG, a=0.5)
         y = m.apply([0.25, 1.0 - 1e-12])
-        assert y[0] == pytest.approx(0.25, rel=1e-9)
-        assert y[1] == pytest.approx(1.0, rel=1e-9)
+        assert y[0] == pytest.approx(0.25, rel=1e-9, abs=0)
+        assert y[1] == pytest.approx(1.0, rel=1e-9, abs=0)
 
     def test_outside_source_rejected(self):
         m = CuspMap(HG, a=0.5)
@@ -80,7 +80,7 @@ class TestJacobian:
     def test_printed_value(self):
         m = CuspMap(HG, a=0.5)
         assert m.jacobian([0.01, 0.25]) == pytest.approx(
-            0.5 * 0.25 ** (-1.5) * 0.25, rel=1e-12
+            0.5 * 0.25 ** (-1.5) * 0.25, rel=1e-12, abs=0
         )
 
     def test_identity_gives_exactly_one(self):
@@ -126,7 +126,7 @@ class TestQuasiisometry:
 
         rep = check_quasiisometry(Twice())
         assert rep.verdict == "satisfied"
-        assert rep.q_estimate == pytest.approx(2.0, rel=1e-6)
+        assert rep.q_estimate == pytest.approx(2.0, rel=1e-6, abs=0)
 
     def test_cusp_map_violates(self):
         rep = check_quasiisometry(CuspMap(HG, a=0.5))
@@ -188,7 +188,7 @@ class TestDistortionIntegrals:
         below = distortion_Ia(2.0, 1.2, 0.5, 0.0, HG)
         assert below.verdict is Verdict.FINITE
         # reduced integrand at q=1.2 is t^{1/4}: value 0.8
-        assert below.value == pytest.approx(0.8, rel=1e-3)
+        assert below.value == pytest.approx(0.8, rel=1e-3, abs=0)
         above = distortion_Ia(2.0, 1.9, 0.5, 0.0, HG)
         assert above.verdict is Verdict.DIVERGENT
 
@@ -196,7 +196,7 @@ class TestDistortionIntegrals:
         below = jacobian_Ja(3.0, 2.0, 0.5, 0.0, HG)
         assert below.verdict is Verdict.FINITE
         # reduced integrand at s=2 is t^{-1/2}: value 2
-        assert below.value == pytest.approx(2.0, rel=1e-3)
+        assert below.value == pytest.approx(2.0, rel=1e-3, abs=0)
         above = jacobian_Ja(3.0, 2.5, 0.5, 0.0, HG)
         assert above.verdict is Verdict.DIVERGENT
 
@@ -230,7 +230,7 @@ class TestDistortionIntegrals:
         # folded into it, or its factors under- and overflow at deep levels
         v = distortion_Ia(2.0, q, 0.8, 0.5, CuspDomain(dim=3, exponents=(1.0, 1.0)))
         assert v.verdict is Verdict.FINITE
-        assert v.value == pytest.approx(1.0 / (beta + 1.0), rel=2e-3)
+        assert v.value == pytest.approx(1.0 / (beta + 1.0), rel=2e-3, abs=0)
 
     def test_exponent_preconditions(self):
         with pytest.raises(ValueError):
@@ -333,4 +333,4 @@ class TestClosedForm:
         domain = CuspDomain.isotropic(n, gamma)
         v = distortion_Ia(p, q, a, alpha, domain)
         assert_closed_form(v, ia_beta(n, p, q, a, alpha, domain.gamma))
-        assert v.value == pytest.approx(value, rel=1e-4)
+        assert v.value == pytest.approx(value, rel=1e-4, abs=0)

@@ -221,7 +221,7 @@ class TestThm3Kw:
         _, v2 = thm3_Kw(w, Ball((0.0, 0.0), 1.0), p=3.0, q=2.0, r=4.0, s=2.0)
         assert v2.verdict is Verdict.FINITE
         # norm value: (∫ |x|^4)^{(r-s)/(rs)} = (2 pi / 6)^{1/4}
-        assert v2.value == pytest.approx((math.pi / 3) ** 0.25, rel=1e-3)
+        assert v2.value == pytest.approx((math.pi / 3) ** 0.25, rel=1e-3, abs=0)
 
     def test_degenerate_exponents_rejected(self):
         w = Weight.polynomial(0.0, 2)

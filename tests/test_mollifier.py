@@ -61,11 +61,11 @@ class TestKernel:
 class TestMollify:
     def test_constant_reproduced(self):
         c = mollify(lambda p: np.full(len(p), 3.7), SPEC, [0.5, 0.5], region=SQUARE)
-        assert c == pytest.approx(3.7, rel=1e-3)
+        assert c == pytest.approx(3.7, rel=1e-3, abs=0)
 
     def test_linear_reproduced_by_symmetry(self):
         v = mollify(lambda p: p[:, 0] + 2.0 * p[:, 1], SPEC, [0.4, 0.6], region=SQUARE)
-        assert v == pytest.approx(1.6, rel=1e-3)
+        assert v == pytest.approx(1.6, rel=1e-3, abs=0)
 
     def test_quadratic_second_moment(self):
         # A_r |x|^2 at 0 equals r^2 times the kernel's second moment
@@ -75,7 +75,7 @@ class TestMollify:
         second_moment = quad(lambda r: bump(r) * r**3, 0, 1)[0] / mass
         spec = MollifySpec(r=0.1, delta=0.2)
         v = mollify(lambda p: np.sum(p**2, axis=1), spec, [0.0, 0.0])
-        assert v == pytest.approx(0.01 * second_moment, rel=1e-3)
+        assert v == pytest.approx(0.01 * second_moment, rel=1e-3, abs=0)
 
     def test_point_too_close_to_boundary(self):
         with pytest.raises(ValueError):
@@ -98,7 +98,7 @@ class TestMollify:
         vf = mollify(f, SPEC, x)
         vg = mollify(g, SPEC, x)
         vc = mollify(combo, SPEC, x)
-        assert vc == pytest.approx(2.0 * vf + 3.0 * vg, rel=1e-12)
+        assert vc == pytest.approx(2.0 * vf + 3.0 * vg, rel=1e-12, abs=0)
 
 
 class TestFromString:

@@ -34,7 +34,7 @@ class TestEmbeddingRatio:
                 breaks=u.breaks,
             )
             assert embedding_ratio(scaled, 2.0, 5.0, W0, HG) == pytest.approx(
-                base, rel=1e-9
+                base, rel=1e-9, abs=0
             )
 
     def test_alpha_zero_matches_unweighted_path(self):

@@ -1,11 +1,13 @@
 """Probe outputs pinned bit for bit, so that a change in how the probe's
 norm integrals are organised cannot move a single ratio."""
 
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cusplab.cli import main
 from cusplab.exponents import EmbeddingQuery
@@ -15,6 +17,7 @@ from cusplab.probe import (
     TrialFunction,
     _ratios,
     embedding_ratio,
+    probe_scales,
     run_probe,
 )
 from cusplab.weights import Weight
@@ -140,3 +143,79 @@ def test_errors_surface_scale_by_scale(second, third, error):
         for r in _ratios(members, 2.0, 5.0, weight, domain):
             ratios.append(r)
     assert ratios == [embedding_ratio(members[0], 2.0, 5.0, weight, domain)]
+
+
+def _member_ratios(query, s, kind, beta, epsilons):
+    """The ratio of each member on its own, up to the first that fails."""
+    family = TrialFamily(kind, beta=beta)
+    domain = CuspDomain.isotropic(query.n, float(query.gamma))
+    weight = Weight.polynomial(float(query.alpha), query.n)
+    ratios = []
+    for eps in epsilons:
+        try:
+            ratios.append((eps, embedding_ratio(family.member(eps), float(query.p), s, weight, domain)))
+        except EvaluationError:
+            break
+    return tuple(ratios)
+
+
+@st.composite
+def _probes(draw):
+    n = draw(st.sampled_from([2, 3]))
+    p = Fraction(draw(st.integers(5, 16)), 4)
+    low, high = -n, n * (p - 1)  # the A_p window of |x|**alpha
+    alpha = low + (high - low) * Fraction(draw(st.integers(1, 15)), 16)
+    gamma = n + Fraction(draw(st.integers(0, 12)), 4)
+    s = draw(st.integers(2, 40)) / 4
+    kind = draw(st.sampled_from(["tip_bump", "power_spike"]))
+    beta = draw(st.integers(1, 12)) / 4 if kind == "power_spike" else None
+    return EmbeddingQuery(n, p, alpha, gamma), s, kind, beta
+
+
+@settings(max_examples=20, deadline=None)
+@given(_probes())
+def test_stacked_scales_have_the_bits_of_each_member_alone(probe):
+    query, s, kind, beta = probe
+    rep = run_probe(query, s, family_kind=kind, beta=beta)
+    alone = _member_ratios(query, s, kind, beta, np.geomspace(1e-1, 1e-5, 9))
+    assert [(e, r.hex()) for e, r in rep.ratios] == [(e, r.hex()) for e, r in alone]
+
+
+def test_steep_spike_stops_where_one_scale_at_a_time_stops():
+    # at s = 2 the squared gradient and value of a beta = 70 spike pass the
+    # float range from eps = 10**-2.5 on, so the probe stops there, silently,
+    # as one scale at a time does
+    epsilons = probe_scales(np.geomspace(1e-1, 1e-5, 9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_probe(Q230, 2.0, family_kind="power_spike", beta=70.0)
+        alone = _member_ratios(Q230, 2.0, "power_spike", 70.0, epsilons)
+    assert 0 < len(alone) < len(epsilons)
+    assert [(e, r.hex()) for e, r in rep.ratios] == [(e, r.hex()) for e, r in alone]
+    assert rep.verdict == "inconclusive"
+
+
+def _plateau(a):
+    """1 within ``|x| < a``, falling linearly to 0 at ``|x| = 1.05 a``: two
+    break radii close enough that several members share a pass."""
+    b = 1.05 * a
+
+    def value(r):
+        return np.clip((b - r) / (b - a), 0.0, 1.0)
+
+    def grad(pts, r):
+        g = np.zeros_like(pts)
+        ramp = (r > a) & (r < b)
+        g[ramp] = -pts[ramp] / (r[ramp, None] * (b - a))
+        return g
+
+    return TrialFunction(value, grad, (a, b))
+
+
+@pytest.mark.parametrize("n, gamma", [(2, 3.0), (3, 4.5)])
+def test_two_piece_members_stacked_have_the_bits_of_each_alone(n, gamma):
+    members = [_plateau(a) for a in np.geomspace(1e-1, 1e-4, 7)]
+    domain, weight = CuspDomain.isotropic(n, gamma), Weight.polynomial(0.5, n)
+    stacked = list(_ratios(members, 2.0, 3.0, weight, domain))
+    alone = [embedding_ratio(u, 2.0, 3.0, weight, domain) for u in members]
+    assert [r.hex() for r in stacked] == [r.hex() for r in alone]

@@ -102,13 +102,13 @@ def test_ratio_matches_mpmath(n, p, alpha, gamma, s, kind, eps, beta):
             exact = _oracle_2d(p, alpha, gamma, s, kind, eps, beta)
         else:
             exact = _oracle_3d_isotropic_p2(alpha, gamma, s, eps)
-    assert ratio == pytest.approx(float(exact), rel=1e-12)
+    assert ratio == pytest.approx(float(exact), rel=1e-12, abs=0)
 
 
 def test_readme_query_at_the_largest_scale():
     # the value the CI smoke step checks, from mpmath at 20 digits
     assert run_probe(EmbeddingQuery(2, 2, 0, 3), 7.0).ratios[0][1] == pytest.approx(
-        0.82108434789118604, rel=1e-12
+        0.82108434789118604, rel=1e-12, abs=0
     )
 
 
@@ -116,7 +116,7 @@ def test_steep_spike_matches_mpmath():
     # beta = 20 at eps = 1e-3, by _oracle_2d (too slow to run here: its L_s
     # integrand falls like t**-97 above eps)
     ratios = run_probe(EmbeddingQuery(2, 2, 0, 3), 5.0, family_kind="power_spike", beta=20).ratios
-    assert ratios[4] == (pytest.approx(1e-3), pytest.approx(0.12629473083656662, rel=1e-12))
+    assert ratios[4] == (pytest.approx(1e-3), pytest.approx(0.12629473083656662, rel=1e-12, abs=0))
 
 
 @settings(max_examples=15, deadline=None)
@@ -175,7 +175,7 @@ def test_sixteen_nodes_agree_with_thirty_two(query, s, family, count, monkeypatc
     finally:
         geometry.gauss_jacobi.cache_clear()
     assert len(ratios) == len(doubled) == count
-    assert ratios == pytest.approx(doubled, rel=1e-12)
+    assert ratios == pytest.approx(doubled, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(

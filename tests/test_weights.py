@@ -49,7 +49,7 @@ class TestApRatio:
         # polar oracle: avg|x| = 2/3, avg|x|^-1 = 2 on the unit ball
         w = Weight.polynomial(1.0, 2)
         r = ap_ratio(w, 2.0, Ball((0.0, 0.0), 1.0))
-        assert r == pytest.approx(4.0 / 3.0, rel=1e-3)
+        assert r == pytest.approx(4.0 / 3.0, rel=1e-3, abs=0)
 
     def test_non_locally_summable_is_inf(self):
         w = Weight.polynomial(-3.0, 2)
@@ -234,17 +234,17 @@ def _measure(w, region):
 class TestWeightedMeasure:
     def test_lebesgue_on_h1(self):
         w = Weight.polynomial(0.0, 2)
-        assert _measure(w, h1_domain(2)) == pytest.approx(0.5, rel=1e-3)
+        assert _measure(w, h1_domain(2)) == pytest.approx(0.5, rel=1e-3, abs=0)
 
     def test_radial_oracle_on_ball(self):
         w = Weight.polynomial(-0.5, 2)
         exact = 2 * math.pi * quad(lambda r: r**0.5, 0, 1)[0]  # 4 pi / 3
-        assert _measure(w, Ball((0.0, 0.0), 1.0)) == pytest.approx(exact, rel=1e-3)
+        assert _measure(w, Ball((0.0, 0.0), 1.0)) == pytest.approx(exact, rel=1e-3, abs=0)
 
     def test_alpha_zero_matches_plain_integral(self):
         # the volume of a cusp is ∫_0^1 G(t) dt = 1/gamma
         dom = CuspDomain(dim=3, exponents=(2.0, 1.5))
-        assert _measure(Weight.polynomial(0.0, 3), dom) == pytest.approx(1.0 / 4.5, rel=1e-12)
+        assert _measure(Weight.polynomial(0.0, 3), dom) == pytest.approx(1.0 / 4.5, rel=1e-12, abs=0)
 
     def test_divergent_reported_as_inf(self):
         w = Weight.polynomial(-2.5, 2)
@@ -318,7 +318,7 @@ class TestBallPowerOracle:
         v = power_integral(Weight.polynomial(beta, n), 1.0, Ball(tuple(center), radius))
         assert v.verdict is Verdict.FINITE
         exact = _ball_power_oracle(n, beta, ratio * radius, radius)
-        assert v.value == pytest.approx(exact, rel=1e-8)
+        assert v.value == pytest.approx(exact, rel=1e-8, abs=0)
         assert v.trace == ()
 
     @pytest.mark.filterwarnings("error")
@@ -365,7 +365,7 @@ class TestCuspPowerOracle:
         dom = CuspDomain(dim=2, exponents=(exponent,))
         v = power_integral(Weight.polynomial(c - dom.gamma, 2), 1.0, dom)
         assert v.verdict is Verdict.FINITE and v.trace == ()
-        assert v.value == pytest.approx(_cusp_power_oracle(c, exponent), rel=1e-8)
+        assert v.value == pytest.approx(_cusp_power_oracle(c, exponent), rel=1e-8, abs=0)
 
 
 class TestCuspPowerBits:
@@ -398,13 +398,13 @@ class TestTheorem10Condition:
         w = Weight.polynomial(0.0, 2)
         v = theorem10_condition(w, Ball((0.3, 0.1), 0.5))
         assert v.verdict is Verdict.FINITE
-        assert v.value == pytest.approx(math.pi * 0.25, rel=1e-8)
+        assert v.value == pytest.approx(math.pi * 0.25, rel=1e-8, abs=0)
 
     def test_alpha_one_finite_in_2d(self):
         w = Weight.polynomial(1.0, 2)
         v = theorem10_condition(w, Ball((0.0, 0.0), 1.0))
         assert v.verdict is Verdict.FINITE
-        assert v.value == pytest.approx(2 * math.pi, rel=1e-3)  # radial: 2pi * ∫ dr
+        assert v.value == pytest.approx(2 * math.pi, rel=1e-3, abs=0)  # radial: 2pi * ∫ dr
 
     def test_near_critical_cusp_is_finite(self):
         # ∫ |x|**-2.95 over {0 < x1 < t**2, 0 < t < 1} = ∫ t**-0.95 h(t) dt
@@ -414,7 +414,7 @@ class TestTheorem10Condition:
         h = lambda t: quad(lambda u: (1 + u * u * t * t) ** -1.475, 0, 1)[0]
         exact = quad(h, 0, 1, weight="alg", wvar=(-0.95, 0))[0]
         assert v.verdict is Verdict.FINITE
-        assert v.value == pytest.approx(exact, rel=1e-3)
+        assert v.value == pytest.approx(exact, rel=1e-3, abs=0)
 
     def test_cusp_divergence_by_the_exact_rule(self):
         # |x|**-3 * G(t) ~ t**-1 on the gamma = 3 cusp
@@ -489,7 +489,7 @@ class TestHigherDimension:
         alpha = 2.0 * (3.5 - c) / 3.0  # beta = -3 alpha / 2
         v = theorem10_condition(Weight.polynomial(alpha, 3), CuspDomain.isotropic(3, 3.5))
         assert v.verdict is Verdict.FINITE and v.trace == ()
-        assert v.value == pytest.approx({0.002: 498.4922530, 0.005: 198.5041529}[c], rel=1e-8)
+        assert v.value == pytest.approx({0.002: 498.4922530, 0.005: 198.5041529}[c], rel=1e-8, abs=0)
 
     def test_theorem10_on_3d_cusp(self):
         dom = CuspDomain(dim=3, exponents=(2.0, 1.5))  # aggregate exponent 4.5
