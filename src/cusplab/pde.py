@@ -14,6 +14,7 @@ that differentiates a formula, so importing this module does not load it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -244,44 +245,64 @@ def _cell_areas(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-#: the 7-point stencil of the structured triangulation, columns ascending
-_STENCIL = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+def _shifted(v: np.ndarray, d: tuple[int, int]) -> np.ndarray:
+    """The grid array ``v`` read at ``p + d`` for each grid point ``p``, 0
+    where ``p + d`` is off the grid."""
+    (n0, n1), (d0, d1) = v.shape, d
+    out = np.zeros(v.shape)
+    out[max(-d0, 0) : max(n0 - d0, 0), max(-d1, 0) : max(n1 - d1, 0)] = v[
+        max(d0, 0) : n0 + min(d0, 0), max(d1, 0) : n1 + min(d1, 0)
+    ]
+    return out
 
 
-def _stencil_csr(
-    keep: np.ndarray,
-    diag: np.ndarray,
-    along0: np.ndarray,
-    along1: np.ndarray,
-    across: np.ndarray,
-) -> sparse.csr_matrix:
-    """The rows and columns ``keep`` of the symmetric 7-point matrix on the
-    vertex grid of shape ``diag.shape``, from its diagonal and its couplings
-    of ``(i, j)`` to ``(i+1, j)``, ``(i, j+1)`` and ``(i+1, j+1)``; kept
-    vertices are renumbered in order."""
-    n0, n1 = diag.shape
-    vals = np.zeros((n0, n1, 7))
-    vals[1:, 1:, 0] = across
-    vals[1:, :, 1] = along0
-    vals[:, 1:, 2] = along1
-    vals[:, :, 3] = diag
-    vals[:, :-1, 4] = along1
-    vals[:-1, :, 5] = along0
-    vals[:-1, :-1, 6] = across
-    # the kept number of every vertex, -1 for dropped ones and off the grid
-    number = np.full((n0 + 2, n1 + 2), -1, dtype=np.int32)
-    number[1:-1, 1:-1] = np.where(keep, np.cumsum(keep, dtype=np.int32) - 1, -1).reshape(n0, n1)
-    cols = np.stack(
-        [number[1 + di : n0 + 1 + di, 1 + dj : n1 + 1 + dj] for di, dj in _STENCIL], axis=-1
-    )
-    cols[~keep.reshape(n0, n1)] = -1
-    # flat masks select without building index arrays
-    present = cols.ravel() >= 0
-    indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int32)
-    np.cumsum(present.reshape(-1, 7).sum(axis=1, dtype=np.int32)[keep], out=indptr[1:])
-    size = len(indptr) - 1
+def _symmetric(upper: dict) -> dict:
+    """The stencil of a symmetric matrix on a grid from its upper half.
+
+    A stencil maps each offset ``d = (d0, d1)`` to a grid array holding the
+    entry from grid point ``p`` to ``p + d`` at ``p``, 0 where ``p + d`` is
+    off the grid.  ``upper`` holds the offsets ``d >= (0, 0)``; the entry
+    from ``p`` to ``p - d`` is the one from ``p - d`` to ``p``, so each
+    lower band is its upper band shifted and every entry below the diagonal
+    is bit for bit its mirror.  Offsets come out ascending, which are the
+    columns of a row in grid order.
+    """
+    full = dict(upper)
+    for (d0, d1), v in upper.items():
+        if (d0, d1) != (0, 0):
+            full[(-d0, -d1)] = _shifted(v, (-d0, -d1))
+    return dict(sorted(full.items()))
+
+
+def _stencil_csr(stencil: dict, number: np.ndarray, rows: Callable) -> sparse.csr_matrix:
+    """Some rows of the matrix whose stencil (see :func:`_symmetric`) is
+    ``stencil``, offsets ascending and at most 2 along each axis.
+
+    ``rows`` takes a grid array to its entries at the wanted rows, in their
+    order, and ``number`` is the grid of column numbers, ascending in grid
+    order and -1 for a dropped grid point; an entry is kept where its column
+    is, even if it is 0.
+    """
+    n0, n1 = number.shape
+    # the numbers on a grid padded by 2, so that every offset stays inside it
+    pad = np.full((n0 + 4, n1 + 4), -1, dtype=np.int32)
+    pad[2:-2, 2:-2] = number
+    kept, k = rows(number), len(stencil)
+    vals = np.empty((k,) + kept.shape)
+    cols = np.empty(vals.shape, dtype=np.int32)
+    for at, ((d0, d1), v) in enumerate(stencil.items()):
+        vals[at] = rows(v)
+        cols[at] = rows(pad[2 + d0 : n0 + 2 + d0, 2 + d1 : n1 + 2 + d1])
+    vals, cols = vals.reshape(k, kept.size), cols.reshape(k, kept.size)
+    present = cols >= 0
+    indptr = np.zeros(kept.size + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=0, dtype=np.int32), out=indptr[1:])
+    # filled offset by offset and read row by row, in CSR's order: several
+    # times faster than filling one column per offset
+    present = present.T
     return sparse.csr_matrix(
-        (vals.ravel()[present], cols.ravel()[present], indptr), shape=(size, size)
+        (vals.T[present], cols.T[present], indptr),
+        shape=(kept.size, int(np.count_nonzero(number >= 0))),
     )
 
 
@@ -328,13 +349,14 @@ def assemble(
     diag[1:, :-1] += s1 * _dot(ac, ac)
     diag[1:, 1:] += s1 * _dot(ab, ab) + s2 * _dot(ad, ad)
     diag[:-1, 1:] += s2 * _dot(ac, ac)
-    along0 = np.zeros((n0 - 1, n1))
-    along0[:, :-1] -= s1 * _dot(bc, ac)
-    along0[:, 1:] -= s2 * _dot(ad, ac)
-    along1 = np.zeros((n0, n1 - 1))
-    along1[1:] -= s1 * _dot(ac, ab)
-    along1[:-1] -= s2 * _dot(dc, ac)
-    across = s1 * _dot(bc, ab) + s2 * _dot(dc, ad)
+    along0 = np.zeros((n0, n1))
+    along0[:-1, :-1] -= s1 * _dot(bc, ac)
+    along0[:-1, 1:] -= s2 * _dot(ad, ac)
+    along1 = np.zeros((n0, n1))
+    along1[1:, :-1] -= s1 * _dot(ac, ab)
+    along1[:-1, :-1] -= s2 * _dot(dc, ac)
+    across = np.zeros((n0, n1))
+    across[:-1, :-1] = s1 * _dot(bc, ab) + s2 * _dot(dc, ad)
 
     # the hat of a vertex is 1/2 at the midpoints of its two edges in a
     # triangle and 0 at the third
@@ -346,8 +368,11 @@ def assemble(
     load[:-1, 1:] += (f1[:-1] + f0[:, 1:]) * third2
     load *= 0.5
 
-    K = _stencil_csr(~mesh.boundary, diag, along0, along1, across)
     interior = mesh.interior
+    keep = ~mesh.boundary.reshape(n0, n1)
+    number = np.where(keep, np.cumsum(keep, dtype=np.int32).reshape(n0, n1) - 1, -1)
+    upper = {(0, 0): diag, (0, 1): along1, (1, 0): along0, (1, 1): across}
+    K = _stencil_csr(_symmetric(upper), number, lambda grid: grid[keep])
     return AssembledSystem(K, load.ravel()[interior], interior)
 
 
@@ -370,7 +395,13 @@ def _interpolation(cells: int) -> sparse.csr_matrix:
     (at least 2) to ``cells`` cells, on the interior nodes of both grids.
 
     Fine node ``i`` sits at coarse position ``i * coarse / cells``; the grids
-    need not nest, so odd cell counts coarsen like even ones.
+    need not nest, so odd cell counts coarsen like even ones, and the
+    Galerkin operators below them couple nodes two apart, up to 25 stencil
+    points.  A coarsening that nests, taking the last fine cell whole on odd
+    counts, would keep every level at 9 points, but it raises the CG
+    iterations at h = 1/32, 1/64, 1/128 from (7, 7, 7) to (7, 8, 9) on the
+    square and from (9, 9, 10) to (9, 11, 12) on the cusp, and from 12 to 13
+    on the finest graded cusp rung of the benchmark.
     """
     coarse = max(2, (cells + 1) // 2)
     fine = np.arange(1, cells)
@@ -386,60 +417,155 @@ def _interpolation(cells: int) -> sparse.csr_matrix:
     )
 
 
+def _diagonal_stencil(A: sparse.csr_matrix, shape: tuple[int, int]) -> dict:
+    """The stencil (see :func:`_symmetric`) of the symmetric 7-point matrix
+    ``A`` on the grid of ``shape``, read off its diagonals: the band of
+    offset ``(d0, d1)`` lies on diagonal ``d0 * shape[1] + d1``, at the
+    points whose neighbour at that offset is on the grid.  Bands that are
+    all 0, as the couplings across the cells of a square are, are left
+    out."""
+    m0, m1 = shape
+    n = m0 * m1
+    upper = {}
+    for d0, d1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        k = d0 * m1 + d1
+        band = np.zeros(n)
+        if k < n:
+            band[: n - k] = A.diagonal(k)
+        band = band.reshape(shape)
+        band[m0 - d0 :] = 0.0
+        band[:, m1 - d1 :] = 0.0
+        if (d0, d1) == (0, 0) or band.any():
+            upper[(d0, d1)] = band
+    return _symmetric(upper)
+
+
+@functools.lru_cache(maxsize=128)
+def _restriction(cells: int, offsets: tuple) -> tuple[sparse.csr_matrix, tuple]:
+    """One axis of a Galerkin product in stencil form, built once per
+    process for each cell count and set of offsets, and read-only.
+
+    For ``P = _interpolation(cells)``, from ``c`` coarse to ``m`` fine nodes,
+    and the fine offsets ``offsets`` along the axis: the matrix whose block
+    ``(D, d)``, of shape ``(c, m)``, holds ``P[i, I] * P[i + d, I + D]`` at
+    ``(I, i)``, and the coarse offsets ``D`` that occur, ascending.  The
+    block takes the part of a fine band of offset ``d`` along this axis that
+    lands on coarse offset ``D``.
+    """
+    P = _interpolation(cells)
+    m, c = P.shape
+    # the coarse nodes of each fine node, two at most, padded with weight 0
+    node = np.repeat(np.arange(m), np.diff(P.indptr))
+    slot = np.arange(P.nnz) - P.indptr[node]
+    near = np.zeros((m, 2), dtype=np.int64)
+    weight = np.zeros((m, 2))
+    near[node, slot] = P.indices
+    weight[node, slot] = P.data
+    parts = []
+    for k, d in enumerate(offsets):
+        i = np.arange(max(-d, 0), min(m, m - d))
+        w = weight[i, :, None] * weight[i + d, None, :]
+        hit = w != 0.0
+        I = np.broadcast_to(near[i, :, None], w.shape)[hit]
+        J = np.broadcast_to(near[i + d, None, :], w.shape)[hit]
+        col = k * m + np.broadcast_to(i[:, None, None], w.shape)[hit]
+        parts.append((J - I, I, col, w[hit]))
+    D, I, col, val = (np.concatenate(part) for part in zip(*parts))
+    coarse = np.unique(D)
+    row = np.searchsorted(coarse, D) * c + I
+    R = sparse.csr_matrix((val, (row, col)), shape=(len(coarse) * c, len(offsets) * m))
+    for a in (R.data, R.indices, R.indptr):
+        a.flags.writeable = False
+    return R, tuple(coarse.tolist())
+
+
+def _galerkin(stencil: dict, shape: tuple[int, int]) -> dict:
+    """The stencil of the Galerkin operator ``P^T A P``, ``P = P0 ⊗ P1`` the
+    interpolations along the axes of the grid of ``shape``, from the stencil
+    of ``A``, formed in stencil notation (Trottenberg, Oosterlee and
+    Schüller, *Multigrid*, 2001).
+
+    ``A = U + U^T`` for ``U`` the upper half of ``A``'s stencil with half its
+    diagonal, so ``P^T A P = G + G^T`` with ``G = P^T U P``.  ``G``'s band of
+    coarse offset ``D`` is the sum over ``U``'s bands ``U_d`` of
+    ``R0[D0, d0] U_d R1[D1, d1]^T`` (:func:`_restriction`): two 1-D
+    contractions, each one sparse-by-dense product over all bands at once.
+    Only the upper half of ``G + G^T`` is formed and then mirrored, so the
+    coarse operator is exactly symmetric.
+    """
+    m0, m1 = shape
+    upper = {d: v for d, v in stencil.items() if d >= (0, 0)}
+    along0 = tuple(sorted({d0 for d0, _ in upper}))
+    along1 = tuple(sorted({d1 for _, d1 in upper}))
+    R0, coarse0 = _restriction(m0 + 1, along0)
+    R1, coarse1 = _restriction(m1 + 1, along1)
+    c0, c1 = R0.shape[0] // len(coarse0), R1.shape[0] // len(coarse1)
+    # U's bands as blocks of one array: block row d0, block column d1
+    U = np.zeros((len(along0) * m0, len(along1) * m1))
+    for (d0, d1), v in upper.items():
+        a, b = along0.index(d0) * m0, along1.index(d1) * m1
+        U[a : a + m0, b : b + m1] = 0.5 * v if (d0, d1) == (0, 0) else v
+    # G^T as blocks: block row D1, block column D0
+    Gt = R1 @ (R0 @ U).T
+    G = {
+        (D0, D1): Gt[b * c1 : (b + 1) * c1, a * c0 : (a + 1) * c0].T
+        for a, D0 in enumerate(coarse0)
+        for b, D1 in enumerate(coarse1)
+    }
+    coarse = {}
+    zero = np.zeros((c0, c1))
+    for D in sorted({max(D, (-D[0], -D[1])) for D in G}):
+        band = G.get(D, zero) + _shifted(G.get((-D[0], -D[1]), zero), D)
+        if D == (0, 0) or band.any():
+            coarse[D] = band
+    return _symmetric(coarse)
+
+
 def _rows_along(v: np.ndarray, shape: tuple[int, int], axis: int) -> np.ndarray:
     """A view of the grid vector ``v`` whose rows are its lines along ``axis``."""
     grid = v.reshape(shape)
     return grid.T if axis == 0 else grid
 
 
-def _zebra_lines(A: sparse.csr_matrix, shape: tuple[int, int]) -> list:
+def _zebra_lines(A: sparse.csr_matrix, shape: tuple[int, int], stencil: dict | None = None) -> list:
     """The colour sweeps of zebra line relaxation on ``A``, in pre-smoothing
     order: even then odd lines along axis 0, then along axis 1.
 
     Each sweep is ``(axis, colour, off, d, e)`` for the colour's unknowns
-    listed line by line, ``index``: ``T`` is the tridiagonal of ``A`` along
-    those lines, laid end to end with zero coupling from one line to the
-    next, and ``d, e`` are its ``dpttrf`` factors (``T`` is a principal
-    submatrix of SPD ``A``, so SPD); ``off = A[index] - T`` keeps every
-    other entry of those rows.  Galerkin levels coarsened from odd cell
-    counts couple lines two apart, so ``off`` keeps the entries between
-    lines of one colour too, and ``T`` takes the couplings above its
-    diagonal, so ``off`` also keeps the rounding by which a Galerkin
-    operator's couplings below differ from them.  A sweep is then exactly
-    the update ``x[index] += T^-1 (b - A x)[index]``.  Built once per level,
-    with the hierarchy; a line block that ``dpttrf`` cannot factor raises
-    :class:`SolverError`.
+    listed line by line: ``d, e`` are the ``dpttrf`` factors of ``T``, the
+    tridiagonal of ``A`` along those lines laid end to end with zero
+    coupling from one line to the next (a principal submatrix of SPD ``A``,
+    so SPD), and ``off`` holds the other entries of those rows of ``A``, so
+    that a sweep is exactly the update ``x += T^-1 (b - A x)`` on them.  All
+    three come from ``stencil``, ``A``'s stencil (see :func:`_symmetric`),
+    which is read off ``A``'s diagonals when not given (a 7-point ``A``):
+    ``d`` and ``e`` are its diagonal and the band along the lines, and
+    ``off`` is built from its other bands.  Levels coarsened from odd cell
+    counts couple lines two apart, so ``off`` holds couplings between lines
+    of one colour too.  Built once per level, with the hierarchy; a line
+    block that ``dpttrf`` cannot factor raises :class:`SolverError`.
     """
-    # in A's own index type, so that scipy need not check the arrays' range
-    numbers = np.arange(A.shape[0], dtype=A.indices.dtype).reshape(shape)
-    diag = A.diagonal()
+    if stencil is None:
+        stencil = _diagonal_stencil(A, shape)
+    numbers = np.arange(A.shape[0], dtype=np.int32).reshape(shape)
     sweeps = []
-    for axis, step in ((0, shape[1]), (1, 1)):
-        along = A.diagonal(step)  # coupling of unknown k to unknown k + step
+    for axis, step in ((0, (1, 0)), (1, (0, 1))):
+        line = {(0, 0), step, (-step[0], -step[1])}
+        rest = {d: v for d, v in stencil.items() if d not in line}
+        # the coupling of each unknown to the next on its line, 0 at line ends
+        along = stencil[step] if step in stencil else np.zeros(shape)
         for colour in (0, 1):
-            lines = _rows_along(numbers, shape, axis)[colour::2]
-            if lines.size == 0:  # a grid one line wide has no odd lines
+
+            def rows(grid, axis=axis, colour=colour):
+                return _rows_along(grid, shape, axis)[colour::2]
+
+            if rows(numbers).size == 0:  # a grid one line wide has no odd lines
                 continue
-            index = lines.ravel()
-            d = diag[index]
-            # coupling of each unknown to the next on its line, 0 at line ends
-            e = np.zeros(lines.shape)
-            e[:, :-1] = along[lines[:, :-1]]
-            e = e.ravel()[:-1]
-            k = np.arange(len(index), dtype=index.dtype)
-            T = sparse.csr_matrix(
-                (
-                    np.concatenate([d, e, e]),
-                    (np.concatenate([k, k[:-1], k[1:]]), np.concatenate([index, index[1:], index[:-1]])),
-                ),
-                shape=(len(index), A.shape[1]),
-            )
-            off = A[index] - T
-            off.eliminate_zeros()
-            d, e, info = dpttrf(d, e)
+            off = _stencil_csr(rest, numbers, rows)
+            d, e, info = dpttrf(rows(stencil[(0, 0)]).ravel(), rows(along).ravel()[:-1])
             if info != 0:
                 raise SolverError(
-                    f"line block of {len(index)} unknowns is not positive definite"
+                    f"line block of {len(d)} unknowns is not positive definite"
                     f" (dpttrf info {info})"
                 )
             sweeps.append((axis, colour, off, d, e))
@@ -468,23 +594,32 @@ class _Multigrid:
     ``splu``.  :meth:`vcycle` applies one symmetric V-cycle, smoothed by
     zebra line Gauss-Seidel alternating between the axes (Trottenberg,
     Oosterlee and Schüller, *Multigrid*, 2001, §5.1), so it is an SPD
-    preconditioner for CG.  Each level's line blocks are factored once, when
-    the hierarchy is built (:func:`_zebra_lines`), so a colour sweep costs
-    one product with the couplings off its lines and one pre-factored
-    tridiagonal solve.  The cycle is a loop over ``levels``, not a
-    recursion, so the hierarchy holds no reference to itself and is freed
-    as soon as the solve drops it.
+    preconditioner for CG.
+
+    The hierarchy is built in stencil form and applied in CSR form.  Each
+    level is a stencil (see :func:`_symmetric`), the finest read off ``A``'s
+    diagonals and each coarser one its Galerkin product (:func:`_galerkin`);
+    every level's operator, the couplings off its lines
+    (:func:`_zebra_lines`) and its line blocks' factors come from its
+    stencil, so every level is exactly symmetric.  A sweep then costs one
+    product with the couplings off its lines and one pre-factored
+    tridiagonal solve.  The products stay CSR because ``csr_matvec`` is the
+    faster product: 0.63 ms against 1.26 ms from the five shifted band
+    slices of the square's finest level at h = 1/256.  The cycle is a loop
+    over ``levels``, not a recursion, so the hierarchy holds no reference to
+    itself and is freed as soon as the solve drops it.
     """
 
     def __init__(self, A: sparse.csr_matrix, shape: tuple[int, int]):
         # (operator, grid shape, zebra lines, 1-D interpolations along each axis)
         self.levels = []
+        stencil = _diagonal_stencil(A, shape)
         while A.shape[0] > _COARSEST:
             P0, P1 = _interpolation(shape[0] + 1), _interpolation(shape[1] + 1)
-            self.levels.append((A, shape, _zebra_lines(A, shape), P0, P1))
-            P = sparse.kron(P0, P1, format="csr")
-            A = (P.T @ (A @ P)).tocsr()
+            self.levels.append((A, shape, _zebra_lines(A, shape, stencil), P0, P1))
+            stencil = _galerkin(stencil, shape)
             shape = (P0.shape[1], P1.shape[1])
+            A = _stencil_csr(stencil, np.arange(shape[0] * shape[1]).reshape(shape), np.ravel)
         # A is SPD: symmetric ordering and no pivoting factor it a third faster
         self.coarsest = splu(
             A.tocsc(),

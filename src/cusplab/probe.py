@@ -37,7 +37,8 @@ The scales of a family are probed in passes of at most ``NODES**3`` nodes
 an integral, the grid of one ``n = 3`` scale: all nine scales of an
 ``n = 2`` tip bump in one.  A pass solves every support edge in one Newton
 iteration, and builds each integral's nodes, weights, radii and weight
-values once for all its scales, each scale's rows one contiguous slice.
+values, the last from the radii, once for all its scales, each scale's rows
+one contiguous slice.
 Each scale's values are taken, and its slices summed, in its turn, so its
 ratio has the bits it has when probed alone, and a norm that cannot be
 evaluated stops the probe before any later scale's trial function runs.
@@ -230,6 +231,8 @@ def _ratios(
     member is evaluated.
     """
     n, c = domain.dim, weight.alpha + domain.gamma
+    if weight.dim != n:  # the weight is taken from radii, which do not show it
+        raise ValueError(f"points have dimension {n}, expected {weight.dim}")
     exponents = np.asarray(domain.exponents)
 
     def cross_rule(axis: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +318,8 @@ def _ratios(
                     points, weights, bounds = pass_grid(
                         edges[chunk, :, v], spans[chunk, :, v], panels[chunk, :, v], v, k, e
                     )
-                    grids.append((points, weights, radius(points), weight(points), bounds))
+                    r = radius(points)
+                    grids.append((points, weights, r, weight.at_radii(r), bounds))
             for i, u in enumerate(run[chunk]):
                 norms = []
                 with np.errstate(over="ignore"):  # fixed_grid_sum judges an infinite power

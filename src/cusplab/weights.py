@@ -84,7 +84,10 @@ class Weight:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[-1] != self.dim:
             raise ValueError(f"points have dimension {x.shape[-1]}, expected {self.dim}")
-        r = radius(x)
+        return self.at_radii(radius(x))
+
+    def at_radii(self, r: np.ndarray) -> np.ndarray:
+        """The weight at points whose distances to the origin are ``r``."""
         if self.alpha < 0 and np.any(r == 0.0):
             raise ZeroDivisionError("polynomial weight with alpha < 0 at the origin")
         with np.errstate(divide="ignore"):

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
@@ -493,6 +494,68 @@ class TestLineSmoother:
         K = assemble(triangulate(SQUARE, 1 / 16), W1, 0.0).stiffness
         with pytest.raises(pde.SolverError, match="not positive definite"):
             pde._zebra_lines(-K, (22, 22))
+
+
+def _random_spd_stencil(rng, shape):
+    """The stencil of a random SPD 7-point matrix on the grid of ``shape``:
+    negative couplings along the three kinds of edge, and a diagonal above
+    the sum of their sizes in each row."""
+    m0, m1 = shape
+    upper = {}
+    for d0, d1 in ((0, 1), (1, 0), (1, 1)):
+        band = -rng.uniform(0.1, 1.0, shape)
+        band[m0 - d0 :] = 0.0
+        band[:, m1 - d1 :] = 0.0
+        upper[(d0, d1)] = band
+    upper[(0, 0)] = rng.uniform(0.1, 1.0, shape)
+    stencil = pde._symmetric(upper)
+    upper[(0, 0)] += sum(np.abs(band) for d, band in stencil.items() if d != (0, 0))
+    return pde._symmetric(upper)
+
+
+def _csr(stencil, shape):
+    return pde._stencil_csr(stencil, np.arange(shape[0] * shape[1]).reshape(shape), np.ravel)
+
+
+class TestGalerkin:
+    """Coarse operators formed on stencil bands against the CSR product."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 13), st.integers(1, 13), st.integers(0, 2**32 - 1))
+    # odd and even cell counts, a grid one line wide, and an axis of 2 cells,
+    # which stays fixed while the other axis coarsens
+    @example(7, 5, 0)
+    @example(8, 6, 1)
+    @example(9, 1, 2)
+    @example(1, 12, 3)
+    def test_matches_the_csr_product(self, m0, m1, seed):
+        shape = (m0, m1)
+        stencil = _random_spd_stencil(np.random.default_rng(seed), shape)
+        # two levels, so that the second coarsens a stencil wider than 7 points
+        for _ in range(2):
+            A = _csr(stencil, shape)
+            P0, P1 = pde._interpolation(m0 + 1), pde._interpolation(m1 + 1)
+            P = sparse.kron(P0, P1, format="csr")
+            want = (P.T @ A @ P).toarray()
+            # the size of the terms summed into each entry: the scale of its rounding
+            scale = (abs(P).T @ abs(A) @ abs(P)).toarray()
+            stencil = pde._galerkin(stencil, shape)
+            shape = m0, m1 = P0.shape[1], P1.shape[1]
+            got = _csr(stencil, shape).toarray()
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("region, grade", [(SQUARE, None), (CUSP3, 1.5)], ids=["square", "cusp"])
+    def test_every_level_equals_its_transpose(self, region, grade):
+        mesh = triangulate(region, 1 / 128, grade_exponent=grade)
+        K = assemble(mesh, W1, 0.0).stiffness
+        mg = pde._Multigrid(K, (mesh.grid_shape[0] - 2, mesh.grid_shape[1] - 2))
+        assert len(mg.levels) >= 3
+        for A, *_ in mg.levels:
+            At = A.T.tocsr()
+            At.sort_indices()
+            assert np.array_equal(At.indptr, A.indptr)
+            assert np.array_equal(At.indices, A.indices)
+            assert At.data.tobytes() == A.data.tobytes()
 
 
 class TestMultigrid:

@@ -20,6 +20,11 @@ W0 = Weight.polynomial(0.0, 2)
 
 
 class TestEmbeddingRatio:
+    def test_weight_of_another_dimension_rejected(self):
+        u = TrialFamily("tip_bump").member(1e-2)
+        with pytest.raises(ValueError, match="points have dimension 2, expected 3"):
+            embedding_ratio(u, 2.0, 5.0, Weight.polynomial(0.0, 3), HG)
+
     def test_scale_invariance(self):
         fam = TrialFamily("tip_bump")
         u = fam.member(1e-2)

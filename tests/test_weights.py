@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from cusplab.geometry import Ball, Box, CuspDomain, EvaluationError, Verdict, h1_domain
+from cusplab.geometry import Ball, Box, CuspDomain, EvaluationError, Verdict, h1_domain, radius
 from cusplab.weights import (
     BallFamily,
     Weight,
@@ -37,6 +37,17 @@ class TestEval:
         w = Weight.polynomial(-1.0, 2)
         with pytest.raises(ZeroDivisionError):
             w(np.array([[0.0, 0.0]]))
+
+    @pytest.mark.parametrize("alpha", [-1.5, 0.0, 0.5, 2.0])
+    def test_at_radii_has_the_bits_of_the_call(self, alpha):
+        w = Weight.polynomial(alpha, 3)
+        x = np.random.default_rng(4).standard_normal((50, 3))
+        assert w.at_radii(radius(x)).tobytes() == w(x).tobytes()
+
+    def test_at_radii_rejects_the_singular_point(self):
+        with pytest.raises(ZeroDivisionError):
+            Weight.polynomial(-1.0, 2).at_radii(np.array([0.5, 0.0]))
+        assert Weight.polynomial(1.0, 2).at_radii(np.array([0.0]))[0] == 0.0
 
 
 
