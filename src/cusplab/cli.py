@@ -491,6 +491,11 @@ def _run_solve(config: RunConfig) -> dict:
     return results
 
 
+#: most scales a probe takes: each is a few ms of work, and a schedule of
+#: this many already spans its decades finely
+_MAX_PROBE_POINTS = 1000
+
+
 def _run_probe(config: RunConfig) -> dict:
     params = config.parameters
     query = _query_from(params)
@@ -500,9 +505,12 @@ def _run_probe(config: RunConfig) -> dict:
         eps_min = float(params.get("eps_min", 1e-5))
         if min(eps_max, eps_min) <= 0.0:
             raise ValueError("scales must be positive and finite")
-        epsilons = probe_scales(np.geomspace(eps_max, eps_min, params.get("points", 9)))
+        points = params.get("points", 9)
+        if points > _MAX_PROBE_POINTS:  # before the schedule is allocated
+            raise ValueError(f"points must be at most {_MAX_PROBE_POINTS}, got {points}")
+        epsilons = probe_scales(np.geomspace(eps_max, eps_min, points))
         beta = float(params["beta"]) if "beta" in params else None
-        TrialFamily(family, beta=beta)  # rejects an unknown kind or a missing beta
+        TrialFamily(family, beta=beta)  # rejects an unknown kind, or a spike without beta > 0
     except ValueError as exc:
         raise ConfigError(f"probe: {exc}") from exc
     report = run_probe(

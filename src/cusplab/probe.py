@@ -38,7 +38,11 @@ an integral, the grid of one ``n = 3`` scale: all nine scales of an
 ``n = 2`` tip bump in one.  A pass solves every support edge in one Newton
 iteration, and builds each integral's nodes, weights, radii and weight
 values, the last from the radii, once for all its scales, each scale's rows
-one contiguous slice.
+one contiguous slice.  Nodes are laid out a coordinate at a time, one
+``(n, M)`` array passed on as its ``(M, n)`` transpose: each transverse
+coordinate is one power ``t**gamma_i`` over contiguous ``t`` (the rule of
+:func:`_axis_powers` keeps its bits), and the radii and each gradient
+integral read contiguous columns, the latter only its own.
 Each scale's values are taken, and its slices summed, in its turn, so its
 ratio has the bits it has when probed alone, and a norm that cannot be
 evaluated stops the probe before any later scale's trial function runs.
@@ -83,13 +87,17 @@ class TrialFunction:
     """Radial Lipschitz trial function, with explicit gradient components.
 
     Both families depend on ``|x|`` alone, so ``value`` takes the radii
-    ``r`` (N,) of the points and ``grad`` the points (N, n) and their radii.
-    ``breaks`` are the increasing radii where the function is not smooth,
-    the last the outer radius of its support, where its value vanishes.
+    ``r`` (N,) of the points, and ``grad`` any subset of the points'
+    coordinate columns (N, k) with their radii and returns those ``k``
+    gradient components: component ``i`` of a radial function is
+    ``x_i f'(r) / r``, which needs no other coordinate.  The probe asks for
+    one column at a time.  ``breaks`` are the increasing radii where the
+    function is not smooth, the last the outer radius of its support, where
+    its value vanishes.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (N, n) components
+    grad: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (N, k) components
     breaks: tuple[float, ...]
 
 
@@ -135,7 +143,9 @@ class TrialFamily:
 
     ``kind`` is ``"tip_bump"`` (cone of height 1 and radius eps at the tip)
     or ``"power_spike"`` (truncated radial power with exponent ``beta``);
-    any other kind, or a power spike without ``beta``, raises ValueError.
+    any other kind, or a power spike without ``beta`` or with ``beta`` not
+    a positive finite number, raises ValueError.  At ``beta <= 0`` the
+    spike's value would vanish everywhere but its ``grad`` would not.
     """
 
     kind: str
@@ -146,6 +156,8 @@ class TrialFamily:
             raise ValueError(f"unknown trial family kind {self.kind!r}")
         if self.kind == "power_spike" and self.beta is None:
             raise ValueError("power_spike needs a beta exponent")
+        if self.kind == "power_spike" and not 0.0 < self.beta < math.inf:
+            raise ValueError(f"power_spike needs beta > 0 and finite, got {float(self.beta):g}")
 
     def member(self, eps: float) -> TrialFunction:
         if self.kind == "tip_bump":
@@ -158,11 +170,31 @@ class TrialFamily:
 _FIRST_PANEL = 0.01
 
 
+def _axis_powers(t: np.ndarray, exponents: np.ndarray) -> list[np.ndarray]:
+    """``t ** g`` for each ``g`` of ``exponents``, each one contiguous array
+    with the bits of ``(t[..., None] ** exponents)[..., i]``, the powers the
+    pinned probe ratios hold.
+
+    Measured with numpy 2.4.6: an exponent that reaches the power as one
+    value along the loop (a scalar, or the one exponent of n = 2 broadcast)
+    goes to a fast path, a square for 2, a root for 1/2 and a reciprocal for
+    -1, which differs from the general pow in the last bit on about 5% of
+    arguments; an exponent that varies along the loop (several axes) takes
+    the general pow.  So one axis takes its exponent as a scalar, and
+    several take each theirs as a full array of ``t``'s shape.  Equal
+    exponents share one power.
+    """
+    if len(exponents) == 1:
+        return [t ** exponents[0]]
+    powers = {g: t ** np.full(t.shape, g) for g in set(exponents.tolist())}
+    return [powers[g] for g in exponents.tolist()]
+
+
 def _support_edges(breaks: np.ndarray, cross: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """The ``t`` at which ``|x(t, u)| = t * rho(t, u)`` reaches each radius
-    of ``breaks`` at each cross node ``u`` (the last axis of ``cross``
-    holds its coordinates), or 1 where it passes the cusp's top; the shape
-    is ``breaks.shape + cross.shape[:-1]``.
+    of ``breaks`` at each cross node ``u`` (``cross[i]`` holds the nodes'
+    coordinates on transverse axis ``i``), or 1 where it passes the cusp's
+    top; the shape is ``breaks.shape + cross.shape[1:]``.
 
     ``|x(t, u)|**2 = t**2 + sum u_i**2 t**(2 gamma_i)`` is convex and
     increasing in ``t`` and at least ``b**2`` at ``t = b``, so Newton's
@@ -172,15 +204,19 @@ def _support_edges(breaks: np.ndarray, cross: np.ndarray, exponents: np.ndarray)
     alone, and one pass solves them all.
     """
     b = breaks.reshape(breaks.shape + (1,) * (cross.ndim - 1))
-    t = np.broadcast_to(b, breaks.shape + cross.shape[:-1]).copy()
+    t = np.broadcast_to(b, breaks.shape + cross.shape[1:]).copy()
     squares = cross * cross
     for _ in range(64):
-        # keep this form of the power: numpy takes a power 2 as a square only
-        # when its exponent is one value broadcast along the loop (n = 2),
-        # so a loop along t instead would move the last bits at n = 3
-        widths = squares * t[..., None] ** (2.0 * exponents)  # x_i**2
-        slope = 2.0 * t + 2.0 * (exponents * widths).sum(axis=-1) / t  # d|x|**2/dt
-        step = (t * t + widths.sum(axis=-1) - b * b) / slope
+        # x_i**2 a transverse axis at a time (powers by the rule of
+        # _axis_powers), summed in axis order, the order in which numpy sums
+        # along an axis of at most seven terms
+        widths = [sq * power for sq, power in zip(squares, _axis_powers(t, 2.0 * exponents))]
+        total, moment = widths[0], exponents[0] * widths[0]
+        for g, width in zip(exponents[1:], widths[1:]):
+            total = total + width
+            moment = moment + g * width
+        slope = 2.0 * t + 2.0 * moment / t  # d|x|**2/dt
+        step = (t * t + total - b * b) / slope
         nxt = np.minimum(t, t - step)
         if np.array_equal(nxt, t):
             break
@@ -217,7 +253,8 @@ def _ratios(
     norm integrals each one sum on a fixed rule fitted to its support.
 
     Integral ``j = 0`` is the ``L_s`` power, ``j = 1`` the ``L_p`` power and
-    ``j = 2 + a`` the ``L_p`` power of gradient component ``a``.  Near the
+    ``j = 2 + a`` the ``L_p`` power of gradient component ``a``, the one
+    component it asks ``grad`` for.  Near the
     tip each integrand, with the cross-section, is ``t**(alpha+gamma-1+e)``
     times a smooth factor, ``e = 0`` but ``p (gamma_a - 1)`` for a
     transverse component ``a``, whose ``|x_a|**p`` also holds ``u_a**p``;
@@ -239,11 +276,12 @@ def _ratios(
         # the weight u**p on ``axis`` comes out of the weights again, so the
         # sum takes the integrand as it is
         u, w = gauss_jacobi(0.0, p + 1.0)
-        return _tensor_cells([(u, w / u**p) if a == axis else gauss_jacobi() for a in range(n - 1)])
+        nodes, weights = _tensor_cells([(u, w / u**p) if a == axis else gauss_jacobi() for a in range(n - 1)])
+        return np.ascontiguousarray(nodes.T), weights  # a row of coordinates per axis
 
     # the cross rules: Gauss–Legendre, then u**p on each transverse axis in turn
     crosses = [cross_rule(None)] + [cross_rule(a) for a in range(n - 1)]
-    cross_nodes = np.stack([u for u, _ in crosses])  # (rules, C, n - 1)
+    cross_nodes = np.stack([u for u, _ in crosses], axis=1)  # (n - 1, rules, C)
     # (cross rule, k, e) of each integral j
     specs = [(0, s, 0.0), (0, p, 0.0)]
     specs += [(a + 1, 0.0, p * (exponents[a] - 1.0)) for a in range(n - 1)]
@@ -272,7 +310,8 @@ def _ratios(
     def pass_grid(tops, spans, panels, v, k, e):
         """The nodes (M, n) and weights (M,) of integral (v, k, e) over the
         members of a pass, whose edges at cross rule v are ``tops`` (S, B, C),
-        and the bounds of each member's rows."""
+        and the bounds of each member's rows.  The nodes are the transpose of
+        an (n, M) array, built and read a coordinate at a time."""
         cross, cross_w = crosses[v]
         k_top = k if tops.shape[1] == 1 else 0.0
         tau, w = gauss_jacobi(k_top, c + e)
@@ -284,21 +323,23 @@ def _ratios(
             blocks = [(t, w)]
         else:
             blocks = [log_pieces(*member, k) for member in zip(t, w, tops, spans, panels)]
-        points, weights, sizes = [], [], [0]
+        x = np.empty((n, sum(t.size for t, _ in blocks)))
+        weights, sizes, start = [], [0], 0
         for t, w in blocks:
-            x = np.empty(t.shape + (n,))
-            x[..., :-1] = cross[:, None, :] * t[..., None] ** exponents  # as in _support_edges
-            x[..., -1] = t
-            points.append(x.reshape(-1, n))
+            rows = slice(start, start + t.size)
+            for i, power in enumerate(_axis_powers(t, exponents)):
+                np.multiply(cross[i, :, None], power, out=x[i, rows].reshape(t.shape))
+            x[-1, rows] = t.ravel()
             weights.append((w * cross_w[:, None]).ravel())
             sizes += [t[0].size] * len(t)
-        return np.concatenate(points), np.concatenate(weights), np.cumsum(sizes)
+            start = rows.stop
+        return x.T, np.concatenate(weights), np.cumsum(sizes)
 
     def integrand(u: TrialFunction, j: int, r: np.ndarray, w: np.ndarray) -> Callable:
         def f(points: np.ndarray) -> np.ndarray:
             if j < 2:
                 return np.abs(u.value(r)) ** (s if j == 0 else p) * w
-            return np.abs(u.grad(points, r)[:, j - 2]) ** p * w
+            return np.abs(u.grad(points[:, j - 2 : j - 1], r)[:, 0]) ** p * w
 
         return f
 
@@ -310,7 +351,7 @@ def _ratios(
         spans = np.log(edges[:, 1:] / edges[:, :-1])
         panels = np.vectorize(_panel_count, otypes=[int])(spans.max(axis=-1))
         # the nodes of each member's largest grid
-        grid_nodes = (1 + panels.sum(axis=1)).max(axis=1) * nodes * cross_nodes.shape[1]
+        grid_nodes = (1 + panels.sum(axis=1)).max(axis=1) * nodes * cross_nodes.shape[-1]
         for chunk in _passes(grid_nodes.tolist(), nodes**3):
             grids = []
             with np.errstate(over="ignore"):

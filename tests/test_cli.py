@@ -584,10 +584,15 @@ class TestProbeConfig:
             "eps_max = 2\n",  # a support past the cusp's top
             "growth = 1.3\n",  # removed: the verdict is the fitted slope
             "variation = 0.2\n",
+            "points = 1001\n",
+            "points = 100000000000\n",  # its schedule would not fit in memory
+            "family = power_spike\nbeta = -1\n",  # a value of 0 with a nonzero grad
+            "family = power_spike\nbeta = 0\n",
         ],
         ids=[
             "short-span", "two-points", "unknown-family", "spike-without-beta",
             "negative-scale", "scale-above-one", "removed-growth", "removed-variation",
+            "too-many-points", "huge-points", "spike-beta-negative", "spike-beta-zero",
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")

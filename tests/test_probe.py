@@ -78,6 +78,14 @@ class TestEmbeddingRatio:
         with pytest.raises(ValueError):
             TrialFamily("power_spike")
 
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, math.nan, math.inf])
+    def test_power_spike_needs_positive_finite_beta(self, beta):
+        # at beta <= 0 the spike's value is 0 everywhere but its grad is not
+        with pytest.raises(ValueError, match="beta > 0"):
+            TrialFamily("power_spike", beta=beta)
+        with pytest.raises(ValueError, match="beta > 0"):
+            run_probe(Q230, 5.0, family_kind="power_spike", beta=beta)
+
 
 class TestRunProbe:
     def test_below_threshold_bounded(self):

@@ -15,6 +15,7 @@ from cusplab.geometry import CuspDomain, EvaluationError, grid
 from cusplab.probe import (
     TrialFamily,
     TrialFunction,
+    _axis_powers,
     _ratios,
     embedding_ratio,
     probe_scales,
@@ -46,6 +47,27 @@ Q3_RATIOS = (
 )
 
 
+# n = 3, p = 2, alpha = 0, gamma = 3 at s = 5: each transverse exponent is
+# 1, so 2 gamma_i = 2, a power numpy would take as a square if the exponent
+# reached it as a scalar
+Q330 = EmbeddingQuery(3, 2, 0, 3)
+Q330_S5 = (
+    "0x1.75d081e422bcdp-2", "0x1.519b8b9776787p-2", "0x1.2e2b00ba8ebd9p-2",
+    "0x1.0dab37777f2aap-2", "0x1.e0e3a25af909dp-3", "0x1.aca685fc73995p-3",
+    "0x1.7e0d2618c7a68p-3", "0x1.548219d270732p-3", "0x1.2f7ac3954dd72p-3",
+)
+
+# embedding_ratio(member(eps), p = 2, s = 3, |x|**0.5) at eps = 1e-1, 1e-3,
+# 1e-5 on anisotropic n = 3 cusps; the two axis orders differ in the last
+# bit at eps = 1e-1, so a swapped axis shows
+ANISOTROPIC = {
+    ((1.0, 2.5), "tip_bump"): ("0x1.81f5a0e101d99p-3", "0x1.6f713cc9cf8aep-4", "0x1.5529ae8a624c0p-5"),
+    ((1.0, 2.5), "power_spike"): ("0x1.f52924fef7911p-3", "0x1.f4be3b1d8f3d2p-3", "0x1.f4be2a06fdf08p-3"),
+    ((2.5, 1.0), "tip_bump"): ("0x1.81f5a0e101d98p-3", "0x1.6f713cc9cf8aep-4", "0x1.5529ae8a624c0p-5"),
+    ((2.5, 1.0), "power_spike"): ("0x1.f52924fef790fp-3", "0x1.f4be3b1d8f3d2p-3", "0x1.f4be2a06fdf08p-3"),
+}
+
+
 def test_q230_ratios_bit_identical():
     rep = run_probe(Q230, 5.0)
     assert tuple(r.hex() for _, r in rep.ratios) == Q230_S5
@@ -58,13 +80,37 @@ def test_n3_sweep_query_ratios_bit_identical():
     assert rep.verdict == "blow_up"
 
 
-def test_readme_probe_outputs_byte_identical(tmp_path):
+def test_n3_unit_exponent_ratios_bit_identical():
+    rep = run_probe(Q330, 5.0)
+    assert tuple(r.hex() for _, r in rep.ratios) == Q330_S5
+    assert rep.verdict == "bounded"
+
+
+@pytest.mark.parametrize("exponents, kind", list(ANISOTROPIC))
+def test_anisotropic_ratios_bit_identical(exponents, kind):
+    family = TrialFamily(kind, beta=0.4 if kind == "power_spike" else None)
+    domain, weight = CuspDomain(3, exponents), Weight.polynomial(0.5, 3)
+    ratios = [embedding_ratio(family.member(eps), 2.0, 3.0, weight, domain) for eps in (1e-1, 1e-3, 1e-5)]
+    assert tuple(r.hex() for r in ratios) == ANISOTROPIC[exponents, kind]
+
+
+def _probe_outputs_match(tmp_path, config, data):
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[probe]\nn = 2\np = 2\nalpha = 0\ngamma = 3\ns = 7\n")
+    cfg.write_text(config)
     out = tmp_path / "out"
     assert main(["probe", "--config", str(cfg), "--out", str(out)]) == 0
     for name in ("report.json", "probe.csv"):
-        assert (out / name).read_bytes() == (DATA / name).read_bytes(), name
+        assert (out / name).read_bytes() == (data / name).read_bytes(), name
+
+
+def test_readme_probe_outputs_byte_identical(tmp_path):
+    _probe_outputs_match(tmp_path, "[probe]\nn = 2\np = 2\nalpha = 0\ngamma = 3\ns = 7\n", DATA)
+
+
+def test_n3_unit_exponent_probe_outputs_byte_identical(tmp_path):
+    # the same files are compared by CI against the installed console script
+    config = "[probe]\nn = 3\np = 2\nalpha = 0\ngamma = 3\ns = 5\n"
+    _probe_outputs_match(tmp_path, config, DATA.parent / "n3_gamma3_probe")
 
 
 def _masked_tip_grad(pts, eps):
@@ -109,6 +155,56 @@ def test_tip_bump_gradient_has_the_bits_of_the_masked_division(n, eps):
     assert np.count_nonzero(inside) > 100
     g = np.abs(TrialFamily("tip_bump").member(eps).grad(pts, r))
     assert np.array_equal(g.view(np.uint64), np.abs(_masked_tip_grad(pts, eps)).view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "exponents", [(2.0,), (0.5,), (-1.0,), (3.5,), (2.0, 2.0), (2.0, 5.0), (1.0, 0.5, 2.0)]
+)
+def test_axis_powers_have_the_bits_of_the_broadcast_power(exponents):
+    # the reference is every axis's power in one broadcast operation; numpy
+    # takes one exponent by its fast paths and several by its general pow
+    t = np.random.default_rng(len(exponents)).uniform(1e-6, 1.0, size=(3, 2, 256))
+    exponents = np.array(exponents)
+    reference = t[..., None] ** exponents
+    powers = _axis_powers(t, exponents)
+    assert len(powers) == len(exponents)
+    for i, power in enumerate(powers):
+        assert power.flags.c_contiguous
+        assert np.array_equal(power.view(np.uint64), reference[..., i].view(np.uint64))
+
+
+@st.composite
+def _members(draw):
+    """A trial function, the number of coordinates and points at radii from
+    0 to past 1/2, with those at exactly 0, eps and 1/2 among them."""
+    n = draw(st.integers(2, 4))
+    eps = 10.0 ** draw(st.floats(-6.0, -1.0))
+    if draw(st.booleans()):
+        u = TrialFamily("tip_bump").member(eps)
+    else:
+        u = TrialFamily("power_spike", beta=draw(st.floats(0.25, 5.0))).member(eps)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = np.abs(rng.normal(size=(300, n)))
+    pts *= (np.geomspace(1e-3 * eps, 1.0, 300) / np.linalg.norm(pts, axis=-1))[:, None]
+    pts[:3] = 0.0
+    pts[1, -1], pts[2, 0] = eps, 0.5
+    return u, n, pts
+
+
+@settings(max_examples=40, deadline=None)
+@given(_members(), st.booleans())
+def test_grad_of_one_column_has_the_bits_of_the_full_grad(member, by_columns):
+    # the probe asks each gradient integral's one column of an (M, n) array
+    # laid out a coordinate at a time
+    u, n, pts = member
+    if by_columns:
+        pts = np.asfortranarray(pts)
+    r = np.linalg.norm(pts, axis=-1)
+    full = u.grad(pts, r)
+    for k in range(n):
+        one = u.grad(pts[:, k : k + 1], r)
+        assert one.shape == (len(pts), 1)
+        assert np.array_equal(one[:, 0].view(np.uint64), full[:, k].view(np.uint64))
 
 
 def _power(b):
