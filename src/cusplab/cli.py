@@ -431,7 +431,7 @@ def _run_mollify(config: RunConfig) -> dict:
     if "alpha" in params:
         weight = Weight.polynomial(float(params["alpha"]), 2)
     seq = convergence_test(
-        field, weight, float(params["p"]), delta, radii, region,
+        field.lambdified(), weight, float(params["p"]), delta, radii, region,
         cells=cells,
     )
     _write_csv(config.output_dir / "convergence.csv", ["r", "norm"], [[r, v] for r, v in seq])

@@ -8,6 +8,14 @@ reproducible and the commutation identity with derivatives can be checked
 by finite differences with the quadrature error cancelling between the two
 sides.  Both rules are :func:`cusplab.geometry.gauss_panels`.
 
+Fields are coordinate functions ``f(x0, …, x_{dim-1})`` of arrays that
+broadcast together, the form ``sympy.lambdify`` returns, and must act
+element by element.  Each coordinate of the shifted nodes is an outer
+difference of the points and the 16 per-axis kernel nodes, so a term in one
+coordinate costs ``N * 16`` evaluations per radius and a term mixing all of
+them ``N * 16**dim``; the ``K`` nodes inside the kernel's ball then take one
+matrix-vector product (:func:`mollify_many`).
+
 ``sympy`` waits for its first use, in :class:`SmoothField`'s constructor,
 parser and lambdifier, so that a process that reads no formula never loads it.
 """
@@ -21,6 +29,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from .exponents import ValidityError
 from .geometry import (
     Box, CuspDomain, Domain, _axis_cells, _tensor_cells, gauss_panels, halved_toward, radius
 )
@@ -82,15 +91,19 @@ class MollifierKernel:
     @property
     def rule(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes (K, dim) in the unit box and weights already times the kernel."""
-        return _kernel_rule(self.dim)
+        return _kernel_rule(self.dim)[2:]
 
 
 @lru_cache(maxsize=8)
-def _kernel_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    pts, wts = _tensor_cells([gauss_panels([-1.0, 1.0])] * dim)
+def _kernel_rule(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The per-axis Gauss nodes ``y`` of the tensor hull ``y**dim`` (row-major,
+    last axis fastest), the flat hull indices of the nodes where the kernel is
+    positive, those ``K`` nodes ``(K, dim)`` and their weights times the kernel."""
+    y, w = gauss_panels([-1.0, 1.0])
+    pts, wts = _tensor_cells([(y, w)] * dim)
     kernel_vals = _bump_profile(radius(pts)) / _bump_mass(dim)
-    keep = kernel_vals > 0.0
-    return pts[keep], (wts * kernel_vals)[keep]
+    keep = np.flatnonzero(kernel_vals > 0.0)
+    return y, keep, pts[keep], (wts * kernel_vals)[keep]
 
 
 @dataclass(frozen=True)
@@ -102,33 +115,61 @@ class MollifySpec:
 
     def __post_init__(self):
         if not (0.0 < self.r < self.delta):
-            raise ValueError("need 0 < r < delta")
+            raise ValidityError("need 0 < r < delta")
 
 
 def mollify_many(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[..., np.ndarray],
     r: float,
     points: np.ndarray,
     kernel: MollifierKernel,
 ) -> np.ndarray:
-    """Vectorized ``(A_r f)(x) = ∫ ω(z) f(x - r z) dz`` at many points."""
+    """Vectorized ``(A_r f)(x) = ∫ ω(z) f(x - r z) dz`` at many points.
+
+    ``f`` is a coordinate field ``f(x0, …, x_{dim-1})``: it takes one array
+    per coordinate, the arrays broadcasting together, and returns values
+    that broadcast to their common shape, as ``sympy.lambdify`` and
+    :meth:`SmoothField.lambdified` build them.  It must act element by
+    element, since the field sees the kernel's whole tensor hull.
+
+    Coordinate ``a`` of the shifted nodes is the outer difference
+    ``points[:, a] - r * y`` of the ``N`` points and the 16 per-axis nodes
+    ``y``, shaped ``(N, 1, …, 16, …, 1)`` with the 16 at axis ``a + 1``.  So a
+    subexpression of one coordinate runs on ``N * 16`` values and one of all
+    of them on the hull's ``N * 16**dim``.  The ``K`` hull nodes inside the
+    kernel's ball (144 of 256 in 2-D) are gathered into a C-contiguous
+    ``(N, K)`` matrix, and one matrix-vector product with the weights gives
+    the values.  Hull nodes outside the ball are dropped unread, so they
+    raise no floating-point warning; a non-finite value at a kept node raises
+    :class:`~cusplab.exponents.ValidityError`.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    z, wts = kernel.rule
-    # row i * len(z) + k is x_i - r z_k, laid out coordinate by coordinate so
-    # that each coordinate column an integrand reads is contiguous
-    shifted = points.T[:, :, None] - r * z.T[:, None, :]
-    flat = shifted.reshape(points.shape[1], -1).T
-    vals = np.asarray(f(flat), dtype=float).reshape(points.shape[0], z.shape[0])
-    return vals @ wts
+    n, dim = points.shape
+    y, keep, _, wts = _kernel_rule(kernel.dim)
+    coords = [
+        (points[:, a, None] - r * y).reshape((n,) + (1,) * a + (-1,) + (1,) * (dim - 1 - a))
+        for a in range(dim)
+    ]
+    with np.errstate(all="ignore"):
+        hull = np.broadcast_to(np.asarray(f(*coords), dtype=float), (n,) + y.shape * dim)
+    # take, not fancy indexing: the matrix must be C-contiguous for the
+    # product to keep its bits
+    out = np.take(hull.reshape(n, -1), keep, axis=1) @ wts
+    # every kept weight is positive, so a non-finite kept value leaves its
+    # row's sum non-finite: checking the N sums checks the N * K values
+    if not np.isfinite(out).all():
+        raise ValidityError(f"the field is not finite within r = {r:g} of every point")
+    return out
 
 
 def mollify(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[..., np.ndarray],
     spec: MollifySpec,
     x,
     region: Domain | None = None,
 ) -> float:
-    """Mollified value at one point of the inset region ``D_delta``.
+    """Mollified value of the coordinate field ``f`` (see :func:`mollify_many`)
+    at one point of the inset region ``D_delta``.
 
     When ``region`` is given, the point must sit deeper than the
     mollification radius (distance to the boundary above ``r``).
@@ -214,7 +255,12 @@ class SmoothField:
             raise ValueError(f"unknown variable {unknown[0]!r} in {text!r}")
         return cls(expr, dim)
 
-    def _lambdified(self, alpha: tuple[int, ...]) -> Callable:
+    def lambdified(self, alpha: Sequence[int] | None = None) -> Callable[..., np.ndarray]:
+        """``D^alpha`` of the field (the field itself by default) as a
+        coordinate function ``f(x0, …, x_{dim-1})`` of arrays that broadcast
+        together, the form :func:`mollify_many` takes.  A constant comes back
+        as a scalar."""
+        alpha = (0,) * self.dim if alpha is None else tuple(int(a) for a in alpha)
         if alpha not in self._cache:
             import sympy as sp
 
@@ -227,8 +273,7 @@ class SmoothField:
         return self._cache[alpha]
 
     def derivative(self, alpha: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
-        alpha = tuple(int(a) for a in alpha)
-        fn = self._lambdified(alpha)
+        fn = self.lambdified(alpha)
 
         def evaluate(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -247,9 +292,15 @@ class SmoothField:
 
 
 def _fd_of_mollified(
-    f: Callable, r: float, kernel: MollifierKernel, x: np.ndarray, alpha, step: float
+    f: Callable[..., np.ndarray],
+    r: float,
+    kernel: MollifierKernel,
+    x: np.ndarray,
+    alpha,
+    step: float,
 ) -> np.ndarray:
-    """Central finite difference of ``A_r f`` of multi-order ``alpha``."""
+    """Central finite difference of ``A_r f`` of multi-order ``alpha``, ``f``
+    a coordinate field."""
     order = sum(alpha)
     A = lambda pts: mollify_many(f, r, pts, kernel)
     if order == 0:
@@ -291,13 +342,13 @@ def commutation_check(
     alpha = tuple(int(a) for a in alpha)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     kernel = MollifierKernel(samples.shape[1])
-    lhs = _fd_of_mollified(f, spec.r, kernel, samples, alpha, step)
-    rhs = mollify_many(f.derivative(alpha), spec.r, samples, kernel)
+    lhs = _fd_of_mollified(f.lambdified(), spec.r, kernel, samples, alpha, step)
+    rhs = mollify_many(f.lambdified(alpha), spec.r, samples, kernel)
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def convergence_test(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[..., np.ndarray],
     weight: Weight | None,
     p: float,
     delta: float,
@@ -307,28 +358,38 @@ def convergence_test(
 ) -> list[tuple[float, float]]:
     """Norm sequence ``||A_r f - f||_{L_p(D_delta, w)}`` over decreasing radii.
 
-    Every radius is measured on the same inset node set, so the sequence is
-    comparable entry to entry.  ``cells < 1`` and an empty ``radii`` raise
-    ``ValueError`` before any work.
+    ``f`` is a coordinate field (see :func:`mollify_many`).  Every radius is
+    measured on the same inset node set, so the sequence is comparable entry
+    to entry.  ``cells < 1``, an empty ``radii``, ``p < 1``, a radius outside
+    ``(0, delta)`` and a weight outside the A_p window raise
+    :class:`~cusplab.exponents.ValidityError` before any work; so do an empty
+    inset region and a field that is not finite on the inset nodes or within
+    a radius of them.
     """
     radii = list(radii)
     if cells < 1:
-        raise ValueError(f"need cells >= 1, got {cells}")
+        raise ValidityError(f"need cells >= 1, got {cells}")
     if not radii:
-        raise ValueError("need at least one radius")
-    if any(r >= delta for r in radii):
-        raise ValueError("all radii must be below delta")
+        raise ValidityError("need at least one radius")
+    if not p >= 1.0:
+        raise ValidityError(f"need p >= 1, got {p:g}")
+    if not all(0.0 < r < delta for r in radii):
+        raise ValidityError(f"need 0 < r < delta = {delta:g} for every radius")
     if weight is not None:
         lo, hi = polynomial_ap_range(weight.dim, p)
         if not (lo < weight.alpha < hi):
-            raise ValueError(
+            raise ValidityError(
                 f"weight power {weight.alpha} outside the A_p window ({lo}, {hi})"
             )
     pts, vol = _inset_grid(region, delta, cells)
     if pts.shape[0] == 0:
-        raise ValueError("inset region is empty at this delta")
+        raise ValidityError("inset region is empty at this delta")
     wvals = weight(pts) if weight is not None else np.ones(pts.shape[0])
-    fvals = np.asarray(f(pts), dtype=float)
+    with np.errstate(all="ignore"):
+        fvals = f(*(pts[:, a] for a in range(pts.shape[1])))
+    fvals = np.broadcast_to(np.asarray(fvals, dtype=float), pts.shape[:1])
+    if not np.isfinite(fvals).all():
+        raise ValidityError("the field is not finite on the inset region")
     out = []
     kernel = MollifierKernel(dim=pts.shape[1])
     for r in radii:

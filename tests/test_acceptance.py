@@ -200,7 +200,7 @@ def test_criterion_6_mollifier_suite():
             for alpha in [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]:
                 assert commutation_check(f, alpha, spec, samples, step=1e-4) < 1e-6
         w = Weight.polynomial(1.0, 2)
-        f_lip = lambda p: np.linalg.norm(p - np.array([0.7, 0.7]), axis=-1)
+        f_lip = lambda x0, x1: np.sqrt((x0 - 0.7) ** 2 + (x1 - 0.7) ** 2)
         seq = convergence_test(
             f_lip, w, 2.0, 0.15, [0.1, 0.05, 0.025, 0.0125], Box((0.0, 0.0), (1.0, 1.0))
         )

@@ -767,6 +767,32 @@ class TestRangeRules:
         assert rc == 0 and err == ""
         assert (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "function = x*y\np = 0\ndelta = 0.15\n",
+            "function = x*y\np = -1\ndelta = 0.15\n",
+            "function = x*y\np = 0.5\ndelta = 0.15\n",
+            "function = x*y\np = 2\ndelta = 0.15\nr_max = -0.05\n",
+            "function = x*y\np = 2\ndelta = 0.15\nr_max = 0\n",
+            "function = x*y\np = 2\ndelta = -0.15\n",
+            # not finite on the inset nodes
+            "function = log(x-0.5)\np = 2\ndelta = 0.15\ncells = 16\n",
+            # finite on the inset nodes, not within r_max = 0.1 of them
+            "function = log(x-0.14)\np = 2\ndelta = 0.15\ncells = 16\n",
+        ],
+        ids=[
+            "p-0", "p-negative", "p-below-1", "r_max-negative", "r_max-0", "delta-negative",
+            "log-on-inset", "log-within-r",
+        ],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mollify_out_of_range_exits_3(self, tmp_path, capsys, text):
+        rc, err, out = _run_cli(tmp_path, "mollify", text, capsys)
+        assert rc == 3
+        assert err.startswith("validity error") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_batch_row_with_negative_s_exits_3(self, tmp_path, capsys):
         queries = tmp_path / "queries.csv"
         queries.write_text("n,p,alpha,gamma,s\n2,2,0,3,5\n2,2,0,3,-1\n")

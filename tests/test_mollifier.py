@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from cusplab.exponents import ValidityError
 from cusplab.geometry import Box, h1_domain
 from cusplab.mollifier import (
     MollifierKernel,
     MollifySpec,
     SmoothField,
     _bump_mass,
+    _inset_grid,
     commutation_check,
     convergence_test,
     inset_contains,
     mollify,
+    mollify_many,
 )
 from cusplab.weights import Weight
 
@@ -57,14 +60,19 @@ class TestKernel:
         with pytest.raises(ValueError):
             MollifySpec(r=0.2, delta=0.1)
 
+    @pytest.mark.parametrize("r, delta", [(0.2, 0.1), (0.0, 0.1), (-0.05, 0.1), (math.nan, 0.1)])
+    def test_spec_radius_outside_range_is_a_validity_error(self, r, delta):
+        with pytest.raises(ValidityError, match="0 < r < delta"):
+            MollifySpec(r=r, delta=delta)
+
 
 class TestMollify:
     def test_constant_reproduced(self):
-        c = mollify(lambda p: np.full(len(p), 3.7), SPEC, [0.5, 0.5], region=SQUARE)
+        c = mollify(lambda x0, x1: 3.7, SPEC, [0.5, 0.5], region=SQUARE)
         assert c == pytest.approx(3.7, rel=1e-3, abs=0)
 
     def test_linear_reproduced_by_symmetry(self):
-        v = mollify(lambda p: p[:, 0] + 2.0 * p[:, 1], SPEC, [0.4, 0.6], region=SQUARE)
+        v = mollify(lambda x0, x1: x0 + 2.0 * x1, SPEC, [0.4, 0.6], region=SQUARE)
         assert v == pytest.approx(1.6, rel=1e-3, abs=0)
 
     def test_quadratic_second_moment(self):
@@ -74,26 +82,24 @@ class TestMollify:
         mass = quad(lambda r: bump(r) * r, 0, 1)[0]
         second_moment = quad(lambda r: bump(r) * r**3, 0, 1)[0] / mass
         spec = MollifySpec(r=0.1, delta=0.2)
-        v = mollify(lambda p: np.sum(p**2, axis=1), spec, [0.0, 0.0])
+        v = mollify(lambda x0, x1: x0**2 + x1**2, spec, [0.0, 0.0])
         assert v == pytest.approx(0.01 * second_moment, rel=1e-3, abs=0)
 
     def test_point_too_close_to_boundary(self):
         with pytest.raises(ValueError):
-            mollify(lambda p: np.ones(len(p)), SPEC, [0.05, 0.5], region=SQUARE)
+            mollify(lambda x0, x1: 1.0, SPEC, [0.05, 0.5], region=SQUARE)
 
     def test_sup_bound(self):
-        f = lambda p: np.sin(7 * p[:, 0]) * np.cos(5 * p[:, 1])
+        f = lambda x0, x1: np.sin(7 * x0) * np.cos(5 * x1)
         pts = sample_lattice()
-        from cusplab.mollifier import mollify_many
-
         k = MollifierKernel(dim=2)
         vals = mollify_many(f, 0.1, pts, k)
         assert np.max(np.abs(vals)) <= 1.0 + 1e-4  # kernel is a probability density
 
     def test_pointwise_linearity(self):
-        f = lambda p: np.sin(p[:, 0])
-        g = lambda p: p[:, 1] ** 2
-        combo = lambda p: 2.0 * f(p) + 3.0 * g(p)
+        f = lambda x0, x1: np.sin(x0)
+        g = lambda x0, x1: x1**2
+        combo = lambda x0, x1: 2.0 * f(x0, x1) + 3.0 * g(x0, x1)
         x = [0.5, 0.4]
         vf = mollify(f, SPEC, x)
         vg = mollify(g, SPEC, x)
@@ -166,13 +172,13 @@ class TestCommutation:
 class TestConvergence:
     def test_constant_function_zero_error(self):
         seq = convergence_test(
-            lambda p: np.full(len(p), 2.0), None, 2.0, 0.15, [0.1, 0.05], SQUARE
+            lambda x0, x1: 2.0, None, 2.0, 0.15, [0.1, 0.05], SQUARE
         )
         assert all(v < 1e-3 for _, v in seq)
 
     def test_lipschitz_decay_weighted(self):
         w = Weight.polynomial(1.0, 2)
-        f = lambda p: np.linalg.norm(p - np.array([0.7, 0.7]), axis=-1)
+        f = lambda x0, x1: np.sqrt((x0 - 0.7) ** 2 + (x1 - 0.7) ** 2)
         seq = convergence_test(f, w, 2.0, 0.15, [0.1, 0.05, 0.025, 0.0125], SQUARE)
         norms = [v for _, v in seq]
         assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -181,28 +187,128 @@ class TestConvergence:
     def test_coordinate_function_weighted(self):
         # linear functions mollify to themselves up to quadrature noise
         w = Weight.polynomial(1.0, 2)
-        seq = convergence_test(lambda p: p[:, 0], w, 2.0, 0.15, [0.1, 0.05, 0.025], SQUARE)
+        seq = convergence_test(lambda x0, x1: x0, w, 2.0, 0.15, [0.1, 0.05, 0.025], SQUARE)
         assert all(v < 1e-3 for _, v in seq)
 
     def test_h1_inset_region(self):
-        f = lambda p: np.linalg.norm(p - np.array([0.25, 0.75]), axis=-1)
+        f = lambda x0, x1: np.sqrt((x0 - 0.25) ** 2 + (x1 - 0.75) ** 2)
         seq = convergence_test(f, None, 2.0, 0.12, [0.08, 0.04, 0.02], h1_domain(2))
         norms = [v for _, v in seq]
         assert all(b < a * 1.001 for a, b in zip(norms, norms[1:]))
 
     def test_radius_must_stay_below_delta(self):
         with pytest.raises(ValueError):
-            convergence_test(lambda p: p[:, 0], None, 2.0, 0.05, [0.1], SQUARE)
+            convergence_test(lambda x0, x1: x0, None, 2.0, 0.05, [0.1], SQUARE)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "radii, cells, message",
-        [([0.1], 0, "cells >= 1"), ([0.1], -3, "cells >= 1"), ([], 64, "at least one radius")],
-        ids=["no-cells", "negative-cells", "no-radii"],
+        "p, radii, cells, message",
+        [
+            (2.0, [0.1], 0, "cells >= 1"),
+            (2.0, [0.1], -3, "cells >= 1"),
+            (2.0, [], 64, "at least one radius"),
+            (0.0, [0.1], 64, "p >= 1"),
+            (-1.0, [0.1], 64, "p >= 1"),
+            (0.5, [0.1], 64, "p >= 1"),
+            (math.nan, [0.1], 64, "p >= 1"),
+            (2.0, [0.1, -0.05], 64, "0 < r < delta"),
+            (2.0, [0.0], 64, "0 < r < delta"),
+            (2.0, [0.15], 64, "0 < r < delta"),
+        ],
+        ids=[
+            "no-cells", "negative-cells", "no-radii", "p-0", "p-negative", "p-below-1", "p-nan",
+            "r-negative", "r-0", "r-at-delta",
+        ],
     )
-    def test_range_rules_raise_before_any_work(self, radii, cells, message):
-        with pytest.raises(ValueError, match=message):
-            convergence_test(lambda p: p[:, 0], None, 2.0, 0.15, radii, SQUARE, cells=cells)
+    def test_range_rules_raise_before_any_work(self, p, radii, cells, message):
+        def untouched(*coords):
+            raise AssertionError("the field was evaluated")
+
+        w = Weight.polynomial(1.0, 2)
+        with pytest.raises(ValidityError, match=message):
+            convergence_test(untouched, w, p, 0.15, radii, SQUARE, cells=cells)
+
+
+def reference_mollify(f, r, points):
+    """The row-per-node algorithm the coordinate form replaced: every shifted
+    node a row of an ``(N * K, dim)`` array, the field on its columns, then
+    the ``(N, K)`` values times the weights."""
+    z, wts = MollifierKernel(points.shape[1]).rule
+    shifted = points.T[:, :, None] - r * z.T[:, None, :]
+    flat = shifted.reshape(points.shape[1], -1).T
+    vals = np.asarray(f(*(flat[:, a] for a in range(flat.shape[1]))), dtype=float)
+    return np.broadcast_to(vals, flat.shape[:1]).copy().reshape(len(points), len(z)) @ wts
+
+
+# constants, Abs, Max, Piecewise, separable and fully mixed formulas
+FORMULAS_2D = [
+    "3.5",
+    "Abs(x - 0.5)*y",
+    "Max(x, y)",
+    "Piecewise((x, x < y), (y**2, True))",
+    "x0*(1-x0)*x1",
+    "sin(2*x0)*cos(3*x1)",
+    "exp(y)",
+    "sin(x*y) + cos(x + y)",
+    "exp(-(x**2 + y**2))*sin(x*y)",
+]
+BIT_CASES = [
+    *[(text, 2, Box((0.0, 0.0), (1.0, 1.0)), 24) for text in FORMULAS_2D],
+    *[(text, 2, h1_domain(2), 32) for text in FORMULAS_2D],
+    ("-2", 1, Box((0.0,), (1.0,)), 64),
+    ("Abs(x - 0.4) + sin(3*x)", 1, Box((0.0,), (1.0,)), 64),
+    ("Piecewise((x**2, x < 0.5), (1 - x, True))", 1, Box((0.0,), (1.0,)), 64),
+    ("0.25", 3, Box((0.0,) * 3, (1.0,) * 3), 8),
+    ("sin(x0)*cos(2*x1)*exp(x2)", 3, Box((0.0,) * 3, (1.0,) * 3), 8),
+    ("Max(x0, x2) + Abs(x1 - 0.5)", 3, Box((0.0,) * 3, (1.0,) * 3), 8),
+    ("sin(x0*x1*x2) + x0*x1 + cos(x2)", 3, Box((0.0,) * 3, (1.0,) * 3), 8),
+]
+
+
+class TestCoordinateForm:
+    @pytest.mark.parametrize(
+        "text, dim, region, cells",
+        BIT_CASES,
+        ids=[f"{dim}d-{type(region).__name__}-{text}" for text, dim, region, _ in BIT_CASES],
+    )
+    def test_bit_identical_to_the_row_per_node_rule(self, text, dim, region, cells):
+        f = SmoothField.from_string(text, dim).lambdified()
+        pts, _ = _inset_grid(region, 0.1, cells)
+        kernel = MollifierKernel(dim)
+        for r in (0.08, 0.03):
+            assert np.array_equal(mollify_many(f, r, pts, kernel), reference_mollify(f, r, pts))
+
+    def test_lambdified_is_the_field_in_coordinate_form(self):
+        field = SmoothField.from_string("exp(x/2)*sin(y) + x*y**2", 2)
+        pts = sample_lattice()
+        for alpha in [(0, 0), (1, 0), (1, 1)]:
+            values = field.lambdified(alpha)(pts[:, 0], pts[:, 1])
+            assert np.array_equal(values, field.derivative(alpha)(pts))
+        assert field.lambdified() is field.lambdified((0, 0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_hull_nodes_outside_the_ball_are_never_read(self):
+        # log(r**2 (1 - |z|**2)) at x - r z: finite inside the kernel's ball,
+        # not finite at the tensor hull's corners
+        f = lambda x0, x1: np.log(0.01 - ((x0 - 0.5) ** 2 + (x1 - 0.5) ** 2))
+        value = mollify_many(f, 0.1, np.array([[0.5, 0.5]]), MollifierKernel(2))
+        assert np.isfinite(value).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x0, x1: np.log(x0 - 0.55), lambda x0, x1: np.where(x1 > 0.45, np.inf, x0)],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_kept_value_is_a_validity_error(self, f):
+        with pytest.raises(ValidityError, match="not finite within r = 0.1"):
+            mollify_many(f, 0.1, sample_lattice(0.5, 0.6, 3), MollifierKernel(2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_field_not_finite_on_the_inset_is_a_validity_error(self):
+        f = SmoothField.from_string("log(x - 0.5)", 2).lambdified()
+        with pytest.raises(ValidityError, match="not finite on the inset region"):
+            convergence_test(f, None, 2.0, 0.15, [0.1], SQUARE, cells=16)
 
 
 class TestInset:

@@ -185,8 +185,9 @@ def test_sixteen_nodes_agree_with_thirty_two(query, s, family, count, monkeypatc
         "[probe]\nn = 3\np = 2\nalpha = 0.5\ngamma = 4.5\ns = 4\n",
         "[ap-check]\nn = 2\np = 2\nalpha = 1\n",
         "[ap-check]\nn = 3\np = 2\nalpha = -2\n",
+        "[mollify]\nfunction = sin(2*x0)*cos(3*x1)\np = 2\ndelta = 0.1\nalpha = 0.5\n",
     ],
-    ids=["readme", "n3", "ap-n2", "ap-n3"],
+    ids=["readme", "n3", "ap-n2", "ap-n3", "mollify"],
 )
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, section):
     cfg = tmp_path / "run.ini"
