@@ -345,17 +345,28 @@ def _run_exponents(config: RunConfig) -> dict:
     return _threshold_block(query, params.get("s"))
 
 
+def _ball_family(n: int, seed: int, **plan) -> BallFamily:
+    """An A_p check's ball family: one past the size cap is a config error,
+    radii outside their range a validity error, both before any work."""
+    try:
+        return BallFamily(dim=n, seed=seed, **plan)
+    except ValidityError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _run_ap_check(config: RunConfig) -> dict:
     params = config.parameters
     n = _at_least(params, "n", 1)
     w = Weight.polynomial(float(params["alpha"]), n)
-    family = BallFamily(
-        dim=n,
+    family = _ball_family(
+        n,
+        config.seed,
         r_min=float(params.get("r_min", 1e-3)),
         r_max=float(params.get("r_max", 1.0)),
         n_radii=_at_least(params, "n_radii", 1, 7),
         n_random=_at_least(params, "n_random", 0, 8),
-        seed=config.seed,
     )
     report = ap_check(w, float(params["p"]), family)
     return {"ap": report.to_dict()}
@@ -532,9 +543,9 @@ def _run_report(config: RunConfig) -> dict:
     params = config.parameters
     query = _query_from(params)
     n, p, alpha, gamma = query.n, float(query.p), float(query.alpha), float(query.gamma)
+    family = _ball_family(n, config.seed)
     results = _threshold_block(query, params.get("s"))
-    w = Weight.polynomial(alpha, n)
-    results["ap"] = ap_check(w, p, BallFamily(dim=n, seed=config.seed)).to_dict()
+    results["ap"] = ap_check(Weight.polynomial(alpha, n), p, family).to_dict()
     a = float(params.get("a", 0.5))
     margin = float(params.get("margin", 0.05))
     domain = CuspDomain.isotropic(n, gamma)

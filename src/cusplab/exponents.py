@@ -20,7 +20,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Union
 
-from .geometry import IntegralVerdict
+from .geometry import IntegralVerdict, ValidityError
 from .weights import Weight, power_integral
 
 __all__ = [
@@ -44,10 +44,6 @@ __all__ = [
 FLOAT_TOL = 1e-12
 
 Number = Union[int, float, Fraction]
-
-
-class ValidityError(ValueError):
-    """A strict precondition of a transfer formula is violated."""
 
 
 def _rat(x: Number) -> Number:

@@ -46,6 +46,7 @@ __all__ = [
     "QuadratureGrid",
     "RefinementSchedule",
     "SLOPE_BAND",
+    "ValidityError",
     "Verdict",
     "fixed_grid_sum",
     "gauss_jacobi",
@@ -63,6 +64,10 @@ __all__ = [
 
 class EvaluationError(RuntimeError):
     """Integrand returned a non-finite value at an interior node."""
+
+
+class ValidityError(ValueError):
+    """A strict precondition of a transfer formula is violated."""
 
 
 def radius(points: np.ndarray) -> np.ndarray:

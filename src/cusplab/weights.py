@@ -4,15 +4,19 @@ A weight is ``|x|**alpha``, handled through an exact radial reduction: the
 integral of a radial power over a ball is a 1-D integral of
 ``rho**(beta+n-1)`` times the fraction of the sphere ``|x| = rho`` inside the
 ball, available in closed form through the regularized incomplete beta
-function.  One function, :func:`_ball_power_integrals`, evaluates it for
-both the A_p averages and ball power integrals: a closed form on the inner
-ball and fixed nodes on the cap, for any number of balls in one array pass.
-A ball's integrals depend only on its radius and its centre's distance from
-the origin, so :func:`ap_check` makes one pass over the distinct such pairs
-of its family: the lattice centres ``±10**-k e_i`` share their distances,
-and the default family's 147 balls in 2-D (189 in 3-D) are 84 distinct
-ones.  A single ball (:func:`ap_ratio`, :func:`power_integral`) is a pass of
-one row.  A cusp power integral is one power of
+function.  The balls' cap geometry, :func:`_cap_geometry`, holds
+everything no power changes: fixed nodes on each cap and their weights, all
+through one ``betainc`` call; :func:`_ball_power_integrals` then gives the
+A_p averages and ball power integrals of any powers on it, a closed form on
+the inner ball plus each cap's sum, for any number of balls in one array
+pass.  A ball's integrals depend only on its radius and its centre's
+distance from the origin, so a family's geometry has one row per distinct
+such pair: the lattice centres ``±10**-k e_i`` share their distances, and
+the default family's 147 balls in 2-D (189 in 3-D) are 84 distinct ones.
+:func:`ap_check` builds each family's geometry once per process and shares
+it between every weight and ``p``.  A single ball (:func:`ap_ratio`,
+:func:`power_integral`) is a geometry of one row, built for its call.  A
+cusp power integral is one power of
 ``t`` times a bounded factor; the cap and ``t`` take the one graded Gauss
 rule, :func:`cusplab.geometry.graded_gauss`, and the cross axes Gauss panels
 halved toward 1 for a large power.  All read the exact rule first:
@@ -25,6 +29,7 @@ as a floating overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,6 +43,7 @@ from .geometry import (
     EvaluationError,
     IntegralVerdict,
     NODES,
+    ValidityError,
     Verdict,
     _tensor_cells,
     gauss_panels,
@@ -49,6 +55,7 @@ from .geometry import (
 __all__ = [
     "ApReport",
     "BallFamily",
+    "MAX_BALLS",
     "Weight",
     "ap_check",
     "ap_ratio",
@@ -118,23 +125,32 @@ _CAP_S = np.sin(0.5 * np.exp(_LOG_THETA)) ** 2
 _CAP_DS = 0.5 * np.sin(np.exp(_LOG_THETA)) * _THETA_W
 
 
-def _ball_power_integrals(
-    n: int, betas: Sequence[float], d: Sequence[float], radii: Sequence[float]
-) -> list[list[float]]:
-    """``∫_ball |x|**beta dx`` for each beta over each ball, all on one node
-    set: one list per beta, one value per ball.
+@dataclass(frozen=True)
+class _CapGeometry:
+    """Everything of a row of balls in ``R**dim`` that no power changes:
+    each ball's inner radius ``R - d`` (a Python float, for the closed
+    form's scalar power; ``>= 0`` exactly when the closed ball holds the
+    origin), and its cap nodes ``rho`` with their weights ``shell``, one
+    read-only row per ball."""
 
-    Ball ``k`` has radius ``radii[k]`` and its centre at distance ``d[k]``
-    from the origin.  The fraction of the sphere ``|x| = rho`` inside a ball
-    is 1 on ``[0, R - d]``, a closed form, and falls to 0 across the cap
-    ``[|d - R|, d + R]``, which takes the cap rule; every cap node of every
-    ball goes through one ``betainc`` call.  Every beta shares the nodes and
-    the closed form's radius, so the discrete Hölder inequality between any
-    two of them holds.  A beta with ``beta + n <= 0`` needs the origin
-    outside the closed ball; a value past the float range comes back ``inf``
-    or ``nan``.  Each ball's values are the bits it has on its own: the
-    closed form keeps a scalar power, which may round otherwise than an
-    array power, and ``R**2`` is Python's power of a float.
+    dim: int
+    surface: float
+    inner: tuple[float, ...]
+    rho: np.ndarray
+    shell: np.ndarray
+
+
+def _cap_geometry(n: int, d: Sequence[float], radii: Sequence[float]) -> _CapGeometry:
+    """The cap geometry of the balls in ``R**n`` of radii ``radii`` whose
+    centres lie at distances ``d`` from the origin.
+
+    The fraction of the sphere ``|x| = rho`` inside a ball is 1 on
+    ``[0, R - d]``, where :func:`_ball_power_integrals` takes a closed form,
+    and falls to 0 across the cap ``[|d - R|, d + R]``, which takes the cap
+    rule; every cap node of every ball goes through one ``betainc`` call.
+    Each row is computed elementwise, so a ball has the bits it has on its
+    own, and ``R**2`` is Python's power of a float.  None of it depends on
+    a power, so one geometry serves every weight and every exponent.
     """
     surface = sphere_surface(n)
     dist, size = np.array(d, dtype=float), np.array(radii, dtype=float)
@@ -143,8 +159,8 @@ def _ball_power_integrals(
     rho = lo[:, None] + (hi - lo)[:, None] * _CAP_S
     shell = np.zeros_like(rho)  # a centred ball has no cap
     cap = dist > 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cap.any():
+    if cap.any():
+        with np.errstate(over="ignore", invalid="ignore"):
             # the fraction of the sphere within angle acos(mu) of the centre
             r, c = rho[cap], dist[cap, None]
             radius_sq = np.array([R**2 for R in size[cap].tolist()])[:, None]
@@ -152,10 +168,35 @@ def _ball_power_integrals(
             half = 0.5 * betainc((n - 1) / 2.0, 0.5, 1.0 - mu * mu)
             width = (surface * (hi - lo))[cap, None]
             shell[cap] = width * _CAP_DS * np.where(mu >= 0.0, half, 1.0 - half)
-        out = []
+    rho.flags.writeable = shell.flags.writeable = False
+    return _CapGeometry(n, surface, tuple(inner.tolist()), rho, shell)
+
+
+def _ball_power_integrals(
+    geometry: _CapGeometry, betas: Sequence[float], rows: Sequence[int] | None = None
+) -> list[list[float]]:
+    """``∫_ball |x|**beta dx`` for each beta over each ball of ``geometry``
+    (or of its ``rows``), all on its node set: one list per beta, one value
+    per ball.
+
+    A ball's value is the closed form on ``[0, R - d]`` plus its cap nodes'
+    sum ``sum(shell * rho**(beta + n - 1))``.  Every beta shares the nodes
+    and the closed form's radius, so the discrete Hölder inequality between
+    any two of them holds.  A beta with ``beta + n <= 0`` needs the origin
+    outside the closed ball, so leave such balls out of ``rows``; a value
+    past the float range comes back ``inf`` or ``nan``.  Each row's sum is
+    its own, so a ball's values are the bits it has on its own, in any
+    subset of rows: the closed form keeps a scalar power, which may round
+    otherwise than an array power.
+    """
+    inner, rho, shell = geometry.inner, geometry.rho, geometry.shell
+    if rows is not None:
+        inner, rho, shell = [inner[k] for k in rows], rho[rows], shell[rows]
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
         for beta in betas:
-            e = beta + n
-            closed = [surface * np.float64(i) ** e / e if i > 0.0 else 0.0 for i in inner.tolist()]
+            e = beta + geometry.dim
+            closed = [geometry.surface * np.float64(i) ** e / e if i > 0.0 else 0.0 for i in inner]
             out.append((closed + np.sum(shell * rho ** (e - 1.0), axis=1)).tolist())
     return out
 
@@ -168,25 +209,26 @@ def _diverges(beta: float, dim: float, at_origin: bool) -> bool:
     return at_origin and beta + dim <= 0.0
 
 
-def _ap_ratios(w: Weight, p: float, d: Sequence[float], radii: Sequence[float]) -> list[float]:
-    """The ratio of :func:`ap_ratio` on each ball, given as in
-    :func:`_ball_power_integrals`, with one call of it for all of them."""
+def _ap_ratios(w: Weight, p: float, geometry: _CapGeometry) -> list[float]:
+    """The ratio of :func:`ap_ratio` on each ball of ``geometry``, with one
+    call of :func:`_ball_power_integrals` for all balls whose averages are
+    finite by the exact rule."""
     if p <= 1:
         raise ValueError("A_p needs p > 1")
+    if w.dim != geometry.dim:
+        raise ValueError(f"a weight on R**{w.dim} and balls in R**{geometry.dim}")
     dual = 1.0 / (1.0 - p)
-    ratios = [math.inf] * len(d)
-    finite = [
-        k for k in range(len(d))
-        if not any(_diverges(w.alpha * power, w.dim, d[k] <= radii[k]) for power in (1.0, dual))
-    ]
-    integrals = _ball_power_integrals(
-        w.dim, (0.0, w.alpha, w.alpha * dual), [d[k] for k in finite], [radii[k] for k in finite]
-    )
+    ratios = [math.inf] * len(geometry.inner)
+    finite, rows = range(len(ratios)), None
+    if any(_diverges(w.alpha * power, w.dim, True) for power in (1.0, dual)):
+        # an average diverges on each ball whose closure holds the origin
+        finite = rows = [k for k, inner in enumerate(geometry.inner) if inner < 0.0]
+    integrals = _ball_power_integrals(geometry, (0.0, w.alpha, w.alpha * dual), rows)
     for k, vol, int_w, int_dual in zip(finite, *integrals):
-        avg_w, avg_dual = int_w / vol, int_dual / vol
-        try:
+        try:  # a volume that underflowed to 0 leaves no average
+            avg_w, avg_dual = int_w / vol, int_dual / vol
             ratio = avg_w * avg_dual ** (p - 1.0)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             continue
         # a true ratio is >= 1: 0, inf or nan means an average left the float range
         if 0.0 < ratio < math.inf:
@@ -199,12 +241,13 @@ def ap_ratio(w: Weight, p: float, ball: Ball) -> float:
 
     A divergent average is reported as ``inf``; otherwise both averages are
     ball power integrals over the ball's volume, all three on the node set
-    of :func:`_ball_power_integrals`, which makes the returned ratio >= 1
-    exactly (discrete Hölder).  A product that floats cannot form, from an
-    average that under- or overflowed or a power past the float range, is
-    ``inf`` too.
+    of :func:`_cap_geometry`, which makes the returned ratio >= 1 exactly
+    (discrete Hölder).  A product that floats cannot form, from an average
+    that under- or overflowed or a power past the float range, is ``inf``
+    too.  The ball's one-row geometry is built for this call alone.
     """
-    return _ap_ratios(w, p, [float(np.linalg.norm(ball.center))], [ball.radius])[0]
+    geometry = _cap_geometry(w.dim, [float(np.linalg.norm(ball.center))], [ball.radius])
+    return _ap_ratios(w, p, geometry)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +255,31 @@ def ap_ratio(w: Weight, p: float, ball: Ball) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: the most balls a family may hold; :func:`ap_check` keeps each family's
+#: cap geometry, at most ``MAX_BALLS * 656 * 2`` floats (43 MB)
+MAX_BALLS = 4096
+
+
+def _measures_fit(n: int, r: float) -> bool:
+    """Whether a ball of radius ``r`` in ``R**n`` has a positive finite
+    float ``r**2`` and volume."""
+    try:
+        square, volume = r**2, float(sphere_surface(n)) / n * r**n
+    except OverflowError:
+        return False
+    return 0.0 < square < math.inf and 0.0 < volume < math.inf
+
+
 @dataclass(frozen=True)
 class BallFamily:
     """Sampling plan: log-radial lattice around the singular point plus
-    seeded uniform random centers, radii geometric between the given bounds."""
+    seeded uniform random centers, radii geometric between the given bounds.
+
+    A plan of more than :data:`MAX_BALLS` balls raises ``ValueError``, and
+    radii outside ``0 < r_min <= r_max``, or with no positive finite float
+    ``R**2`` and ball volume in ``R**dim``, raise :class:`ValidityError`,
+    both before any ball is built.
+    """
 
     dim: int
     r_min: float = 1e-3
@@ -224,6 +288,20 @@ class BallFamily:
     n_random: int = 8
     lattice_decades: int = 3
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        count = self.n_radii * (1 + 2 * self.dim * self.lattice_decades + self.n_random)
+        if count > MAX_BALLS:
+            raise ValueError(f"a ball family holds at most {MAX_BALLS} balls, got {count}")
+        if not 0.0 < self.r_min <= self.r_max:
+            raise ValidityError(
+                f"ball radii need 0 < r_min <= r_max, got r_min = {self.r_min:g}, r_max = {self.r_max:g}"
+            )
+        for r in (self.r_min, self.r_max):  # R**2 and the volume are monotone in R
+            if not _measures_fit(self.dim, r):
+                raise ValidityError(
+                    f"radius {r:g} gives no positive finite float R**2 and ball volume in dimension {self.dim}"
+                )
 
     def balls(self) -> list[Ball]:
         radii = np.geomspace(self.r_min, self.r_max, self.n_radii)
@@ -265,22 +343,38 @@ class ApReport:
         }
 
 
+@functools.lru_cache(maxsize=4)
+def _family_geometry(family: BallFamily) -> tuple[tuple[int, ...], _CapGeometry]:
+    """A family's layout and cap geometry, built once per process for each
+    family and read-only.
+
+    A ball's integrals depend only on its radius and its centre's distance
+    from the origin, so the geometry has one row per distinct such pair, in
+    first-seen order; the layout gives each ball's row.
+    """
+    keys = [(float(np.linalg.norm(b.center)), b.radius) for b in family.balls()]
+    row_of: dict[tuple[float, float], int] = {}
+    layout = tuple(row_of.setdefault(k, len(row_of)) for k in keys)
+    return layout, _cap_geometry(family.dim, [k[0] for k in row_of], [k[1] for k in row_of])
+
+
 def ap_check(w: Weight, p: float, family: BallFamily | None = None) -> ApReport:
     """Sample the A_p ratio over a ball family and deliver the analytic
-    verdict ``-n < alpha < n(p-1)``."""
-    family = family or BallFamily(dim=w.dim)
-    balls = family.balls()
-    # a ball's ratio depends only on (|centre|, radius): the lattice centres
-    # share theirs, so each distinct ball is evaluated once, in one call
-    keys = [(float(np.linalg.norm(b.center)), b.radius) for b in balls]
-    distinct = list(dict.fromkeys(keys))
-    d, radii = [k[0] for k in distinct], [k[1] for k in distinct]
-    ratio_of = dict(zip(distinct, _ap_ratios(w, p, d, radii)))
-    ratios = tuple(ratio_of[k] for k in keys)
+    verdict ``-n < alpha < n(p-1)``.
+
+    The family's layout and cap geometry come from :func:`_family_geometry`,
+    shared by every weight and every ``p`` checked on an equal family, and
+    the ratios from one call of :func:`_ball_power_integrals` on its rows
+    whose averages are finite.  Each ratio is the bits of :func:`ap_ratio`
+    on its ball, whatever the process checked before.
+    """
+    layout, geometry = _family_geometry(family or BallFamily(dim=w.dim))
+    ratio_of = _ap_ratios(w, p, geometry)
+    ratios = tuple(ratio_of[k] for k in layout)
     sup = max(ratios) if ratios else 1.0
     lo, hi = polynomial_ap_range(w.dim, p)
     verdict = Verdict.SATISFIED if lo < w.alpha < hi else Verdict.VIOLATED
-    return ApReport(p, sup, len(balls), verdict, (lo, hi), ratios)
+    return ApReport(p, sup, len(layout), verdict, (lo, hi), ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +420,7 @@ def power_integral(w: Weight, power: float, region: Ball | CuspDomain) -> Integr
         d = float(np.linalg.norm(region.center))
         if _diverges(beta, region.dim, d <= region.radius):
             return IntegralVerdict(math.inf, Verdict.DIVERGENT, ())
-        ((value,),) = _ball_power_integrals(w.dim, (beta,), [d], [region.radius])
+        ((value,),) = _ball_power_integrals(_cap_geometry(w.dim, [d], [region.radius]), (beta,))
     elif _diverges(beta, region.gamma, True):
         return IntegralVerdict(math.inf, Verdict.DIVERGENT, ())
     else:

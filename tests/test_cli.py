@@ -793,6 +793,37 @@ class TestRangeRules:
         assert err.startswith("validity error") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra",
+        ["r_max = 1e200\n", "r_min = 2\n", "r_min = -0.001\n", "r_min = 1e-200\n", "r_min = 0\n"],
+        ids=["r_max-overflows", "reversed-ladder", "r_min-negative", "volume-underflows", "r_min-0"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ball_radii_out_of_range_exit_3(self, tmp_path, capsys, extra):
+        # read by BallFamily's range rule before any ball is built
+        rc, err, out = _run_cli(tmp_path, "ap-check", "n = 2\np = 2\nalpha = 0.5\n" + extra, capsys)
+        assert rc == 3
+        assert err.startswith("validity error") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("ap-check", "n = 2\np = 2\nalpha = 0\nn_radii = 1000000000\n"),
+            ("ap-check", "n = 2\np = 2\nalpha = 0\nn_random = 1000000000\n"),
+            ("ap-check", "n = 683\np = 2\nalpha = 0\n"),
+            ("ap-check", "n = 2\np = 2\nalpha = 0\nn_radii = 586\n"),  # 4102 balls
+            ("report", "n = 683\np = 2\nalpha = 0\ngamma = 700\n"),
+        ],
+        ids=["n_radii", "n_random", "dimension", "just-over", "report-dimension"],
+    )
+    def test_ball_family_over_the_size_cap_exits_2(self, tmp_path, capsys, command, text):
+        rc, err, out = _run_cli(tmp_path, command, text, capsys)
+        assert rc == 2
+        assert err.startswith("config error: a ball family holds at most 4096 balls")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_batch_row_with_negative_s_exits_3(self, tmp_path, capsys):
         queries = tmp_path / "queries.csv"
         queries.write_text("n,p,alpha,gamma,s\n2,2,0,3,5\n2,2,0,3,-1\n")

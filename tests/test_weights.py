@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from cusplab.geometry import Ball, Box, CuspDomain, EvaluationError, Verdict, h1_domain, radius
+from cusplab.geometry import Ball, Box, CuspDomain, EvaluationError, ValidityError, Verdict, h1_domain, radius
 from cusplab.weights import (
+    MAX_BALLS,
     BallFamily,
     Weight,
     ap_check,
@@ -18,6 +19,7 @@ from cusplab.weights import (
     power_integral,
     theorem10_condition,
 )
+from cusplab.weights import _family_geometry
 
 
 class TestEval:
@@ -233,6 +235,105 @@ class TestApCheck:
         rep = ap_check(Weight.polynomial(0.0, 2), 1.5, BallFamily(dim=2, n_radii=2, n_random=0, lattice_decades=1))
         d = rep.to_dict()
         assert {"p", "sup_estimate", "ball_count", "verdict", "analytic_range"} <= set(d)
+
+
+def _hex(ratios):
+    return [r.hex() for r in ratios]
+
+
+class TestSharedGeometry:
+    """ap_check takes a family's layout and cap geometry from one cached
+    entry per family; every ratio keeps the bits of its own ball."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cold_and_warm_ratios_are_equal(self, n):
+        family = BallFamily(dim=n, seed=5)
+        weights = [Weight.polynomial(a, n) for a in (-0.5 * n, 0.25, 0.9 * n, 3.0 * n)]
+        weights_hex = []
+        for w in weights:
+            _family_geometry.cache_clear()
+            weights_hex.append(_hex(ap_check(w, 2.0, family).ratios))
+        for w, cold in zip(weights, weights_hex):
+            assert _hex(ap_check(w, 2.0, family).ratios) == cold
+        for w, cold in zip(reversed(weights), reversed(weights_hex)):
+            assert _hex(ap_check(w, 2.0, family).ratios) == cold
+
+    def test_ten_checks_build_the_geometry_once(self, monkeypatch):
+        import cusplab.weights as weights_module
+
+        calls = []
+        betainc = weights_module.betainc
+        monkeypatch.setattr(weights_module, "betainc", lambda *a: calls.append(1) or betainc(*a))
+        _family_geometry.cache_clear()
+        family = BallFamily(dim=2, seed=11)
+        for k in range(10):
+            ap_check(Weight.polynomial(-1.5 + 0.5 * k, 2), 1.5 + 0.25 * k, family)
+        info = _family_geometry.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+        assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergent_origin_balls_share_the_entry(self):
+        family = BallFamily(dim=2, n_radii=3, n_random=2, lattice_decades=2, seed=3)
+        inside, past = Weight.polynomial(1.0, 2), Weight.polynomial(-2.5, 2)
+        _family_geometry.cache_clear()
+        reports = [ap_check(w, 2.0, family) for w in (inside, past)]
+        assert _family_geometry.cache_info().misses == 1
+        for w, rep in zip((inside, past), reports):
+            assert _hex(rep.ratios) == _hex(ap_ratio(w, 2.0, b) for b in family.balls())
+        # |x|**-2.5 diverges on exactly the balls whose closure holds the origin
+        at_origin = [float(np.linalg.norm(b.center)) <= b.radius for b in family.balls()]
+        assert [math.isinf(r) for r in reports[1].ratios] == at_origin
+        assert any(at_origin) and not all(at_origin)
+
+    def test_a_family_in_another_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="R\\*\\*2 and balls in R\\*\\*3"):
+            ap_check(Weight.polynomial(0.5, 2), 2.0, BallFamily(dim=3))
+
+    def test_cached_arrays_are_read_only(self):
+        _, geometry = _family_geometry(BallFamily(dim=3))
+        for array in (geometry.rho, geometry.shell):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_a_family_over_the_cap_raises_before_its_balls(self, monkeypatch):
+        def balls(self):
+            raise AssertionError("balls() built")
+
+        monkeypatch.setattr(BallFamily, "balls", balls)
+        with pytest.raises(ValueError, match=f"at most {MAX_BALLS} balls, got {MAX_BALLS + 1}"):
+            BallFamily(dim=2, n_radii=MAX_BALLS + 1, n_random=0, lattice_decades=0)
+        with pytest.raises(ValueError, match="at most"):
+            BallFamily(dim=10**6)  # 7 * (1 + 6 * 10**6 + 8) balls
+        # 8 * (1 + 2 * 1 * 3 + 505) = 4096 balls, the cap itself
+        BallFamily(dim=1, n_radii=8, n_random=505)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [{"r_max": 1e200}, {"r_min": 2.0}, {"r_min": -0.001}, {"r_min": 1e-200}, {"r_min": 0.0},
+         {"r_min": math.nan}, {"r_max": math.inf}],
+        ids=["huge", "reversed", "negative", "tiny", "zero", "nan", "inf"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_radii_out_of_range_raise_before_any_work(self, plan):
+        with pytest.raises(ValidityError):
+            BallFamily(dim=3, **plan)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3]), lo=st.floats(-165.0, 155.0), span=st.floats(0.0, 6.0),
+           alpha=st.floats(-0.99, 3.0))
+    @example(n=2, lo=-161.0, span=1.0, alpha=0.25)  # off-centre volumes underflow to 0
+    @example(n=3, lo=100.0, span=2.5, alpha=0.25)
+    def test_radii_in_range_give_ratios_without_warnings(self, n, lo, span, alpha):
+        # every radius the rule admits gives each ball a ratio >= 1 or inf
+        try:
+            family = BallFamily(dim=n, r_min=10.0**lo, r_max=10.0 ** (lo + span), n_radii=3, n_random=2)
+        except ValidityError:
+            assume(False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = ap_check(Weight.polynomial(alpha * n, n), 2.0, family)
+        assert all(r >= 1.0 - 1e-12 for r in rep.ratios)
 
 
 def _measure(w, region):
